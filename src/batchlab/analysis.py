@@ -1,8 +1,9 @@
 """End-to-end causal analysis of a set of run records.
 
 Extracts the five observed variables from completed, unablated runs, bins
-them, fits tables for both engine modes, answers interventional queries for
-every observed batch size, and bundles everything into one JSON-serializable
+them, fits one table set per engine mode (each mode is a factor set, given by
+its own hypergraph structure), answers interventional queries for every
+observed batch size, and bundles everything into one JSON-serializable
 document so reports can be regenerated without re-training.
 """
 
@@ -17,6 +18,12 @@ import numpy as np
 from . import causal
 from .training import RunRecord
 
+# The factor set of each engine mode, as the hypergraph it is fitted and queried on.
+STRUCTURES = {
+    causal.MODE_HYPERGRAPH: causal.default_hypergraph(),
+    causal.MODE_ALGORITHM1: causal.algorithm1_structure(),
+}
+
 
 @dataclass(frozen=True)
 class AnalysisSettings:
@@ -25,7 +32,6 @@ class AnalysisSettings:
 
     bins: int = 3
     alpha: float = 1.0
-    mode: str = causal.MODE_HYPERGRAPH
     treat: int | None = 16
     control: int | None = 512
 
@@ -34,14 +40,11 @@ class AnalysisSettings:
             raise ValueError("bins must be >= 1")
         if self.alpha < 0:
             raise ValueError("alpha must be >= 0")
-        if self.mode not in causal.MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
 
     def to_dict(self) -> dict:
         return {
             "bins": self.bins,
             "alpha": self.alpha,
-            "mode": self.mode,
             "treat": self.treat,
             "control": self.control,
         }
@@ -153,12 +156,9 @@ def analyze_observations(observations: list[dict], settings: AnalysisSettings) -
         k_map[var] = max(1, min(settings.bins, distinct))
     scheme, binned = causal.discretize_records(observations, k=k_map)
 
-    graph = causal.default_hypergraph()
     tables = {
-        causal.MODE_HYPERGRAPH: causal.fit_cpts(graph, binned, alpha=settings.alpha),
-        causal.MODE_ALGORITHM1: causal.fit_cpts(
-            causal.algorithm1_structure(), binned, alpha=settings.alpha
-        ),
+        mode: causal.fit_cpts(graph, binned, alpha=settings.alpha)
+        for mode, graph in STRUCTURES.items()
     }
 
     levels = scheme.bins[causal.VAR_BATCH].levels
@@ -170,16 +170,12 @@ def analyze_observations(observations: list[dict], settings: AnalysisSettings) -
 
     interventions: dict[str, list[causal.InterventionResult]] = {}
     ate_by_mode: dict[str, float] = {}
-    for mode in causal.MODES:
+    for mode, graph in STRUCTURES.items():
         interventions[mode] = [
-            causal.interventional_distribution(
-                graph, tables[mode], b, mode=mode, scheme=scheme
-            )
+            causal.interventional_distribution(graph, tables[mode], b, mode=mode, scheme=scheme)
             for b in levels
         ]
-        ate_by_mode[mode] = causal.ate(
-            graph, tables[mode], treat, control, mode=mode, scheme=scheme
-        )
+        ate_by_mode[mode] = causal.ate(graph, tables[mode], treat, control, scheme=scheme)
 
     return AnalysisBundle(
         settings=settings,

@@ -11,7 +11,6 @@ is the difference of expected outcomes under two interventions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 from scipy.stats import chi2 as chi2_dist
@@ -89,8 +88,9 @@ def pairwise_hypergraph() -> CausalHypergraph:
 
 
 def algorithm1_structure() -> CausalHypergraph:
-    """Factor set of the alternate (algorithm1) engine mode: the complexity
-    factor is dropped and the outcome conditions jointly on all mediators."""
+    """Factor set of the alternate (algorithm1) engine mode: complexity has
+    no incoming edge, so it gets no factor and is summed out, and the outcome
+    conditions jointly on all mediators."""
     return CausalHypergraph.from_edges(
         DEFAULT_VARIABLES,
         [
@@ -363,10 +363,6 @@ class InterventionResult:
         }
 
 
-def _tables_by_head(tables) -> dict[str, ConditionalTable]:
-    return {t.head: t for t in tables}
-
-
 def _resolve_level(b, levels) -> int:
     if levels is None:
         index = int(b)
@@ -395,18 +391,20 @@ def interventional_distribution(
     intervention: str = VAR_BATCH,
     outcome: str = VAR_GENERALIZATION,
 ) -> InterventionResult:
-    """Outcome distribution under do(intervention = b), by exact summation.
+    """Outcome distribution under do(intervention = b), by truncated factorization.
 
-    ``hypergraph`` mode multiplies every hyperedge factor in topological
-    order, marginalizing variables as soon as no later factor needs them.
-    ``algorithm1`` mode instead uses the alternate factor set (no complexity
-    factor, outcome conditioned jointly on all three mediators) and
-    normalizes the result. When a scheme is given, ``b`` is an actual level
-    of the intervention variable; otherwise it is a bin index.
+    Every hyperedge of ``h`` except the one into the intervention contributes
+    its table as one factor, with the intervention axis fixed at ``b``; a
+    single ``np.einsum`` sums the product over every other variable and the
+    result is normalized. A variable with no incoming hyperedge (other than
+    the intervention) has no factor and is summed out of the tables that
+    condition on it. ``mode`` only labels the result with the name of the
+    factor set. When a scheme is given, ``b`` is an actual level of the
+    intervention variable; otherwise it is a bin index.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    by_head = _tables_by_head(tables)
+    validate_hypergraph(h)
+    if outcome not in h.variables:
+        raise ValueError(f"outcome {outcome!r} not in hypergraph")
     levels = None
     g_reps = None
     if scheme is not None:
@@ -417,121 +415,32 @@ def interventional_distribution(
             g_reps = scheme.representatives(outcome)
     b_index = _resolve_level(b, levels)
 
-    if mode == MODE_ALGORITHM1:
-        dist = _algorithm1_distribution(by_head, b_index, intervention, outcome)
-    else:
-        dist = _hypergraph_distribution(h, by_head, b_index, intervention, outcome)
-    return InterventionResult(b=b, mode=mode, distribution=dist, expected=_expected(dist, g_reps))
-
-
-def _hypergraph_distribution(
-    h: CausalHypergraph,
-    by_head: dict[str, ConditionalTable],
-    b_index: int,
-    intervention: str,
-    outcome: str,
-) -> np.ndarray:
-    order = validate_hypergraph(h)
-    if outcome not in order:
-        raise ValueError(f"outcome {outcome!r} not in hypergraph")
-    to_process = [v for v in order if v != intervention]
-    for v in to_process:
-        if v not in by_head:
-            raise ValueError(f"missing table for variable {v!r}")
-        for j, t in enumerate(by_head[v].tails):
-            if t == intervention:
-                k_b = by_head[v].probs.shape[j]
-                if not (0 <= b_index < k_b):
-                    raise ValueError(
-                        f"unknown intervention level index {b_index} (have {k_b} levels)"
-                    )
-    k_of = {v: by_head[v].probs.shape[-1] for v in to_process}
-    k_of[intervention] = None  # fixed by the intervention
-
-    # joint over "live" variables, as {assignment tuple: probability}
-    live: list[str] = []
-    joint: dict[tuple[int, ...], float] = {(): 1.0}
-    remaining = list(to_process)
-    for i, v in enumerate(remaining):
-        table = by_head[v]
-        tail_pos = []
-        for t in table.tails:
-            if t == intervention:
-                tail_pos.append(None)
-            elif t in live:
-                tail_pos.append(live.index(t))
-            else:
+    by_head = {t.head: t for t in tables}
+    axis = {v: i for i, v in enumerate(h.variables)}
+    operands = []
+    for edge in h.hyperedges:
+        if edge.head == intervention:
+            continue
+        table = by_head.get(edge.head)
+        if table is None or table.tails != edge.tails:
+            raise ValueError(f"missing table for variable {edge.head!r} given {edge.tails}")
+        probs = table.probs
+        if intervention in edge.tails:
+            j = edge.tails.index(intervention)
+            k_b = probs.shape[j]
+            if not (0 <= b_index < k_b):
                 raise ValueError(
-                    f"table for {v!r} conditions on {t!r} before it is generated"
+                    f"unknown intervention level index {b_index} (have {k_b} levels)"
                 )
-        new_joint: dict[tuple[int, ...], float] = {}
-        for assign, p in joint.items():
-            tail_bins = tuple(
-                b_index if pos is None else assign[pos] for pos in tail_pos
-            )
-            row = table.row(tail_bins)
-            for vb in range(k_of[v]):
-                key = assign + (vb,)
-                new_joint[key] = new_joint.get(key, 0.0) + p * row[vb]
-        live.append(v)
-        joint = new_joint
-        # marginalize out variables no later factor conditions on
-        still_needed = {outcome}
-        for later in remaining[i + 1 :]:
-            still_needed.update(by_head[later].tails)
-        drop = [lv for lv in live if lv not in still_needed]
-        if drop:
-            keep_pos = [j for j, lv in enumerate(live) if lv not in drop]
-            reduced: dict[tuple[int, ...], float] = {}
-            for assign, p in joint.items():
-                key = tuple(assign[j] for j in keep_pos)
-                reduced[key] = reduced.get(key, 0.0) + p
-            live = [lv for lv in live if lv not in drop]
-            joint = reduced
-
-    out_pos = live.index(outcome)
-    dist = np.zeros(k_of[outcome])
-    for assign, p in joint.items():
-        dist[assign[out_pos]] += p
-    # mathematically normalized already; divide out float drift
-    return dist / dist.sum()
-
-
-def _algorithm1_distribution(
-    by_head: dict[str, ConditionalTable],
-    b_index: int,
-    intervention: str,
-    outcome: str,
-) -> np.ndarray:
-    for needed in (VAR_NOISE, VAR_SHARPNESS, outcome):
-        if needed not in by_head:
-            raise ValueError(f"algorithm1 mode requires a table for {needed!r}")
-    t_noise = by_head[VAR_NOISE]
-    t_sharp = by_head[VAR_SHARPNESS]
-    t_out = by_head[outcome]
-    expected_tails = tuple(sorted((VAR_COMPLEXITY, VAR_NOISE, VAR_SHARPNESS)))
-    if t_out.tails != expected_tails:
-        raise ValueError(
-            f"algorithm1 outcome table must condition on {expected_tails}, got {t_out.tails}"
-        )
-    k_b = t_noise.probs.shape[0]
-    if not (0 <= b_index < k_b):
-        raise ValueError(f"unknown intervention level index {b_index} (have {k_b} levels)")
-    k_n = t_noise.probs.shape[-1]
-    k_s = t_sharp.probs.shape[-1]
-    k_c = t_out.probs.shape[t_out.tails.index(VAR_COMPLEXITY)]
-    k_g = t_out.probs.shape[-1]
-    dist = np.zeros(k_g)
-    for n, s, c in product(range(k_n), range(k_s), range(k_c)):
-        weight = t_noise.row((b_index,))[n] * t_sharp.row((n,))[s]
-        tail_bins = tuple(
-            {VAR_COMPLEXITY: c, VAR_NOISE: n, VAR_SHARPNESS: s}[t] for t in t_out.tails
-        )
-        dist += weight * t_out.row(tail_bins)
+            probs = probs.take(b_index, axis=j)
+        tails = [axis[v] for v in edge.tails if v != intervention]
+        operands += [probs, tails + [axis[edge.head]]]
+    dist = np.einsum(*operands, [axis[outcome]])
     total = dist.sum()
     if total <= 0:
-        raise ValueError("algorithm1 factorization produced zero mass")
-    return dist / total
+        raise ValueError("truncated factorization produced zero mass")
+    dist = dist / total
+    return InterventionResult(b=b, mode=mode, distribution=dist, expected=_expected(dist, g_reps))
 
 
 def ate(
@@ -539,12 +448,11 @@ def ate(
     tables,
     b_treat,
     b_control,
-    mode: str = MODE_HYPERGRAPH,
     scheme: DiscretizationScheme | None = None,
 ) -> float:
     """Expected outcome under do(b_treat) minus do(b_control)."""
-    treat = interventional_distribution(h, tables, b_treat, mode=mode, scheme=scheme)
-    control = interventional_distribution(h, tables, b_control, mode=mode, scheme=scheme)
+    treat = interventional_distribution(h, tables, b_treat, scheme=scheme)
+    control = interventional_distribution(h, tables, b_control, scheme=scheme)
     return treat.expected - control.expected
 
 

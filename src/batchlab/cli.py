@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import causal, sweep
+from . import sweep
 from .analysis import AnalysisSettings, analyze_records
 from .config import ConfigError, parse_config
 from .report import emit_report
@@ -22,7 +22,6 @@ from .report import emit_report
 def _causal_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--bins", type=int, default=None, help="bins per continuous variable")
     parser.add_argument("--alpha", type=float, default=None, help="Laplace smoothing")
-    parser.add_argument("--mode", choices=list(causal.MODES), default=None)
     parser.add_argument("--treat", type=int, default=None, help="treatment batch size")
     parser.add_argument("--control", type=int, default=None, help="control batch size")
 
@@ -32,7 +31,6 @@ def _settings_from_args(args, base: AnalysisSettings | None = None) -> AnalysisS
     return AnalysisSettings(
         bins=args.bins if args.bins is not None else base.bins,
         alpha=args.alpha if args.alpha is not None else base.alpha,
-        mode=args.mode if args.mode is not None else base.mode,
         treat=args.treat if args.treat is not None else base.treat,
         control=args.control if args.control is not None else base.control,
     )

@@ -42,7 +42,7 @@ TRAIN_KEYS = {
 }
 BATCH_SCHEDULE_KEYS = {"kind", "start", "factor", "every_epochs"}
 ABLATION_KEYS = {"kind", "rho", "l1", "l2"}
-CAUSAL_KEYS = {"bins", "alpha", "mode", "treat", "control"}
+CAUSAL_KEYS = {"bins", "alpha", "treat", "control"}
 TOP_KEYS = {
     "dataset",
     "model",

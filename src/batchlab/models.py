@@ -5,9 +5,12 @@ network, and the same network applied to graph-diffused features) share one
 calling convention: parameters live in a single contiguous float64 vector
 whose layout is given by ``param_slices``, inputs arrive as a
 ``DatasetBatch``, and every operation is a pure function of its arguments.
-Gradients are analytic (manual backprop); Hessian-vector products use central
-finite differences of the exact gradient, which is O(step^2) accurate for the
-smooth (tanh/softmax) losses used here.
+A graph_diffusion model runs as its ``head_spec`` (an mlp1) on features the
+training loop diffuses over the whole graph; the forward and gradient
+functions take no adjacency. Gradients are analytic (manual backprop);
+Hessian-vector products (``hvp_operator``) use central finite differences of
+the exact gradient, which is O(step^2) accurate for the smooth (tanh/softmax)
+losses used here.
 """
 
 from __future__ import annotations
@@ -26,9 +29,9 @@ class ModelSpec:
 
     ``diffusion_alpha`` blends each feature row toward its normalized-adjacency
     neighborhood average, ``diffusion_steps`` times. ``diffusion_beta`` scales a
-    multiplicative noise term that is injected only by the training loop (the
-    pure forward pass here stays deterministic); with alpha = beta = 0 the
-    graph model is exactly an mlp1 over raw features.
+    multiplicative noise term in that diffusion. Both are applied by the
+    training loop before the features reach the model; with alpha = beta = 0
+    the graph model is exactly an mlp1 over raw features.
     """
 
     kind: str
@@ -69,16 +72,13 @@ class ModelSpec:
 
 @dataclass
 class DatasetBatch:
-    """A batch of rows: features, integer class labels, optional adjacency.
+    """A batch of rows: features and integer class labels.
 
-    The adjacency (needed only by graph_diffusion models) must be square over
-    the batch rows, symmetric, and nonnegative. Instances are treated as
-    immutable by every operation in this package.
+    Instances are treated as immutable by every operation in this package.
     """
 
     inputs: np.ndarray
     labels: np.ndarray
-    adjacency: object | None = None
 
     def __post_init__(self) -> None:
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
@@ -92,30 +92,10 @@ class DatasetBatch:
             raise ValueError("labels must be a length-n vector")
         if self.labels.min() < 0:
             raise ValueError("labels must be nonnegative class indices")
-        if self.adjacency is not None:
-            _check_adjacency(self.adjacency, n)
 
     @property
     def n(self) -> int:
         return self.inputs.shape[0]
-
-
-def _check_adjacency(adj, n: int) -> None:
-    if sp.issparse(adj):
-        if adj.shape != (n, n):
-            raise ValueError("adjacency shape does not match batch size")
-        if adj.nnz and adj.min() < 0:
-            raise ValueError("adjacency entries must be nonnegative")
-        if (adj != adj.T).nnz != 0:
-            raise ValueError("adjacency must be symmetric")
-    else:
-        a = np.asarray(adj, dtype=np.float64)
-        if a.shape != (n, n):
-            raise ValueError("adjacency shape does not match batch size")
-        if (a < 0).any():
-            raise ValueError("adjacency entries must be nonnegative")
-        if not np.array_equal(a, a.T):
-            raise ValueError("adjacency must be symmetric")
 
 
 # -- parameter layout ---------------------------------------------------------
@@ -166,6 +146,8 @@ def head_spec(spec: ModelSpec) -> ModelSpec:
 
 
 def _check_params(spec: ModelSpec, params: np.ndarray) -> np.ndarray:
+    if spec.kind == "graph_diffusion":
+        raise ValueError("a graph_diffusion model runs as head_spec(spec) on diffused features")
     params = np.asarray(params, dtype=np.float64)
     if params.shape != (param_count(spec),):
         raise ValueError(
@@ -209,15 +191,6 @@ def diffuse_features(features: np.ndarray, adj_norm, alpha: float, steps: int) -
     return h
 
 
-def _features(spec: ModelSpec, batch: DatasetBatch) -> np.ndarray:
-    if spec.kind != "graph_diffusion":
-        return batch.inputs
-    if batch.adjacency is None:
-        raise ValueError("graph_diffusion model requires batch adjacency")
-    adj_norm = normalized_adjacency(batch.adjacency)
-    return diffuse_features(batch.inputs, adj_norm, spec.diffusion_alpha, spec.diffusion_steps)
-
-
 # -- forward / gradients ------------------------------------------------------
 
 
@@ -246,23 +219,15 @@ def forward_loss(spec: ModelSpec, params: np.ndarray, batch: DatasetBatch) -> fl
     """Mean cross-entropy of the batch under the model. Deterministic."""
     params = _check_params(spec, params)
     _check_labels(spec, batch)
-    feats = _features(spec, batch)
-    logp = _log_softmax(_logits(spec, params, feats)[0])
+    logp = _log_softmax(_logits(spec, params, batch.inputs)[0])
     return float(-logp[np.arange(batch.n), batch.labels].mean())
-
-
-def predict_proba(spec: ModelSpec, params: np.ndarray, batch: DatasetBatch) -> np.ndarray:
-    params = _check_params(spec, params)
-    feats = _features(spec, batch)
-    return np.exp(_log_softmax(_logits(spec, params, feats)[0]))
 
 
 def predict_accuracy(spec: ModelSpec, params: np.ndarray, batch: DatasetBatch) -> float:
     """Fraction of argmax-correct labels; argmax ties go to the lowest class."""
     params = _check_params(spec, params)
     _check_labels(spec, batch)
-    feats = _features(spec, batch)
-    pred = np.argmax(_logits(spec, params, feats)[0], axis=1)
+    pred = np.argmax(_logits(spec, params, batch.inputs)[0], axis=1)
     return float((pred == batch.labels).mean())
 
 
@@ -274,7 +239,7 @@ def per_sample_gradients(spec: ModelSpec, params: np.ndarray, batch: DatasetBatc
     """
     params = _check_params(spec, params)
     _check_labels(spec, batch)
-    feats = _features(spec, batch)
+    feats = batch.inputs
     n = batch.n
     logits, act = _logits(spec, params, feats)
     probs = np.exp(_log_softmax(logits))
@@ -295,7 +260,7 @@ def mean_gradient(spec: ModelSpec, params: np.ndarray, batch: DatasetBatch) -> n
     """Gradient of ``forward_loss``; cheaper than averaging per-sample rows."""
     params = _check_params(spec, params)
     _check_labels(spec, batch)
-    feats = _features(spec, batch)
+    feats = batch.inputs
     n = batch.n
     logits, act = _logits(spec, params, feats)
     probs = np.exp(_log_softmax(logits))
@@ -322,23 +287,27 @@ def hidden_activations(spec: ModelSpec, params: np.ndarray, batch: DatasetBatch)
     if spec.kind == "logistic":
         raise ValueError("logistic models have no hidden embedding")
     params = _check_params(spec, params)
-    feats = _features(spec, batch)
-    return _logits(spec, params, feats)[1]
+    return _logits(spec, params, batch.inputs)[1]
 
 
 def hidden_backward(
-    spec: ModelSpec, params: np.ndarray, batch: DatasetBatch, d_hidden: np.ndarray
+    spec: ModelSpec,
+    params: np.ndarray,
+    batch: DatasetBatch,
+    act: np.ndarray,
+    d_hidden: np.ndarray,
 ) -> np.ndarray:
-    """Map a total derivative w.r.t. hidden activations to flat-parameter space."""
+    """Map a total derivative w.r.t. hidden activations to flat-parameter space.
+
+    ``act`` is ``hidden_activations(spec, params, batch)``, passed in so the
+    hidden layer is not computed twice.
+    """
     if spec.kind == "logistic":
         raise ValueError("logistic models have no hidden embedding")
-    params = _check_params(spec, params)
-    feats = _features(spec, batch)
-    act = _logits(spec, params, feats)[1]
     dz1 = np.asarray(d_hidden, dtype=np.float64) * (1.0 - act * act)
     grad = np.zeros_like(params)
     sl = param_slices(spec)
-    grad[sl["w1"]] = (feats.T @ dz1).ravel()
+    grad[sl["w1"]] = (batch.inputs.T @ dz1).ravel()
     grad[sl["b1"]] = dz1.sum(axis=0)
     return grad
 
@@ -363,20 +332,6 @@ def hvp_from_grad(grad_fn, params: np.ndarray, v: np.ndarray, step: float) -> np
     if not v.any():
         return np.zeros_like(params)
     return (grad_fn(params + step * v) - grad_fn(params - step * v)) / (2.0 * step)
-
-
-def hvp(
-    spec: ModelSpec,
-    params: np.ndarray,
-    batch: DatasetBatch,
-    v: np.ndarray,
-    step: float | None = None,
-) -> np.ndarray:
-    """H v for the mean-loss Hessian at ``params``, O(step^2) accurate."""
-    params = _check_params(spec, params)
-    if step is None:
-        step = default_hvp_step(params)
-    return hvp_from_grad(lambda p: mean_gradient(spec, p, batch), params, v, step)
 
 
 def hvp_operator(spec: ModelSpec, params: np.ndarray, batch: DatasetBatch, step: float | None = None):

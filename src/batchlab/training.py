@@ -191,22 +191,19 @@ def adam_step(
     return params - lr * m_hat / (np.sqrt(v_hat) + eps), AdamState(m=m, v=v)
 
 
-def noise_injected_step(
-    params: np.ndarray,
-    grad: np.ndarray,
-    lr: float,
-    noise_level: float,
-    rng: np.random.Generator,
+def noise_injected_gradient(
+    grad: np.ndarray, noise_level: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """Gradient step with additive zero-mean Gaussian noise, std sqrt(noise_level)."""
+    """Gradient plus zero-mean Gaussian noise of std sqrt(noise_level).
+
+    Draws nothing unless noise_level > 0, so a zero level leaves the noise
+    stream untouched.
+    """
     if noise_level < 0:
         raise ValueError("noise_level must be >= 0")
-    if lr < 0:
-        raise ValueError("lr must be >= 0")
-    grad = np.asarray(grad, dtype=np.float64)
     if noise_level > 0:
         grad = grad + rng.normal(0.0, math.sqrt(noise_level), size=grad.shape)
-    return params - lr * grad
+    return grad
 
 
 def sam_perturbed_gradient(grad_fn, params: np.ndarray, rho: float) -> np.ndarray:
@@ -218,14 +215,6 @@ def sam_perturbed_gradient(grad_fn, params: np.ndarray, rho: float) -> np.ndarra
     if rho == 0.0 or norm == 0.0:
         return g
     return np.asarray(grad_fn(params + rho * g / norm), dtype=np.float64)
-
-
-def sam_step(spec, params, batch, rho: float, base_update) -> np.ndarray:
-    """Sharpness-aware step: base_update applied to the perturbed-point gradient."""
-    if rho < 0:
-        raise ValueError("rho must be >= 0")
-    g = sam_perturbed_gradient(lambda p: models.mean_gradient(spec, p, batch), params, rho)
-    return base_update(g)
 
 
 # -- graph-specific pieces ----------------------------------------------------
@@ -325,7 +314,7 @@ def gradient_with_penalties(
         rb = reg_batch if reg_batch is not None else batch
         emb = models.hidden_activations(spec, params, rb)
         _, d_emb = _causal_regularizer_grad(emb, edges)
-        g = g + lambda_causal * models.hidden_backward(spec, params, rb, d_emb)
+        g = g + lambda_causal * models.hidden_backward(spec, params, rb, emb, d_emb)
     if l1 > 0.0:
         g = g + l1 * np.sign(params)
     if l2 > 0.0:
@@ -520,11 +509,10 @@ def train_run(dataset: datamod.DatasetBundle, config: TrainConfig) -> RunRecord:
                     g = sam_perturbed_gradient(
                         lambda p: grad_at(p, idx, train_features), params, abl.rho
                     )
-                elif abl.kind == "inject_noise" and inject_level > 0.0:
-                    g = grad_at(params, idx, train_features)
-                    g = g + rng_noise.normal(0.0, math.sqrt(inject_level), size=g.shape)
                 else:
                     g = grad_at(params, idx, train_features)
+                    if abl.kind == "inject_noise":
+                        g = noise_injected_gradient(g, inject_level, rng_noise)
                 params = apply_update(params, g, lr)
                 if not np.isfinite(params).all():
                     diverged = True

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from batchlab import causal, data, models, sweep as sweepmod, training
-from batchlab.analysis import AnalysisSettings, analyze_records
+from batchlab.analysis import STRUCTURES, AnalysisSettings, analyze_records
 from batchlab.config import build_sweep_config
 from batchlab.measures import gradient_noise, sharpness_lambda_max
 from batchlab.report import ate_point_table, significance_result
@@ -114,13 +114,12 @@ def _enumeration_oracle(tables, b_idx, mode):
 
 def test_criterion_3_do_calculus_exactness():
     rng = np.random.default_rng(31)
-    graph = causal.default_hypergraph()
     worst = 0.0
     for trial in range(100):
         for mode in causal.MODES:
             tables = _random_tables(rng, mode)
             b_idx = trial % 2
-            res = causal.interventional_distribution(graph, tables, b_idx, mode=mode)
+            res = causal.interventional_distribution(STRUCTURES[mode], tables, b_idx, mode=mode)
             oracle = _enumeration_oracle(tables, b_idx, mode)
             worst = max(worst, 0.5 * np.abs(res.distribution - oracle).sum())
     ok = worst <= 1e-12

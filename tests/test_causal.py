@@ -15,6 +15,7 @@ from batchlab.causal import (
     ConditionalTable,
     DiscretizationError,
     GraphError,
+    algorithm1_structure,
     ate,
     backdoor_diagnostic,
     default_hypergraph,
@@ -80,6 +81,45 @@ def algorithm1_oracle(tables, b_idx):
                 for g in range(pj.shape[-1]):
                     out[g] += pj[c, n, s, g] * ps[n, s] * pn[b_idx, n]
     return out / out.sum()
+
+
+def random_pairwise_tables(rng, k=3, k_b=2):
+    return [
+        random_table(rng, VAR_NOISE, (VAR_BATCH,), (k_b,), k),
+        random_table(rng, VAR_SHARPNESS, (VAR_NOISE,), (k,), k),
+        random_table(rng, VAR_COMPLEXITY, (VAR_NOISE,), (k,), k),
+        random_table(rng, VAR_GENERALIZATION, (VAR_COMPLEXITY,), (k,), k),
+    ]
+
+
+def joint_enumeration_oracle(h, tables, b_idx):
+    """P(generalization | do(batch = b_idx)) for any hypergraph, by brute force.
+
+    Enumerates every joint assignment of the non-intervened variables, takes
+    the product of one table entry per hyperedge, and normalizes the outcome
+    marginal. A variable without a table ranges over the size its consumers
+    give it.
+    """
+    by_head = {t.head: t for t in tables}
+    k = {v: n for t in tables for v, n in zip(t.tails + (t.head,), t.probs.shape)}
+    free = [v for v in h.variables if v != VAR_BATCH]
+    out = np.zeros(k[VAR_GENERALIZATION])
+    for values in itertools.product(*(range(k[v]) for v in free)):
+        assign = {VAR_BATCH: b_idx, **dict(zip(free, values))}
+        p = 1.0
+        for edge in h.hyperedges:
+            t = by_head[edge.head]
+            p *= t.probs[tuple(assign[v] for v in t.tails) + (assign[edge.head],)]
+        out[assign[VAR_GENERALIZATION]] += p
+    return out / out.sum()
+
+
+# structure, random tables of that structure, and its hand-written oracle
+ORACLE_CASES = {
+    "hypergraph": (default_hypergraph, random_hypergraph_tables, hypergraph_oracle),
+    "algorithm1": (algorithm1_structure, random_algorithm1_tables, algorithm1_oracle),
+    "pairwise": (pairwise_hypergraph, random_pairwise_tables, None),
+}
 
 
 class TestValidateHypergraph:
@@ -287,19 +327,19 @@ class TestInterventionalDistribution:
         res = interventional_distribution(default_hypergraph(), uniform, 1)
         np.testing.assert_allclose(res.distribution, np.full(k, 1 / k), atol=1e-15)
 
-    @pytest.mark.parametrize("mode", ["hypergraph", "algorithm1"])
+    @pytest.mark.parametrize("mode", list(ORACLE_CASES))
     def test_random_tables_match_enumeration_oracle(self, mode):
+        structure, make_tables, hand_oracle = ORACLE_CASES[mode]
         rng = np.random.default_rng(10)
         for trial in range(30):
-            if mode == "hypergraph":
-                tables = random_hypergraph_tables(rng)
-                oracle = hypergraph_oracle(tables, trial % 2)
-            else:
-                tables = random_algorithm1_tables(rng)
-                oracle = algorithm1_oracle(tables, trial % 2)
-            res = interventional_distribution(default_hypergraph(), tables, trial % 2, mode=mode)
-            tv = 0.5 * np.abs(res.distribution - oracle).sum()
-            assert tv <= 1e-12
+            tables = make_tables(rng)
+            oracles = [joint_enumeration_oracle(structure(), tables, trial % 2)]
+            if hand_oracle is not None:
+                oracles.append(hand_oracle(tables, trial % 2))
+            res = interventional_distribution(structure(), tables, trial % 2, mode=mode)
+            for oracle in oracles:
+                tv = 0.5 * np.abs(res.distribution - oracle).sum()
+                assert tv <= 1e-12
             assert res.distribution.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_pairwise_graph_supported(self):
@@ -324,6 +364,19 @@ class TestInterventionalDistribution:
         tables = random_hypergraph_tables(rng)[:-1]
         with pytest.raises(ValueError, match="missing table"):
             interventional_distribution(default_hypergraph(), tables, 0)
+
+    @pytest.mark.parametrize(
+        "structure,make_tables",
+        [
+            (default_hypergraph, random_algorithm1_tables),  # no complexity table
+            (algorithm1_structure, random_hypergraph_tables),  # outcome tails differ
+            (pairwise_hypergraph, random_hypergraph_tables),  # complexity tails differ
+        ],
+    )
+    def test_tables_of_another_structure_rejected(self, structure, make_tables):
+        tables = make_tables(np.random.default_rng(16))
+        with pytest.raises(ValueError, match="missing table"):
+            interventional_distribution(structure(), tables, 0)
 
     def test_level_resolution_through_scheme(self):
         rng = np.random.default_rng(14)

@@ -79,6 +79,11 @@ class TestCli:
     def test_sweep_missing_config_exit_1(self, tmp_path, capsys):
         assert main(["sweep", str(tmp_path / "absent.json")]) == 1
 
+    def test_no_mode_flag(self, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            main(["analyze", str(tmp_path / "records.jsonl"), "--mode", "hypergraph"])
+        assert "--mode" in capsys.readouterr().err
+
     def test_analyze_empty_records_exit_1(self, tmp_path):
         empty = tmp_path / "records.jsonl"
         empty.write_text("")

@@ -41,6 +41,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="learning_rate"):
             parse_config(write_config(tmp_path, bad))
 
+    def test_causal_mode_key_rejected(self, tmp_path):
+        # every engine mode is always computed, so there is nothing to choose
+        bad = dict(MINIMAL, causal={"bins": 3, "mode": "hypergraph"})
+        with pytest.raises(ConfigError, match="unknown config key 'mode' in causal"):
+            parse_config(write_config(tmp_path, bad))
+
     def test_zero_batch_size_rejected(self, tmp_path):
         bad = dict(MINIMAL, batch_sizes=[0, 16])
         with pytest.raises(ConfigError, match="positive"):
@@ -97,7 +103,7 @@ class TestParseConfig:
                 "batch_schedule": {"kind": "progressive", "start": 16, "factor": 2, "every_epochs": 10},
             },
             "ablations": [{"kind": "sam", "rho": 0.05}, {"kind": "no_noise_averaging"}],
-            "causal": {"bins": 3, "alpha": 1.0, "mode": "hypergraph", "treat": 16, "control": 256},
+            "causal": {"bins": 3, "alpha": 1.0, "treat": 16, "control": 256},
             "out_dir": "out",
             "workers": 2,
         }

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from batchlab import models
+from batchlab import data, models, training
 from batchlab.models import DatasetBatch, ModelSpec
 
 
@@ -143,9 +143,8 @@ class TestHvp:
         spec = ModelSpec("mlp1", 2, 2, hidden_dim=2)
         params = models.init_params(spec, rng)
         batch = make_batch(rng, n=4, d=2, k=2)
-        np.testing.assert_array_equal(
-            models.hvp(spec, params, batch, np.zeros(params.size)), np.zeros(params.size)
-        )
+        hvp = models.hvp_operator(spec, params, batch)
+        np.testing.assert_array_equal(hvp(np.zeros(params.size)), np.zeros(params.size))
 
     def test_invalid_step(self, rng):
         with pytest.raises(ValueError, match="step"):
@@ -168,7 +167,7 @@ class TestHvp:
                 models.mean_gradient(spec, up, batch) - models.mean_gradient(spec, down, batch)
             ) / (2 * h)
         v = rng.standard_normal(6)
-        hv = models.hvp(spec, params, batch, v)
+        hv = models.hvp_operator(spec, params, batch)(v)
         np.testing.assert_allclose(hv, dense @ v, rtol=1e-3, atol=1e-8)
 
     def test_symmetric_bilinear_form(self, rng):
@@ -177,8 +176,9 @@ class TestHvp:
         batch = make_batch(rng, n=6, d=3)
         u = rng.standard_normal(params.size)
         v = rng.standard_normal(params.size)
-        uhv = u @ models.hvp(spec, params, batch, v)
-        vhu = v @ models.hvp(spec, params, batch, u)
+        hvp = models.hvp_operator(spec, params, batch)
+        uhv = u @ hvp(v)
+        vhu = v @ hvp(u)
         assert uhv == pytest.approx(vhu, rel=1e-6)
 
 
@@ -205,54 +205,56 @@ class TestPredictAccuracy:
 
 
 class TestGraphDiffusion:
-    def make_graph_batch(self, rng, n=6, d=3):
+    def ring_adjacency(self, n=6):
         adj = np.zeros((n, n))
-        for i, j in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)]:
-            adj[i, j] = adj[j, i] = 1.0
-        return DatasetBatch(rng.standard_normal((n, d)), rng.integers(0, 2, n), adjacency=adj)
+        for i in range(n):
+            adj[i, (i + 1) % n] = adj[(i + 1) % n, i] = 1.0
+        return adj
+
+    def run_pair(self, graph_spec):
+        # the same seeded run as a graph model and as the mlp1 it trains
+        bundle = data.make_sbm_graph(90, 2, p_in=0.2, p_out=0.02, d=3, seed=4)
+        runs = []
+        for spec in (graph_spec, models.head_spec(graph_spec)):
+            cfg = training.TrainConfig(model=spec, batch_size=16, epochs=2, seed=1)
+            rec = training.train_run(bundle, cfg).canonical_dict()
+            runs.append({k: rec[k] for k in ("train_loss", "test_loss", "test_acc", "final")})
+        return runs
 
     def test_zero_alpha_beta_reduces_to_mlp1(self, rng):
-        graph = ModelSpec("graph_diffusion", 3, 2, hidden_dim=4)
-        plain = ModelSpec("mlp1", 3, 2, hidden_dim=4)
-        params = models.init_params(plain, rng)
-        gbatch = self.make_graph_batch(rng)
-        flat = DatasetBatch(gbatch.inputs, gbatch.labels)
-        assert models.forward_loss(graph, params, gbatch) == models.forward_loss(
-            plain, params, flat
-        )
-        np.testing.assert_array_equal(
-            models.per_sample_gradients(graph, params, gbatch),
-            models.per_sample_gradients(plain, params, flat),
-        )
+        x = rng.standard_normal((6, 3))
+        a_norm = models.normalized_adjacency(self.ring_adjacency())
+        np.testing.assert_array_equal(models.diffuse_features(x, a_norm, 0.0, 2), x)
+        graph, plain = self.run_pair(ModelSpec("graph_diffusion", 3, 2, hidden_dim=4))
+        assert graph == plain
 
     def test_diffusion_changes_features(self, rng):
-        spec = ModelSpec("graph_diffusion", 3, 2, hidden_dim=4, diffusion_alpha=0.5)
-        params = models.init_params(models.head_spec(spec), rng)
-        gbatch = self.make_graph_batch(rng)
-        flat = DatasetBatch(gbatch.inputs, gbatch.labels)
-        plain_loss = models.forward_loss(models.head_spec(spec), params, flat)
-        assert models.forward_loss(spec, params, gbatch) != plain_loss
+        x = rng.standard_normal((6, 3))
+        a_norm = models.normalized_adjacency(self.ring_adjacency())
+        once = x + 0.5 * (a_norm @ x - x)
+        expected = once + 0.5 * (a_norm @ once - once)
+        np.testing.assert_allclose(models.diffuse_features(x, a_norm, 0.5, 2), expected)
+        graph, plain = self.run_pair(
+            ModelSpec("graph_diffusion", 3, 2, hidden_dim=4, diffusion_alpha=0.5)
+        )
+        assert graph["train_loss"] != plain["train_loss"]
 
-    def test_requires_adjacency(self, rng):
+    def test_requires_adjacency(self):
+        bundle = data.make_blobs(60, 3, 2, seed=0)
         spec = ModelSpec("graph_diffusion", 3, 2, hidden_dim=4)
         with pytest.raises(ValueError, match="adjacency"):
-            models.forward_loss(
-                spec,
-                models.init_params(spec, rng),
-                DatasetBatch(rng.standard_normal((4, 3)), [0, 1, 0, 1]),
-            )
+            training.train_run(bundle, training.TrainConfig(model=spec, batch_size=8, epochs=1))
+
+    def test_models_take_the_head_spec(self, rng):
+        spec = ModelSpec("graph_diffusion", 3, 2, hidden_dim=4)
+        with pytest.raises(ValueError, match="head_spec"):
+            models.forward_loss(spec, models.init_params(spec, rng), make_batch(rng, d=3, k=2))
 
     def test_normalized_adjacency_rows(self):
         adj = np.array([[0.0, 1.0], [1.0, 0.0]])
         a_norm = models.normalized_adjacency(adj)
         # A + I has degree 2 everywhere; normalization gives entries 1/2
         np.testing.assert_allclose(a_norm, np.full((2, 2), 0.5))
-
-    def test_asymmetric_adjacency_rejected(self, rng):
-        adj = np.zeros((3, 3))
-        adj[0, 1] = 1.0
-        with pytest.raises(ValueError, match="symmetric"):
-            DatasetBatch(rng.standard_normal((3, 2)), [0, 1, 0], adjacency=adj)
 
 
 class TestParamLayout:

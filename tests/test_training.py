@@ -13,9 +13,8 @@ from batchlab.training import (
     adam_step,
     causal_regularizer,
     diffusion_update,
-    noise_injected_step,
+    noise_injected_gradient,
     sam_perturbed_gradient,
-    sam_step,
     train_run,
 )
 
@@ -150,28 +149,30 @@ class TestDiffusionUpdate:
 
 class TestNoiseInjectedStep:
     def test_zero_noise_plain_step(self):
-        params = np.array([1.0, 2.0])
         grad = np.array([0.5, -0.5])
-        out = noise_injected_step(params, grad, 0.1, 0.0, np.random.default_rng(0))
-        np.testing.assert_allclose(out, params - 0.1 * grad)
+        rng = np.random.default_rng(0)
+        out = noise_injected_gradient(grad, 0.0, rng)
+        np.testing.assert_array_equal(out, grad)
+        # no draw at level 0: the noise stream is where a fresh one starts
+        assert rng.random() == np.random.default_rng(0).random()
 
-    def test_zero_lr_no_move(self):
-        params = np.array([1.0, 2.0])
-        out = noise_injected_step(params, np.ones(2), 0.0, 1.0, np.random.default_rng(0))
-        np.testing.assert_array_equal(out, params)
+    def test_injects_exactly_the_noise_stream_draw(self):
+        grad = np.array([0.5, -0.5, 2.0])
+        out = noise_injected_gradient(grad, 0.49, np.random.default_rng(3))
+        expected = grad + np.random.default_rng(3).normal(0.0, math.sqrt(0.49), size=3)
+        np.testing.assert_array_equal(out, expected)
 
     def test_injected_std_matches_monte_carlo(self):
         rng = np.random.default_rng(7)
         n_hat = 0.49
         draws = np.empty(10_000)
         for i in range(10_000):
-            out = noise_injected_step(np.zeros(1), np.zeros(1), 1.0, n_hat, rng)
-            draws[i] = -out[0]  # recovers the injected z
+            draws[i] = noise_injected_gradient(np.zeros(1), n_hat, rng)[0]
         assert draws.std() == pytest.approx(math.sqrt(n_hat), rel=0.05)
 
     def test_negative_noise_level(self):
         with pytest.raises(ValueError):
-            noise_injected_step(np.zeros(1), np.zeros(1), 0.1, -1.0, np.random.default_rng(0))
+            noise_injected_gradient(np.zeros(1), -1.0, np.random.default_rng(0))
 
 
 class TestSam:
@@ -180,9 +181,8 @@ class TestSam:
         spec = ModelSpec("logistic", 3, 2)
         params = rng.standard_normal(models.param_count(spec))
         batch = DatasetBatch(rng.standard_normal((5, 3)), rng.integers(0, 2, 5))
-        base = lambda g: params - 0.1 * g
-        out = sam_step(spec, params, batch, 0.0, base)
-        np.testing.assert_array_equal(out, params - 0.1 * models.mean_gradient(spec, params, batch))
+        out = sam_perturbed_gradient(lambda p: models.mean_gradient(spec, p, batch), params, 0.0)
+        np.testing.assert_array_equal(out, models.mean_gradient(spec, params, batch))
 
     def test_one_d_quadratic_analytic(self):
         # grad of 0.5 a theta^2 is a theta; at theta > 0 the perturbed
@@ -200,9 +200,8 @@ class TestSam:
         g0 = models.mean_gradient(spec, params, batch)
         eps = rho * g0 / np.linalg.norm(g0)
         g_ref = models.mean_gradient(spec, params + eps, batch)
-        updated_ref = params - 0.1 * g_ref
-        out = sam_step(spec, params, batch, rho, lambda g: params - 0.1 * g)
-        np.testing.assert_array_equal(out, updated_ref)
+        out = sam_perturbed_gradient(lambda p: models.mean_gradient(spec, p, batch), params, rho)
+        np.testing.assert_array_equal(out, g_ref)
 
     def test_zero_gradient_skips_perturbation(self):
         g = sam_perturbed_gradient(lambda p: np.zeros_like(p), np.ones(3), 0.5)
