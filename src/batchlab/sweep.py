@@ -3,10 +3,12 @@
 The record file is append-only JSON Lines, one self-contained record per
 line. On resume, a truncated (unparseable) final line is moved to a
 ``.quarantine`` sidecar; already-present (batch size, seed, ablation) runs
-are skipped. Runs execute serially or in a process pool; every run is a pure
-function of (dataset, train config), so the record set is identical either
-way. A single writer appends records as they complete, and the returned list
-is always sorted by (batch size, seed, ablation).
+are skipped, and one whose recorded config or dataset id differs from the
+planned run's raises instead of being reused. Runs execute serially or in a
+process pool; every run is a pure function of (dataset, train config), so the
+record set is identical either way. A single writer appends records as they
+complete, and the returned list is always sorted by (batch size, seed,
+ablation).
 """
 
 from __future__ import annotations
@@ -125,6 +127,20 @@ def _train_configs(config: SweepConfig, model_spec: models.ModelSpec):
                 )
 
 
+def _check_resumable(path, record, tc, bundle) -> None:
+    """Raise unless ``record`` was made by the planned run ``tc`` on ``bundle``."""
+    want = tc.to_dict()
+    keys = want.keys() | record.config.keys()
+    fields = sorted(k for k in keys if record.config.get(k) != want.get(k))
+    if record.dataset_id != bundle.dataset_id:
+        fields.append("dataset_id")
+    if fields:
+        raise ValueError(
+            f"{path}: record {record.run_id} was made under another config "
+            f"(differs in {', '.join(fields)}); sweep into a new record file"
+        )
+
+
 def _execute_run(payload) -> training.RunRecord:
     bundle, train_config = payload
     return training.train_run(bundle, train_config)
@@ -138,21 +154,25 @@ def run_sweep(
     """Execute all missing runs of the sweep, appending records as they finish.
 
     Returns every record (pre-existing plus new) sorted by
-    (batch size, seed, ablation), independent of execution order.
+    (batch size, seed, ablation), independent of execution order. Raises
+    ``ValueError`` before training anything when a present record of a
+    planned run carries another config or dataset id.
     """
     out_dir = resolve_out_dir(config)
     records_path = Path(records_path) if records_path else out_dir / "records.jsonl"
     workers = workers if workers is not None else config.workers
 
     existing = load_records(records_path)
-    done = {record_key(r) for r in existing}
+    done = {record_key(r): r for r in existing}
     bundle = build_dataset(config)
     model_spec = build_model_spec(config, bundle)
-    pending = [
-        tc
-        for tc in _train_configs(config, model_spec)
-        if run_key(tc.batch_size, tc.seed, tc.ablation.tag) not in done
-    ]
+    pending = []
+    for tc in _train_configs(config, model_spec):
+        record = done.get(run_key(tc.batch_size, tc.seed, tc.ablation.tag))
+        if record is None:
+            pending.append(tc)
+        else:
+            _check_resumable(records_path, record, tc, bundle)
 
     new_records: list[training.RunRecord] = []
     if workers <= 1:

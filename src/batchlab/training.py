@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from time import perf_counter
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import data as datamod
 from . import measures, models
@@ -233,15 +234,47 @@ def causal_regularizer(embeddings: np.ndarray, edges) -> float:
     return float((diff * diff).sum() / e.shape[0])
 
 
-def _causal_regularizer_grad(embeddings: np.ndarray, edges: np.ndarray):
-    """(value, d value / d embeddings) for a nonempty [m x 2] edge array."""
-    diff = embeddings[edges[:, 0]] - embeddings[edges[:, 1]]
-    value = float((diff * diff).sum() / edges.shape[0])
-    d_emb = np.zeros_like(embeddings)
-    coef = 2.0 / edges.shape[0]
-    np.add.at(d_emb, edges[:, 0], coef * diff)
-    np.add.at(d_emb, edges[:, 1], -coef * diff)
-    return value, d_emb
+@dataclass(frozen=True)
+class EdgeOperators:
+    """The edge regularizer's gradient as two fixed sparse operators.
+
+    For an [m x 2] edge array (e0, e1) over n nodes, ``gather`` (m x n, entries
+    +1 at e0 and -1 at e1) maps embeddings to the edge differences
+    ``emb[e0] - emb[e1]``, and ``scatter`` (n x 2m, entries +2/m in the e0
+    columns, then -2/m in the e1 columns) maps ``[diff; diff]`` to the
+    gradient of ``causal_regularizer`` in the embeddings. A CSR row sum runs
+    in stored column order, so each node adds its e0 terms in edge order, then
+    its e1 terms in edge order: the same order, and so the same floats, as
+    scattering edge by edge. ``train_run`` builds them once per run, since the
+    graph is fixed.
+    """
+
+    gather: sp.csr_matrix
+    scatter: sp.csr_matrix
+
+    @staticmethod
+    def from_edges(edges: np.ndarray, n: int) -> "EdgeOperators":
+        e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        m = e.shape[0]
+        gather = sp.csr_matrix(
+            (np.repeat([1.0, -1.0], m), (np.tile(np.arange(m), 2), e.T.ravel())), shape=(m, n)
+        )
+        coef = 2.0 / m
+        scatter = sp.csr_matrix(
+            (np.repeat([coef, -coef], m), (e.T.ravel(), np.arange(2 * m))), shape=(n, 2 * m)
+        )
+        return EdgeOperators(gather, scatter)
+
+    def __len__(self) -> int:
+        return self.gather.shape[0]
+
+
+def _causal_regularizer_grad(embeddings: np.ndarray, ops: EdgeOperators) -> np.ndarray:
+    """d causal_regularizer / d embeddings for a nonempty edge set, through the
+    precomputed operators: one gather, one scatter, bit-identical to the
+    edge-order scatter."""
+    diff = ops.gather @ embeddings
+    return ops.scatter @ np.vstack((diff, diff))
 
 
 def diffusion_update(
@@ -304,16 +337,24 @@ def gradient_with_penalties(
     batch: models.DatasetBatch,
     lambda_causal: float = 0.0,
     reg_batch: models.DatasetBatch | None = None,
-    edges: np.ndarray | None = None,
+    edges: np.ndarray | EdgeOperators | None = None,
     l1: float = 0.0,
     l2: float = 0.0,
 ) -> np.ndarray:
-    """Gradient of ``loss_with_penalties`` (analytic for every term)."""
+    """Gradient of ``loss_with_penalties`` (analytic for every term).
+
+    ``edges`` is an [m x 2] edge array or the ``EdgeOperators`` built from it;
+    ``train_run`` passes operators it built once. The edge term's gradient
+    always runs through those operators, bit-identical to scattering
+    ``±2/m * diff`` edge by edge (see ``EdgeOperators``).
+    """
     g = models.mean_gradient(spec, params, batch)
     if lambda_causal > 0.0 and edges is not None and len(edges):
         rb = reg_batch if reg_batch is not None else batch
+        if not isinstance(edges, EdgeOperators):
+            edges = EdgeOperators.from_edges(edges, rb.n)
         emb = models.hidden_activations(spec, params, rb)
-        _, d_emb = _causal_regularizer_grad(emb, edges)
+        d_emb = _causal_regularizer_grad(emb, edges)
         g = g + lambda_causal * models.hidden_backward(spec, params, rb, emb, d_emb)
     if l1 > 0.0:
         g = g + l1 * np.sign(params)
@@ -428,25 +469,27 @@ def train_run(dataset: datamod.DatasetBundle, config: TrainConfig) -> RunRecord:
         det_features = models.diffuse_features(
             dataset.features, adj_norm, spec.diffusion_alpha, spec.diffusion_steps
         )
-        edges = datamod.edge_list(dataset.adjacency)
     else:
         head = spec
         det_features = dataset.features
-        edges = np.empty((0, 2), dtype=np.int64)
+    edge_ops = None
+    if is_graph and config.lambda_causal > 0.0:
+        edges = datamod.edge_list(dataset.adjacency)
+        if len(edges):
+            edge_ops = EdgeOperators.from_edges(edges, dataset.features.shape[0])
 
     probe_idx = train_idx[: min(256, n_train)]
 
-    def grad_at(p: np.ndarray, idx: np.ndarray, feats: np.ndarray) -> np.ndarray:
-        reg_batch = None
-        if config.lambda_causal > 0.0 and is_graph and len(edges):
-            reg_batch = models.DatasetBatch(feats, labels)
+    def grad_at(
+        p: np.ndarray, idx: np.ndarray, feats: np.ndarray, reg_batch: models.DatasetBatch | None
+    ) -> np.ndarray:
         return gradient_with_penalties(
             head,
             p,
             _batch_of(feats, labels, idx),
             lambda_causal=config.lambda_causal,
             reg_batch=reg_batch,
-            edges=edges if config.lambda_causal > 0.0 else None,
+            edges=edge_ops,
             l1=abl.l1 if abl.kind == "l1l2" else 0.0,
             l2=abl.l2 if abl.kind == "l1l2" else 0.0,
         )
@@ -487,6 +530,7 @@ def train_run(dataset: datamod.DatasetBundle, config: TrainConfig) -> RunRecord:
                     h, adj_norm, spec.diffusion_alpha, spec.diffusion_beta, scale, rng_noise
                 )
             train_features = h
+        reg_batch = models.DatasetBatch(train_features, labels) if edge_ops is not None else None
 
         inject_level = 0.0
         if abl.kind == "inject_noise":
@@ -500,17 +544,17 @@ def train_run(dataset: datamod.DatasetBundle, config: TrainConfig) -> RunRecord:
 
         diverged = False
         if abl.kind == "no_noise_averaging":
-            grads = [grad_at(params, idx, train_features) for idx in batch_slices]
+            grads = [grad_at(params, idx, train_features, reg_batch) for idx in batch_slices]
             params = apply_update(params, np.mean(grads, axis=0), lr)
             diverged = not np.isfinite(params).all()
         else:
             for idx in batch_slices:
                 if abl.kind == "sam" and abl.rho > 0.0:
                     g = sam_perturbed_gradient(
-                        lambda p: grad_at(p, idx, train_features), params, abl.rho
+                        lambda p: grad_at(p, idx, train_features, reg_batch), params, abl.rho
                     )
                 else:
-                    g = grad_at(params, idx, train_features)
+                    g = grad_at(params, idx, train_features, reg_batch)
                     if abl.kind == "inject_noise":
                         g = noise_injected_gradient(g, inject_level, rng_noise)
                 params = apply_update(params, g, lr)

@@ -76,6 +76,14 @@ class TestCli:
         assert (tmp_path / "report" / "report.txt").exists()
         assert (tmp_path / "report" / "accuracy.csv").exists()
 
+    def test_stale_resume_exit_1(self, config_path, tmp_path, capsys):
+        assert main(["sweep", str(config_path)]) == 0
+        stale = json.loads(config_path.read_text())
+        stale["train"]["epochs"] = 1
+        config_path.write_text(json.dumps(stale))
+        assert main(["sweep", str(config_path)]) == 1
+        assert "config" in capsys.readouterr().err
+
     def test_sweep_missing_config_exit_1(self, tmp_path, capsys):
         assert main(["sweep", str(tmp_path / "absent.json")]) == 1
 

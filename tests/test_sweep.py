@@ -51,6 +51,26 @@ class TestRunSweep:
         path = tmp_path / "out" / "records.jsonl"
         assert len(path.read_text().splitlines()) == 4
 
+    def test_stale_resume_rejected(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        one_run = dict(batch_sizes=[16], seeds=[0])
+        sweep.run_sweep(make_config(tmp_path, **one_run), records_path=path, workers=1)
+        before = path.read_bytes()
+        stale = make_config(tmp_path, train=dict(BASE["train"], epochs=1), **one_run)
+        with pytest.raises(ValueError, match=r"b16-s0-none.*config") as exc:
+            sweep.run_sweep(stale, records_path=path, workers=1)
+        assert "(differs in epochs)" in str(exc.value)
+        assert path.read_bytes() == before  # nothing trained or appended
+
+    def test_resume_on_another_dataset_rejected(self, tmp_path):
+        cfg = make_config(tmp_path, batch_sizes=[16], seeds=[0])
+        sweep.run_sweep(cfg)
+        other = make_config(
+            tmp_path, dataset=dict(BASE["dataset"], seed=4), batch_sizes=[16], seeds=[0]
+        )
+        with pytest.raises(ValueError, match=r"b16-s0-none.*config.*dataset_id"):
+            sweep.run_sweep(other)
+
     def test_parallel_equals_serial(self, tmp_path):
         cfg = make_config(tmp_path)
         serial = sweep.run_sweep(cfg, records_path=tmp_path / "serial.jsonl", workers=1)

@@ -72,6 +72,16 @@ class TestAdam:
             adam_step(np.zeros(1), np.zeros(1), AdamState.zeros(1), lr=1e-3, t=0)
 
 
+def edge_scatter_regularizer_grad(emb, edges):
+    """Reference d causal_regularizer / d emb: scattered edge by edge, e0 then e1."""
+    diff = emb[edges[:, 0]] - emb[edges[:, 1]]
+    d_emb = np.zeros_like(emb)
+    coef = 2.0 / edges.shape[0]
+    np.add.at(d_emb, edges[:, 0], coef * diff)
+    np.add.at(d_emb, edges[:, 1], -coef * diff)
+    return d_emb
+
+
 class TestCausalRegularizer:
     def test_identical_embeddings(self):
         emb = np.ones((4, 3))
@@ -115,6 +125,50 @@ class TestCausalRegularizer:
                 - training.loss_with_penalties(spec, down, batch, lambda_causal=0.7, edges=edges)
             ) / (2 * h)
             assert grad[j] == pytest.approx(fd, abs=1e-6)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_operator_gradient_bit_identical_to_edge_scatter(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4, 40))
+        # endpoints from all nodes but the last: repeated endpoints, duplicate
+        # edges and one isolated node
+        edges = rng.integers(0, n - 1, size=(int(rng.integers(1, 4 * n)), 2))
+        edges = edges[edges[:, 0] != edges[:, 1]]
+        if len(edges) == 0:
+            edges = np.array([[0, 1]])
+        edges = np.vstack([edges, edges[: len(edges) // 2, ::-1]])  # both endpoint orders
+        edges = edges[rng.permutation(len(edges))]
+        # magnitudes spread over six decades, so the summation order shows in the floats
+        emb = rng.standard_normal((n, 5)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
+        ops = training.EdgeOperators.from_edges(edges, n)
+        got = training._causal_regularizer_grad(emb, ops)
+        assert np.array_equal(got, edge_scatter_regularizer_grad(emb, edges))
+        assert not got[n - 1].any()
+
+    @pytest.mark.parametrize(
+        "ablation",
+        [Ablation(), Ablation(kind="sam", rho=0.05), Ablation(kind="no_noise_averaging")],
+        ids=lambda a: a.kind,
+    )
+    def test_train_run_records_match_edge_scatter(self, monkeypatch, ablation):
+        bundle = data.make_sbm_graph(120, 2, p_in=0.2, p_out=0.02, d=5, seed=3)
+        spec = ModelSpec(
+            "graph_diffusion", 5, 2, hidden_dim=6, diffusion_alpha=0.3, diffusion_beta=0.1
+        )
+        cfg = TrainConfig(
+            model=spec, batch_size=16, epochs=3, lambda_causal=0.5, ablation=ablation, seed=1
+        )
+        got = train_run(bundle, cfg).canonical_dict()
+        edges = data.edge_list(bundle.adjacency)
+        calls = []
+
+        def oracle(emb, ops):
+            calls.append(len(ops))
+            return edge_scatter_regularizer_grad(emb, edges)
+
+        monkeypatch.setattr(training, "_causal_regularizer_grad", oracle)
+        assert train_run(bundle, cfg).canonical_dict() == got
+        assert calls and set(calls) == {len(edges)}
 
 
 class TestDiffusionUpdate:
