@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2 as chi2_dist
+from scipy.special import chdtrc
 
 VAR_BATCH = "batch_size"
 VAR_NOISE = "grad_noise"
@@ -525,6 +525,6 @@ def backdoor_diagnostic(
         except ValueError as exc:
             results.append(StratumDiagnostic(s, n, None, None, None, True, str(exc)))
             continue
-        p = float(chi2_dist.sf(stat, dof))
+        p = float(chdtrc(dof, stat))
         results.append(StratumDiagnostic(s, n, stat, dof, p, False))
     return results

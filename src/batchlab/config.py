@@ -7,7 +7,7 @@ level, so typos fail loudly instead of silently using a default.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import analysis, models, training
@@ -77,6 +77,15 @@ class TrainTemplate:
     lambda_causal: float = 0.0
     early_stop_patience: int = 10
     batch_schedule: training.BatchSchedule = field(default_factory=training.BatchSchedule)
+
+    def train_config(
+        self, model: models.ModelSpec, batch_size: int, seed: int, ablation=training.Ablation()
+    ) -> training.TrainConfig:
+        """The ``TrainConfig`` of one run; ``TrainConfig`` validates the settings."""
+        settings = {f.name: getattr(self, f.name) for f in fields(self)}
+        return training.TrainConfig(
+            model=model, batch_size=batch_size, seed=seed, ablation=ablation, **settings
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -178,14 +187,18 @@ def _parse_train(obj) -> TrainTemplate:
         raise ConfigError("train must be an object")
     _reject_unknown(obj, TRAIN_KEYS, "train")
     kwargs = dict(obj)
-    if "batch_schedule" in kwargs:
-        bs = kwargs["batch_schedule"]
-        _reject_unknown(bs, BATCH_SCHEDULE_KEYS, "train.batch_schedule")
-        kwargs["batch_schedule"] = training.BatchSchedule(**bs)
+    schedule = kwargs.get("batch_schedule", {})
+    if not isinstance(schedule, dict):
+        raise ConfigError("train.batch_schedule must be an object")
+    _reject_unknown(schedule, BATCH_SCHEDULE_KEYS, "train.batch_schedule")
     try:
-        return TrainTemplate(**kwargs)
+        kwargs["batch_schedule"] = training.BatchSchedule(**schedule)
+        template = TrainTemplate(**kwargs)
+        # the template's values are checked where every run's are
+        template.train_config(models.ModelSpec("logistic", 1, 2), batch_size=1, seed=0)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid train settings: {exc}") from exc
+    return template
 
 
 def _parse_ablations(value) -> tuple[training.Ablation, ...]:

@@ -19,7 +19,13 @@ import scipy.sparse as sp
 
 @dataclass
 class DatasetBundle:
-    """Features, labels, optional adjacency, and named index splits."""
+    """Features, labels, optional adjacency, and named index splits.
+
+    The one data boundary: every dataset (generated or loaded) is validated
+    here, so the model kernels can trust the arrays they are given. Features
+    must form a nonempty, all-finite [n x d] matrix, and labels a length-n
+    vector of nonnegative integers.
+    """
 
     features: np.ndarray
     labels: np.ndarray
@@ -29,8 +35,18 @@ class DatasetBundle:
 
     def __post_init__(self) -> None:
         self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        if self.features.ndim != 2 or self.features.size == 0:
+            raise ValueError("features must be a nonempty [n x d] matrix")
+        bad = np.flatnonzero(~np.isfinite(self.features).all(axis=1))
+        if bad.size:
+            raise ValueError(f"non-finite feature value in row {bad[0]}")
         n = self.features.shape[0]
+        labels = np.asarray(self.labels)
+        if labels.shape != (n,) or not np.issubdtype(labels.dtype, np.integer):
+            raise ValueError("labels must be a length-n vector of integers")
+        if labels.min() < 0:
+            raise ValueError(f"negative label in row {np.argmax(labels < 0)}")
+        self.labels = labels.astype(np.int64, copy=False)
         seen = np.concatenate([np.asarray(v) for v in self.splits.values()])
         if seen.size and (seen.min() < 0 or seen.max() >= n):
             raise ValueError("split indices out of range")

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import betainc
-from scipy.stats import rankdata
 
 EXACT_WILCOXON_MAX_N = 20
 
@@ -106,13 +105,15 @@ def wilcoxon_signed_rank(diffs) -> WilcoxonResult:
     n = d.size
     if n == 0:
         raise ValueError("all differences are zero")
-    ranks = rankdata(np.abs(d), method="average")
+    # average ranks of the magnitudes: a tie group of size c ending at
+    # sorted position k (1-based) shares rank k - (c - 1) / 2
+    _, inverse, tie_counts = np.unique(np.abs(d), return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(tie_counts) - (tie_counts - 1) / 2.0)[inverse]
     w = float(ranks[d > 0].sum())
     if n <= EXACT_WILCOXON_MAX_N:
         return WilcoxonResult(w=w, p=_exact_signed_rank_p(ranks, w), method="exact", n=n)
     mu = n * (n + 1) / 4.0
     var = n * (n + 1) * (2 * n + 1) / 24.0
-    _, tie_counts = np.unique(ranks, return_counts=True)
     var -= ((tie_counts**3 - tie_counts) / 48.0).sum()
     if var <= 0:
         raise ValueError("degenerate variance (all magnitudes tied)")

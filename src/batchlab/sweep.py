@@ -107,24 +107,11 @@ def append_record(path, record: training.RunRecord) -> None:
 
 
 def _train_configs(config: SweepConfig, model_spec: models.ModelSpec):
-    template = config.train
     ablations = (training.Ablation(),) + tuple(config.ablations)
     for b in sorted(config.batch_sizes):
         for seed in sorted(config.seeds):
             for abl in ablations:
-                yield training.TrainConfig(
-                    model=model_spec,
-                    batch_size=b,
-                    epochs=template.epochs,
-                    lr=template.lr,
-                    lr_schedule=template.lr_schedule,
-                    optimizer=template.optimizer,
-                    lambda_causal=template.lambda_causal,
-                    ablation=abl,
-                    batch_schedule=template.batch_schedule,
-                    early_stop_patience=template.early_stop_patience,
-                    seed=seed,
-                )
+                yield config.train.train_config(model_spec, b, seed, abl)
 
 
 def _check_resumable(path, record, tc, bundle) -> None:

@@ -70,6 +70,8 @@ class BatchSchedule:
             raise ValueError(f"unknown batch schedule {self.kind!r}")
         if self.factor < 1 or self.every_epochs < 1:
             raise ValueError("factor and every_epochs must be >= 1")
+        if self.start is not None and self.start < 1:
+            raise ValueError("start must be >= 1")
 
     def effective(self, nominal_b: int, epoch: int, n_train: int) -> int:
         if self.kind == "fixed":
@@ -177,14 +179,9 @@ def adam_step(
     eps: float = 1e-8,
     t: int = 1,
 ) -> tuple[np.ndarray, AdamState]:
-    """Standard bias-corrected Adam update; pure (returns new arrays)."""
-    grad = np.asarray(grad, dtype=np.float64)
-    if grad.shape != params.shape:
-        raise ValueError("gradient dim mismatch")
-    if not np.isfinite(grad).all():
-        raise ValueError("non-finite gradient")
-    if t < 1:
-        raise ValueError("t must be >= 1")
+    """Standard bias-corrected Adam update at step ``t`` >= 1; pure (returns
+    new arrays). A non-finite gradient yields non-finite parameters, which the
+    training loop's divergence check catches."""
     m = beta1 * state.m + (1.0 - beta1) * grad
     v = beta2 * state.v + (1.0 - beta2) * grad * grad
     m_hat = m / (1.0 - beta1**t)
@@ -209,13 +206,11 @@ def noise_injected_gradient(
 
 def sam_perturbed_gradient(grad_fn, params: np.ndarray, rho: float) -> np.ndarray:
     """Gradient re-evaluated at params + rho * g/|g| (skipped when g = 0)."""
-    g = np.asarray(grad_fn(params), dtype=np.float64)
-    if not np.isfinite(g).all():
-        raise ValueError("non-finite gradient")
+    g = grad_fn(params)
     norm = float(np.linalg.norm(g))
     if rho == 0.0 or norm == 0.0:
         return g
-    return np.asarray(grad_fn(params + rho * g / norm), dtype=np.float64)
+    return grad_fn(params + rho * g / norm)
 
 
 # -- graph-specific pieces ----------------------------------------------------
@@ -308,21 +303,24 @@ def diffusion_update(
 def loss_with_penalties(
     spec,
     params: np.ndarray,
-    batch: models.DatasetBatch,
+    x: np.ndarray,
+    y: np.ndarray,
     lambda_causal: float = 0.0,
-    reg_batch: models.DatasetBatch | None = None,
+    reg_inputs: np.ndarray | None = None,
     edges: np.ndarray | None = None,
     l1: float = 0.0,
     l2: float = 0.0,
 ) -> float:
-    """Cross-entropy plus optional edge-smoothness and L1/L2 penalty terms.
+    """Cross-entropy on (x, y) plus optional edge-smoothness and L1/L2 terms.
 
-    With all penalty weights at zero this is exactly ``models.forward_loss``
-    (same code path, bit-for-bit).
+    The edge term penalizes the hidden embeddings of ``reg_inputs``, the
+    whole-graph features the edges index (``x`` when omitted). With all
+    penalty weights at zero this is exactly ``models.forward_loss`` (same code
+    path, bit-for-bit).
     """
-    loss = models.forward_loss(spec, params, batch)
+    loss = models.forward_loss(spec, params, x, y)
     if lambda_causal > 0.0 and edges is not None and len(edges):
-        emb = models.hidden_activations(spec, params, reg_batch if reg_batch is not None else batch)
+        emb = models.hidden_activations(spec, params, reg_inputs if reg_inputs is not None else x)
         loss += lambda_causal * causal_regularizer(emb, edges)
     if l1 > 0.0:
         loss += l1 * float(np.abs(params).sum())
@@ -334,9 +332,10 @@ def loss_with_penalties(
 def gradient_with_penalties(
     spec,
     params: np.ndarray,
-    batch: models.DatasetBatch,
+    x: np.ndarray,
+    y: np.ndarray,
     lambda_causal: float = 0.0,
-    reg_batch: models.DatasetBatch | None = None,
+    reg_inputs: np.ndarray | None = None,
     edges: np.ndarray | EdgeOperators | None = None,
     l1: float = 0.0,
     l2: float = 0.0,
@@ -348,14 +347,14 @@ def gradient_with_penalties(
     always runs through those operators, bit-identical to scattering
     ``±2/m * diff`` edge by edge (see ``EdgeOperators``).
     """
-    g = models.mean_gradient(spec, params, batch)
+    g = models.mean_gradient(spec, params, x, y)
     if lambda_causal > 0.0 and edges is not None and len(edges):
-        rb = reg_batch if reg_batch is not None else batch
+        rx = reg_inputs if reg_inputs is not None else x
         if not isinstance(edges, EdgeOperators):
-            edges = EdgeOperators.from_edges(edges, rb.n)
-        emb = models.hidden_activations(spec, params, rb)
+            edges = EdgeOperators.from_edges(edges, rx.shape[0])
+        emb = models.hidden_activations(spec, params, rx)
         d_emb = _causal_regularizer_grad(emb, edges)
-        g = g + lambda_causal * models.hidden_backward(spec, params, rb, emb, d_emb)
+        g = g + lambda_causal * models.hidden_backward(spec, params, rx, emb, d_emb)
     if l1 > 0.0:
         g = g + l1 * np.sign(params)
     if l2 > 0.0:
@@ -432,18 +431,16 @@ class RunRecord:
 # -- the training loop ----------------------------------------------------------
 
 
-def _batch_of(features: np.ndarray, labels: np.ndarray, idx: np.ndarray) -> models.DatasetBatch:
-    return models.DatasetBatch(features[idx], labels[idx])
-
-
 def train_run(dataset: datamod.DatasetBundle, config: TrainConfig) -> RunRecord:
     """Run one seeded training job and measure its final state.
 
     Deterministic given (dataset, config): all randomness flows from three
     child streams of the config seed (init, shuffling, noise). Wall-clock
     fields are the only nondeterministic outputs. A run is marked degenerate
-    when the loss leaves the finite range or the final sharpness/noise leave
-    the complexity domain; degenerate records carry no final measurement.
+    when the parameters or the loss leave the finite range or the final
+    sharpness/noise leave the complexity domain; degenerate records carry no
+    final measurement. The model spec is checked against the dataset once,
+    here; the kernels called per step check nothing.
     """
     t_start = perf_counter()
     spec = config.model
@@ -455,6 +452,11 @@ def train_run(dataset: datamod.DatasetBundle, config: TrainConfig) -> RunRecord:
     if n_train < 2:
         raise ValueError("train split too small")
     labels = dataset.labels
+    if spec.input_dim != dataset.features.shape[1] or spec.num_classes < dataset.num_classes:
+        raise ValueError(
+            f"model spec (input_dim {spec.input_dim}, num_classes {spec.num_classes}) does not "
+            f"fit the dataset ({dataset.features.shape[1]} features, {dataset.num_classes} classes)"
+        )
 
     seed_seq = np.random.SeedSequence(config.seed)
     rng_init, rng_shuffle, rng_noise = (np.random.default_rng(s) for s in seed_seq.spawn(3))
@@ -479,16 +481,20 @@ def train_run(dataset: datamod.DatasetBundle, config: TrainConfig) -> RunRecord:
             edge_ops = EdgeOperators.from_edges(edges, dataset.features.shape[0])
 
     probe_idx = train_idx[: min(256, n_train)]
+    x_train, x_val, x_test, x_probe = (
+        det_features[i] for i in (train_idx, val_idx, test_idx, probe_idx)
+    )
+    y_train, y_val, y_test, y_probe = (labels[i] for i in (train_idx, val_idx, test_idx, probe_idx))
 
-    def grad_at(
-        p: np.ndarray, idx: np.ndarray, feats: np.ndarray, reg_batch: models.DatasetBatch | None
-    ) -> np.ndarray:
+    def grad_at(p: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        # the edge term penalizes the whole graph under this epoch's features
         return gradient_with_penalties(
             head,
             p,
-            _batch_of(feats, labels, idx),
+            x,
+            y,
             lambda_causal=config.lambda_causal,
-            reg_batch=reg_batch,
+            reg_inputs=train_features,
             edges=edge_ops,
             l1=abl.l1 if abl.kind == "l1l2" else 0.0,
             l2=abl.l2 if abl.kind == "l1l2" else 0.0,
@@ -530,13 +536,11 @@ def train_run(dataset: datamod.DatasetBundle, config: TrainConfig) -> RunRecord:
                     h, adj_norm, spec.diffusion_alpha, spec.diffusion_beta, scale, rng_noise
                 )
             train_features = h
-        reg_batch = models.DatasetBatch(train_features, labels) if edge_ops is not None else None
 
         inject_level = 0.0
         if abl.kind == "inject_noise":
-            probe_grads = models.per_sample_gradients(
-                head, params, _batch_of(train_features, labels, probe_idx)
-            )
+            probe_x = train_features[probe_idx]
+            probe_grads = models.per_sample_gradients(head, params, probe_x, y_probe)
             inject_level = measures.gradient_noise(probe_grads, eff_b)
 
         order = rng_shuffle.permutation(n_train)
@@ -544,17 +548,16 @@ def train_run(dataset: datamod.DatasetBundle, config: TrainConfig) -> RunRecord:
 
         diverged = False
         if abl.kind == "no_noise_averaging":
-            grads = [grad_at(params, idx, train_features, reg_batch) for idx in batch_slices]
+            grads = [grad_at(params, train_features[idx], labels[idx]) for idx in batch_slices]
             params = apply_update(params, np.mean(grads, axis=0), lr)
             diverged = not np.isfinite(params).all()
         else:
             for idx in batch_slices:
+                xb, yb = train_features[idx], labels[idx]
                 if abl.kind == "sam" and abl.rho > 0.0:
-                    g = sam_perturbed_gradient(
-                        lambda p: grad_at(p, idx, train_features, reg_batch), params, abl.rho
-                    )
+                    g = sam_perturbed_gradient(lambda p: grad_at(p, xb, yb), params, abl.rho)
                 else:
-                    g = grad_at(params, idx, train_features, reg_batch)
+                    g = grad_at(params, xb, yb)
                     if abl.kind == "inject_noise":
                         g = noise_injected_gradient(g, inject_level, rng_noise)
                 params = apply_update(params, g, lr)
@@ -565,13 +568,12 @@ def train_run(dataset: datamod.DatasetBundle, config: TrainConfig) -> RunRecord:
             status, reason = "degenerate", "non-finite parameters"
             break
 
-        train_loss = models.forward_loss(head, params, _batch_of(det_features, labels, train_idx))
-        test_batch = _batch_of(det_features, labels, test_idx)
-        test_loss = models.forward_loss(head, params, test_batch)
-        val_loss = models.forward_loss(head, params, _batch_of(det_features, labels, val_idx))
+        train_loss = models.forward_loss(head, params, x_train, y_train)
+        test_loss = models.forward_loss(head, params, x_test, y_test)
+        val_loss = models.forward_loss(head, params, x_val, y_val)
         series["train_loss"].append(train_loss)
         series["test_loss"].append(test_loss)
-        series["test_acc"].append(models.predict_accuracy(head, params, test_batch))
+        series["test_acc"].append(models.predict_accuracy(head, params, x_test, y_test))
         lr_log.append(lr)
         batch_log.append(eff_b)
         wall_log.append(perf_counter() - epoch_t0)
@@ -582,9 +584,7 @@ def train_run(dataset: datamod.DatasetBundle, config: TrainConfig) -> RunRecord:
             break
 
         if is_graph and spec.diffusion_beta != 0.0:
-            probe_grads = models.per_sample_gradients(
-                head, params, _batch_of(det_features, labels, probe_idx)
-            )
+            probe_grads = models.per_sample_gradients(head, params, x_probe, y_probe)
             running_noise = measures.gradient_noise(probe_grads, eff_b)
 
         if val_loss < best["val"]:
@@ -612,22 +612,17 @@ def train_run(dataset: datamod.DatasetBundle, config: TrainConfig) -> RunRecord:
             )
         else:
             divisor_b = config.batch_size
-        probe_batch = _batch_of(det_features, labels, probe_idx)
         try:
-            probe_grads = models.per_sample_gradients(head, params, probe_batch)
+            probe_grads = models.per_sample_gradients(head, params, x_probe, y_probe)
             noise = measures.gradient_noise(probe_grads, divisor_b)
             sharpness, _ = measures.sharpness_lambda_max(
-                models.hvp_operator(head, params, probe_batch), dim=params.size
+                models.hvp_operator(head, params, x_probe, y_probe), dim=params.size
             )
             comp = measures.complexity(sharpness, noise)
-            train_loss = models.forward_loss(
-                head, params, _batch_of(det_features, labels, train_idx)
-            )
-            test_batch = _batch_of(det_features, labels, test_idx)
             gen = measures.measure_generalization(
-                train_loss,
-                models.forward_loss(head, params, test_batch),
-                models.predict_accuracy(head, params, test_batch),
+                models.forward_loss(head, params, x_train, y_train),
+                models.forward_loss(head, params, x_test, y_test),
+                models.predict_accuracy(head, params, x_test, y_test),
             )
             final = measures.Measurement(
                 grad_noise=noise,

@@ -33,8 +33,8 @@ def test_criterion_1_gradient_noise_scaling():
     rng = np.random.default_rng(5)
     spec = models.ModelSpec("logistic", 4, 3)
     params = rng.standard_normal(models.param_count(spec)) * 0.3
-    batch = models.DatasetBatch(rng.standard_normal((200, 4)), rng.integers(0, 3, 200))
-    grads = models.per_sample_gradients(spec, params, batch)
+    x, y = rng.standard_normal((200, 4)), rng.integers(0, 3, 200)
+    grads = models.per_sample_gradients(spec, params, x, y)
     empirical = {}
     for b in (4, 8, 16):
         idx = rng.integers(0, 200, size=(1000, b))  # with replacement

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import batchlab
 from batchlab.cli import main
 
 CONFIG = {
@@ -31,6 +36,54 @@ class TestCli:
         bad.write_text(json.dumps({"dataset": {"kind": "blobs"}}))
         assert main(["validate", str(bad)]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "train",
+        [
+            {"lr": -1},
+            {"optimizer": "rmsprop"},
+            {"lr_schedule": "cosine"},
+            {"early_stop_patience": 0},
+            {"epochs": "ten"},
+            {"batch_schedule": 5},
+            {"batch_schedule": {"factor": "x"}},
+            {"batch_schedule": {"kind": "progressive", "start": -4}},
+        ],
+        ids=["lr", "optimizer", "lr_schedule", "patience", "epochs", "schedule", "factor", "start"],
+    )
+    def test_validate_rejects_what_sweep_rejects(self, tmp_path, capsys, train):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(CONFIG, train=train, out_dir=str(tmp_path / "out"))))
+        assert main(["validate", str(path)]) == 1
+        assert main(["sweep", str(path)]) == 1
+        assert "train" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_on_non_finite_csv_feature_exit_1(self, tmp_path, capsys):
+        (tmp_path / "nodes.csv").write_text("id,f1,label\n0,0.5,0\n1,nan,1\n2,0.1,0\n3,0.2,1\n")
+        (tmp_path / "edges.csv").write_text("src,dst\n0,1\n2,3\n")
+        files = {"nodes": str(tmp_path / "nodes.csv"), "edges": str(tmp_path / "edges.csv")}
+        config = dict(
+            CONFIG,
+            dataset=dict(files, kind="files"),
+            train={"epochs": 0},
+            out_dir=str(tmp_path / "out"),
+        )
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["sweep", str(path)]) == 1
+        assert "non-finite feature value in row 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_cli_import_leaves_scipy_stats_out(self):
+        # scipy.stats alone costs most of a cold start
+        code = "import sys, batchlab.cli; print('scipy.stats' in sys.modules)"
+        src = str(Path(batchlab.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        ).stdout
+        assert out.strip() == "False"
 
     def test_sweep_analyze_report_pipeline(self, config_path, tmp_path, capsys):
         assert main(["sweep", str(config_path)]) == 0

@@ -98,6 +98,44 @@ class TestSbm:
             data.make_sbm_graph(30, 2, p_in=0.1, p_out=0.2, d=3)
 
 
+class TestDatasetBundle:
+    def bundle(self, features, labels):
+        return data.DatasetBundle(features, labels, None, {"train": np.arange(len(labels))})
+
+    def test_valid_arrays_kept(self):
+        b = self.bundle(np.ones((3, 2)), np.array([0, 2, 1], dtype=np.int32))
+        assert b.features.dtype == np.float64 and b.labels.dtype == np.int64
+        assert b.num_classes == 3
+
+    def test_non_finite_features_rejected(self):
+        features = np.ones((3, 2))
+        features[2, 1] = np.inf
+        with pytest.raises(ValueError, match="non-finite feature value in row 2"):
+            self.bundle(features, np.array([0, 1, 0]))
+
+    @pytest.mark.parametrize(
+        "features",
+        [np.ones(3), np.ones((0, 2)), np.ones((3, 0))],
+        ids=["1-d", "no-rows", "no-cols"],
+    )
+    def test_features_must_be_nonempty_matrix(self, features):
+        with pytest.raises(ValueError, match="nonempty"):
+            data.DatasetBundle(features, np.zeros(len(features), dtype=int), None, {})
+
+    @pytest.mark.parametrize(
+        "labels",
+        [np.array([0, 1]), np.array([0.0, 1.0, 1.0]), np.array([[0, 1, 0]])],
+        ids=["short", "float", "2-d"],
+    )
+    def test_labels_must_be_length_n_integers(self, labels):
+        with pytest.raises(ValueError, match="length-n vector of integers"):
+            data.DatasetBundle(np.ones((3, 2)), labels, None, {})
+
+    def test_negative_label_rejected(self):
+        with pytest.raises(ValueError, match="negative label in row 1"):
+            self.bundle(np.ones((3, 2)), np.array([0, -2, 1]))
+
+
 class TestTabularGraphFiles:
     def write_files(self, tmp_path, nodes, edges):
         np_, ep_ = tmp_path / "nodes.csv", tmp_path / "edges.csv"
@@ -132,6 +170,17 @@ class TestTabularGraphFiles:
         edges = "src,dst\n"
         with pytest.raises(data.GraphFileError, match=r"nodes\.csv:3"):
             data.load_tabular_graph(*self.write_files(tmp_path, nodes, edges))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_rejected(self, tmp_path, value):
+        nodes = f"id,f1,f2,label\n0,0.1,0.2,0\n1,0.3,{value},1\n2,0.5,0.6,0\n"
+        with pytest.raises(ValueError, match="non-finite feature value in row 1"):
+            data.load_tabular_graph(*self.write_files(tmp_path, nodes, "src,dst\n0,1\n"))
+
+    def test_negative_label_rejected(self, tmp_path):
+        nodes = "id,f1,label\n0,0.1,0\n1,0.2,1\n2,0.3,-1\n"
+        with pytest.raises(ValueError, match="negative label in row 2"):
+            data.load_tabular_graph(*self.write_files(tmp_path, nodes, "src,dst\n0,1\n"))
 
     def test_round_trip(self, tmp_path):
         bundle = data.make_sbm_graph(40, 2, p_in=0.3, p_out=0.1, d=3, seed=12)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from batchlab import data, models, training
-from batchlab.models import DatasetBatch, ModelSpec
+from batchlab.models import ModelSpec
 
 
 def softmax_oracle(z):
@@ -17,14 +17,14 @@ def rng():
 
 
 def make_batch(rng, n=5, d=4, k=3):
-    return DatasetBatch(rng.standard_normal((n, d)), rng.integers(0, k, n))
+    return rng.standard_normal((n, d)), rng.integers(0, k, n)
 
 
 class TestForwardLoss:
     def test_zero_params_uniform_softmax(self, rng):
         spec = ModelSpec("logistic", 4, 2)
-        batch = make_batch(rng, n=7, d=4, k=2)
-        loss = models.forward_loss(spec, np.zeros(models.param_count(spec)), batch)
+        x, y = make_batch(rng, n=7, d=4, k=2)
+        loss = models.forward_loss(spec, np.zeros(models.param_count(spec)), x, y)
         assert loss == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_perfect_fit_loss_zero(self):
@@ -32,77 +32,50 @@ class TestForwardLoss:
         # weights push the true class logit 100 above the other
         params = np.zeros(models.param_count(spec))
         params[models.param_slices(spec)["bias"]] = [100.0, 0.0]
-        batch = DatasetBatch(np.ones((4, 2)), np.zeros(4, dtype=int))
-        assert models.forward_loss(spec, params, batch) == 0.0
+        assert models.forward_loss(spec, params, np.ones((4, 2)), np.zeros(4, dtype=int)) == 0.0
 
     def test_matches_direct_softmax_evaluation(self, rng):
         spec = ModelSpec("logistic", 4, 3)
         params = rng.standard_normal(models.param_count(spec))
-        batch = make_batch(rng, n=3, d=4, k=3)
+        x, y = make_batch(rng, n=3, d=4, k=3)
         w = params[models.param_slices(spec)["weights"]].reshape(4, 3)
         b = params[models.param_slices(spec)["bias"]]
-        expected = -np.mean(
-            [
-                np.log(softmax_oracle(batch.inputs[i] @ w + b)[batch.labels[i]])
-                for i in range(3)
-            ]
-        )
-        assert models.forward_loss(spec, params, batch) == pytest.approx(expected, rel=1e-12)
-
-    def test_dimension_mismatch_raises(self, rng):
-        spec = ModelSpec("logistic", 4, 3)
-        with pytest.raises(ValueError, match="dim"):
-            models.forward_loss(spec, np.zeros(3), make_batch(rng))
-
-    def test_non_finite_rejected(self, rng):
-        spec = ModelSpec("logistic", 4, 3)
-        params = np.zeros(models.param_count(spec))
-        params[0] = np.nan
-        with pytest.raises(ValueError, match="finite"):
-            models.forward_loss(spec, params, make_batch(rng))
-        with pytest.raises(ValueError, match="finite"):
-            DatasetBatch(np.full((2, 4), np.inf), [0, 1])
-
-    def test_label_out_of_range(self, rng):
-        spec = ModelSpec("logistic", 4, 2)
-        batch = DatasetBatch(rng.standard_normal((3, 4)), [0, 1, 2])
-        with pytest.raises(ValueError, match="label"):
-            models.forward_loss(spec, np.zeros(models.param_count(spec)), batch)
+        expected = -np.mean([np.log(softmax_oracle(x[i] @ w + b)[y[i]]) for i in range(3)])
+        assert models.forward_loss(spec, params, x, y) == pytest.approx(expected, rel=1e-12)
 
 
 class TestPerSampleGradients:
     def test_single_sample_equals_mean_gradient(self, rng):
         spec = ModelSpec("mlp1", 4, 3, hidden_dim=5)
         params = models.init_params(spec, rng)
-        batch = make_batch(rng, n=1)
-        ps = models.per_sample_gradients(spec, params, batch)
-        np.testing.assert_allclose(ps[0], models.mean_gradient(spec, params, batch), atol=1e-14)
+        x, y = make_batch(rng, n=1)
+        ps = models.per_sample_gradients(spec, params, x, y)
+        np.testing.assert_allclose(ps[0], models.mean_gradient(spec, params, x, y), atol=1e-14)
 
     def test_duplicated_sample_identical_rows(self, rng):
         spec = ModelSpec("logistic", 4, 3)
         params = rng.standard_normal(models.param_count(spec))
         x = rng.standard_normal(4)
-        batch = DatasetBatch(np.stack([x, x]), [1, 1])
-        ps = models.per_sample_gradients(spec, params, batch)
+        ps = models.per_sample_gradients(spec, params, np.stack([x, x]), np.array([1, 1]))
         np.testing.assert_array_equal(ps[0], ps[1])
 
     def test_matches_finite_differences_per_coordinate(self, rng):
         # oracle: central finite differences of each sample's own loss
         spec = ModelSpec("logistic", 4, 3)
         params = rng.standard_normal(models.param_count(spec))
-        batch = make_batch(rng, n=5)
-        ps = models.per_sample_gradients(spec, params, batch)
+        x, y = make_batch(rng, n=5)
+        ps = models.per_sample_gradients(spec, params, x, y)
         h = 1e-5
         for i in range(5):
-            single = DatasetBatch(batch.inputs[i : i + 1], batch.labels[i : i + 1])
+            single = (x[i : i + 1], y[i : i + 1])
             fd = np.zeros_like(params)
             for j in range(params.size):
                 up, down = params.copy(), params.copy()
                 up[j] += h
                 down[j] -= h
                 fd[j] = (
-                    models.forward_loss(spec, up, single)
-                    - models.forward_loss(spec, down, single)
+                    models.forward_loss(spec, up, *single)
+                    - models.forward_loss(spec, down, *single)
                 ) / (2 * h)
             np.testing.assert_allclose(ps[i], fd, atol=1e-5)
 
@@ -114,21 +87,19 @@ class TestPerSampleGradients:
         kind, d, k, hdim = spec_args
         spec = ModelSpec(kind, d, k, hidden_dim=hdim)
         params = models.init_params(spec, rng)
-        batch = make_batch(rng, n=11, d=d, k=k)
-        ps = models.per_sample_gradients(spec, params, batch)
-        mg = models.mean_gradient(spec, params, batch)
+        x, y = make_batch(rng, n=11, d=d, k=k)
+        ps = models.per_sample_gradients(spec, params, x, y)
+        mg = models.mean_gradient(spec, params, x, y)
         assert np.abs(ps.mean(axis=0) - mg).max() <= 1e-10
 
     def test_pure_bit_identical(self, rng):
         spec = ModelSpec("mlp1", 4, 3, hidden_dim=5)
         params = models.init_params(spec, rng)
-        batch = make_batch(rng)
-        a = models.per_sample_gradients(spec, params, batch)
-        b = models.per_sample_gradients(spec, params, batch)
+        x, y = make_batch(rng)
+        a = models.per_sample_gradients(spec, params, x, y)
+        b = models.per_sample_gradients(spec, params, x, y)
         np.testing.assert_array_equal(a, b)
-        assert models.forward_loss(spec, params, batch) == models.forward_loss(
-            spec, params, batch
-        )
+        assert models.forward_loss(spec, params, x, y) == models.forward_loss(spec, params, x, y)
 
 
 class TestHvp:
@@ -142,13 +113,8 @@ class TestHvp:
     def test_zero_direction(self, rng):
         spec = ModelSpec("mlp1", 2, 2, hidden_dim=2)
         params = models.init_params(spec, rng)
-        batch = make_batch(rng, n=4, d=2, k=2)
-        hvp = models.hvp_operator(spec, params, batch)
+        hvp = models.hvp_operator(spec, params, *make_batch(rng, n=4, d=2, k=2))
         np.testing.assert_array_equal(hvp(np.zeros(params.size)), np.zeros(params.size))
-
-    def test_invalid_step(self, rng):
-        with pytest.raises(ValueError, match="step"):
-            models.hvp_from_grad(lambda p: p, np.zeros(2), np.ones(2), 0.0)
 
     def test_matches_dense_hessian_oracle(self, rng):
         # 6-parameter MLP point: assemble H column by column from finite
@@ -156,7 +122,7 @@ class TestHvp:
         spec = ModelSpec("mlp1", 1, 2, hidden_dim=1)
         assert models.param_count(spec) == 6
         params = rng.standard_normal(6) * 0.5
-        batch = DatasetBatch(rng.standard_normal((8, 1)), rng.integers(0, 2, 8))
+        x, y = rng.standard_normal((8, 1)), rng.integers(0, 2, 8)
         h = 1e-5
         dense = np.zeros((6, 6))
         for j in range(6):
@@ -164,19 +130,19 @@ class TestHvp:
             up[j] += h
             down[j] -= h
             dense[:, j] = (
-                models.mean_gradient(spec, up, batch) - models.mean_gradient(spec, down, batch)
+                models.mean_gradient(spec, up, x, y) - models.mean_gradient(spec, down, x, y)
             ) / (2 * h)
         v = rng.standard_normal(6)
-        hv = models.hvp_operator(spec, params, batch)(v)
+        hv = models.hvp_operator(spec, params, x, y)(v)
         np.testing.assert_allclose(hv, dense @ v, rtol=1e-3, atol=1e-8)
 
     def test_symmetric_bilinear_form(self, rng):
         spec = ModelSpec("mlp1", 3, 3, hidden_dim=4)
         params = models.init_params(spec, rng)
-        batch = make_batch(rng, n=6, d=3)
+        x, y = make_batch(rng, n=6, d=3)
         u = rng.standard_normal(params.size)
         v = rng.standard_normal(params.size)
-        hvp = models.hvp_operator(spec, params, batch)
+        hvp = models.hvp_operator(spec, params, x, y)
         uhv = u @ hvp(v)
         vhu = v @ hvp(u)
         assert uhv == pytest.approx(vhu, rel=1e-6)
@@ -187,21 +153,20 @@ class TestPredictAccuracy:
         spec = ModelSpec("logistic", 2, 2)
         params = np.zeros(models.param_count(spec))
         params[models.param_slices(spec)["bias"]] = [10.0, 0.0]
-        batch = DatasetBatch(np.ones((5, 2)), np.zeros(5, dtype=int))
-        assert models.predict_accuracy(spec, params, batch) == 1.0
+        assert models.predict_accuracy(spec, params, np.ones((5, 2)), np.zeros(5, dtype=int)) == 1.0
 
     def test_counting(self, rng):
         spec = ModelSpec("logistic", 2, 2)
         params = np.zeros(models.param_count(spec))
         params[models.param_slices(spec)["bias"]] = [1.0, 0.0]  # always predicts class 0
-        batch = DatasetBatch(rng.standard_normal((3, 2)), [0, 0, 1])
-        assert models.predict_accuracy(spec, params, batch) == pytest.approx(2 / 3)
+        x, y = rng.standard_normal((3, 2)), np.array([0, 0, 1])
+        assert models.predict_accuracy(spec, params, x, y) == pytest.approx(2 / 3)
 
     def test_tie_breaks_to_lowest_class(self, rng):
         spec = ModelSpec("logistic", 3, 4)
-        batch = DatasetBatch(rng.standard_normal((6, 3)), np.zeros(6, dtype=int))
+        x, y = rng.standard_normal((6, 3)), np.zeros(6, dtype=int)
         # all-zero params: every logit ties, argmax picks class 0
-        assert models.predict_accuracy(spec, np.zeros(models.param_count(spec)), batch) == 1.0
+        assert models.predict_accuracy(spec, np.zeros(models.param_count(spec)), x, y) == 1.0
 
 
 class TestGraphDiffusion:
@@ -248,7 +213,7 @@ class TestGraphDiffusion:
     def test_models_take_the_head_spec(self, rng):
         spec = ModelSpec("graph_diffusion", 3, 2, hidden_dim=4)
         with pytest.raises(ValueError, match="head_spec"):
-            models.forward_loss(spec, models.init_params(spec, rng), make_batch(rng, d=3, k=2))
+            models.forward_loss(spec, models.init_params(spec, rng), *make_batch(rng, d=3, k=2))
 
     def test_normalized_adjacency_rows(self):
         adj = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -270,6 +235,13 @@ class TestParamLayout:
         assert starts[0] == 0
         assert stops[:-1] == starts[1:]
         assert stops[-1] == models.param_count(spec)
+
+    def test_slices_cached_per_spec(self):
+        spec = ModelSpec("mlp1", 4, 3, hidden_dim=5)
+        assert models.param_slices(spec) is models.param_slices(ModelSpec("mlp1", 4, 3, 5))
+        assert models.param_slices(spec) is not models.param_slices(ModelSpec("mlp1", 4, 3, 6))
+        with pytest.raises(TypeError):
+            models.param_slices(spec)["w1"] = slice(0, 1)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from batchlab import data, measures, models, training
-from batchlab.models import DatasetBatch, ModelSpec
+from batchlab.models import ModelSpec
 from batchlab.training import (
     Ablation,
     AdamState,
@@ -63,14 +63,6 @@ class TestAdam:
             params, state = adam_step(params, np.array([g]), state, lr=lr, t=t)
         assert params[0] == pytest.approx(theta_ref, abs=1e-12)
 
-    def test_non_finite_gradient(self):
-        with pytest.raises(ValueError, match="finite"):
-            adam_step(np.zeros(1), np.array([np.nan]), AdamState.zeros(1), lr=1e-3, t=1)
-
-    def test_invalid_t(self):
-        with pytest.raises(ValueError):
-            adam_step(np.zeros(1), np.zeros(1), AdamState.zeros(1), lr=1e-3, t=0)
-
 
 def edge_scatter_regularizer_grad(emb, edges):
     """Reference d causal_regularizer / d emb: scattered edge by edge, e0 then e1."""
@@ -110,19 +102,17 @@ class TestCausalRegularizer:
         rng = np.random.default_rng(5)
         spec = ModelSpec("mlp1", 3, 2, hidden_dim=4)
         params = models.init_params(spec, rng)
-        batch = DatasetBatch(rng.standard_normal((6, 3)), rng.integers(0, 2, 6))
+        x, y = rng.standard_normal((6, 3)), rng.integers(0, 2, 6)
         edges = np.array([(0, 1), (2, 3), (4, 5)])
-        grad = training.gradient_with_penalties(
-            spec, params, batch, lambda_causal=0.7, edges=edges
-        )
+        grad = training.gradient_with_penalties(spec, params, x, y, lambda_causal=0.7, edges=edges)
         h = 1e-6
         for j in rng.choice(params.size, size=8, replace=False):
             up, down = params.copy(), params.copy()
             up[j] += h
             down[j] -= h
             fd = (
-                training.loss_with_penalties(spec, up, batch, lambda_causal=0.7, edges=edges)
-                - training.loss_with_penalties(spec, down, batch, lambda_causal=0.7, edges=edges)
+                training.loss_with_penalties(spec, up, x, y, lambda_causal=0.7, edges=edges)
+                - training.loss_with_penalties(spec, down, x, y, lambda_causal=0.7, edges=edges)
             ) / (2 * h)
             assert grad[j] == pytest.approx(fd, abs=1e-6)
 
@@ -234,9 +224,9 @@ class TestSam:
         rng = np.random.default_rng(2)
         spec = ModelSpec("logistic", 3, 2)
         params = rng.standard_normal(models.param_count(spec))
-        batch = DatasetBatch(rng.standard_normal((5, 3)), rng.integers(0, 2, 5))
-        out = sam_perturbed_gradient(lambda p: models.mean_gradient(spec, p, batch), params, 0.0)
-        np.testing.assert_array_equal(out, models.mean_gradient(spec, params, batch))
+        x, y = rng.standard_normal((5, 3)), rng.integers(0, 2, 5)
+        out = sam_perturbed_gradient(lambda p: models.mean_gradient(spec, p, x, y), params, 0.0)
+        np.testing.assert_array_equal(out, models.mean_gradient(spec, params, x, y))
 
     def test_one_d_quadratic_analytic(self):
         # grad of 0.5 a theta^2 is a theta; at theta > 0 the perturbed
@@ -249,12 +239,12 @@ class TestSam:
         rng = np.random.default_rng(4)
         spec = ModelSpec("logistic", 2, 2)
         params = rng.standard_normal(models.param_count(spec))
-        batch = DatasetBatch(rng.standard_normal((6, 2)), rng.integers(0, 2, 6))
+        x, y = rng.standard_normal((6, 2)), rng.integers(0, 2, 6)
         rho = 0.05
-        g0 = models.mean_gradient(spec, params, batch)
+        g0 = models.mean_gradient(spec, params, x, y)
         eps = rho * g0 / np.linalg.norm(g0)
-        g_ref = models.mean_gradient(spec, params + eps, batch)
-        out = sam_perturbed_gradient(lambda p: models.mean_gradient(spec, p, batch), params, rho)
+        g_ref = models.mean_gradient(spec, params + eps, x, y)
+        out = sam_perturbed_gradient(lambda p: models.mean_gradient(spec, p, x, y), params, rho)
         np.testing.assert_array_equal(out, g_ref)
 
     def test_zero_gradient_skips_perturbation(self):
@@ -267,23 +257,23 @@ class TestPenalizedPaths:
         rng = np.random.default_rng(6)
         spec = ModelSpec("mlp1", 4, 3, hidden_dim=5)
         params = models.init_params(spec, rng)
-        batch = DatasetBatch(rng.standard_normal((9, 4)), rng.integers(0, 3, 9))
-        assert training.loss_with_penalties(spec, params, batch) == models.forward_loss(
-            spec, params, batch
+        x, y = rng.standard_normal((9, 4)), rng.integers(0, 3, 9)
+        assert training.loss_with_penalties(spec, params, x, y) == models.forward_loss(
+            spec, params, x, y
         )
         np.testing.assert_array_equal(
-            training.gradient_with_penalties(spec, params, batch),
-            models.mean_gradient(spec, params, batch),
+            training.gradient_with_penalties(spec, params, x, y),
+            models.mean_gradient(spec, params, x, y),
         )
 
     def test_l1_l2_gradient(self):
         rng = np.random.default_rng(8)
         spec = ModelSpec("logistic", 3, 2)
         params = rng.standard_normal(models.param_count(spec))
-        batch = DatasetBatch(rng.standard_normal((5, 3)), rng.integers(0, 2, 5))
-        g = training.gradient_with_penalties(spec, params, batch, l1=0.01, l2=0.1)
+        x, y = rng.standard_normal((5, 3)), rng.integers(0, 2, 5)
+        g = training.gradient_with_penalties(spec, params, x, y, l1=0.01, l2=0.1)
         expected = (
-            models.mean_gradient(spec, params, batch)
+            models.mean_gradient(spec, params, x, y)
             + 0.01 * np.sign(params)
             + 0.2 * params
         )
@@ -438,6 +428,39 @@ class TestTrainRun:
         b = train_run(bundle, cfg)
         assert a.status in ("completed", "early_stopped")
         assert a.canonical_dict() == b.canonical_dict()
+
+    @pytest.mark.parametrize(
+        "spec",
+        [ModelSpec("mlp1", 5, 3, hidden_dim=8), ModelSpec("mlp1", 6, 2, hidden_dim=8)],
+        ids=["width", "classes"],
+    )
+    def test_spec_not_matching_dataset_raises_before_training(self, blob_bundle, monkeypatch, spec):
+        def no_init(*args):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(models, "init_params", no_init)
+        with pytest.raises(ValueError, match=r"does not fit the dataset \(6 features, 3 classes\)"):
+            train_run(blob_bundle, quick_config(model=spec))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_gradient_gives_degenerate_record(self, blob_bundle, monkeypatch):
+        # the loop's finite-parameter check is the one divergence rule, for
+        # every optimizer and for the two-gradient sam step
+        real = models.mean_gradient
+        for overrides in ({}, {"optimizer": "sgd"}, {"ablation": Ablation(kind="sam", rho=0.05)}):
+            calls = []
+
+            def poisoned(spec, params, x, y):
+                calls.append(None)
+                g = real(spec, params, x, y)
+                return np.full_like(g, np.nan) if len(calls) == 3 else g
+
+            monkeypatch.setattr(models, "mean_gradient", poisoned)
+            rec = train_run(blob_bundle, quick_config(epochs=3, **overrides))
+            assert len(calls) >= 3
+            assert rec.status == "degenerate"
+            assert rec.degenerate_reason == "non-finite parameters"
+            assert rec.final is None and rec.train_loss == []
 
     def test_record_round_trip(self, blob_bundle):
         rec = train_run(blob_bundle, quick_config(epochs=2))
