@@ -42,12 +42,7 @@ class AnalysisSettings:
             raise ValueError("alpha must be >= 0")
 
     def to_dict(self) -> dict:
-        return {
-            "bins": self.bins,
-            "alpha": self.alpha,
-            "treat": self.treat,
-            "control": self.control,
-        }
+        return dict(vars(self))
 
     @staticmethod
     def from_dict(d: dict) -> "AnalysisSettings":

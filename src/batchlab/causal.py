@@ -470,15 +470,7 @@ class StratumDiagnostic:
     reason: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "stratum": self.stratum,
-            "n": self.n,
-            "chi_square": self.chi_square,
-            "dof": self.dof,
-            "p_value": self.p_value,
-            "skipped": self.skipped,
-            "reason": self.reason,
-        }
+        return dict(vars(self))
 
 
 def pearson_chi_square(table: np.ndarray) -> tuple[float, int]:

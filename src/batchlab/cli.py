@@ -2,8 +2,8 @@
 
 Subcommands: ``sweep`` (run the experiment grid), ``analyze`` (causal
 analysis of a record file), ``report`` (full report emission), ``validate``
-(check a config or record file). Exit codes: 0 success, 1 validation error,
-2 runtime failure.
+(plan a config's sweep without training, or load a record file). Exit codes:
+0 success, 1 validation error, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -66,8 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_sweep(args) -> int:
     config = parse_config(args.config)
-    out_dir = sweep.resolve_out_dir(config, args.out)
-    records_path = Path(args.records) if args.records else out_dir / "records.jsonl"
+    records_path = args.records or sweep.default_records_path(config, args.out)
     records = sweep.run_sweep(config, records_path=records_path, workers=args.workers)
     print(f"records: {len(records)} total in {records_path}")
     return 0
@@ -106,8 +105,8 @@ def _cmd_validate(args) -> int:
         records = sweep.load_records(path)
         print(f"ok: {len(records)} records")
     else:
-        parse_config(path)
-        print("ok: config valid")
+        _, planned = sweep.plan_sweep(parse_config(path))
+        print(f"ok: config valid, {len(planned)} runs planned")
     return 0
 
 

@@ -1,13 +1,19 @@
 """Declarative sweep configuration: parsing, validation, defaults.
 
-Config files are JSON. Unknown keys are rejected by name at every nesting
-level, so typos fail loudly instead of silently using a default.
+Config files are JSON. Every section but ``dataset`` and ``model`` is declared
+once, by the dataclass it builds (``SweepConfig``, ``TrainTemplate``,
+``training.BatchSchedule``, ``training.Ablation``,
+``analysis.AnalysisSettings``): its fields are the section's keys and
+defaults, and its constructor checks the values. Unknown keys are rejected by
+name at every nesting level, so typos fail loudly instead of silently using a
+default. The dataset and model values are checked where a sweep builds them,
+in ``sweep.plan_sweep``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 from . import analysis, models, training
@@ -31,29 +37,6 @@ DATASET_REQUIRED = {
     "files": {"nodes", "edges"},
 }
 MODEL_KEYS = {"kind", "hidden", "diffusion_alpha", "diffusion_beta", "diffusion_steps"}
-TRAIN_KEYS = {
-    "epochs",
-    "lr",
-    "lr_schedule",
-    "optimizer",
-    "lambda_causal",
-    "early_stop_patience",
-    "batch_schedule",
-}
-BATCH_SCHEDULE_KEYS = {"kind", "start", "factor", "every_epochs"}
-ABLATION_KEYS = {"kind", "rho", "l1", "l2"}
-CAUSAL_KEYS = {"bins", "alpha", "treat", "control"}
-TOP_KEYS = {
-    "dataset",
-    "model",
-    "batch_sizes",
-    "seeds",
-    "train",
-    "ablations",
-    "causal",
-    "out_dir",
-    "workers",
-}
 
 
 def _reject_unknown(obj: dict, allowed: set, where: str) -> None:
@@ -68,8 +51,45 @@ def _require(obj: dict, required: set, where: str) -> None:
             raise ConfigError(f"missing required key {key!r} in {where}")
 
 
+def _section(cls, obj, where: str, **parsers):
+    """Build dataclass ``cls`` from the config object ``obj`` at ``where``.
+
+    The dataclass is the one declaration of the section: its fields are the
+    allowed keys, the fields without a default the required ones, and its
+    constructor checks the values. ``parsers`` convert the given values of
+    nested sections first.
+    """
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be an object")
+    declared = fields(cls)
+    _reject_unknown(obj, {f.name for f in declared}, where)
+    _require(
+        obj,
+        {f.name for f in declared if f.default is MISSING and f.default_factory is MISSING},
+        where,
+    )
+    kwargs = {key: parsers[key](value) if key in parsers else value for key, value in obj.items()}
+    return checked(where, cls, **kwargs)
+
+
+def checked(where: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, with a ``TypeError`` (a mistyped value) or
+    ``ValueError`` turned into a ``ConfigError`` that names the section."""
+    try:
+        return build(*args, **kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {where} settings: {exc}") from exc
+
+
+# A model the train settings are checked against before the sweep's is known.
+_PLACEHOLDER_MODEL = models.ModelSpec("logistic", 1, 2)
+
+
 @dataclass(frozen=True)
 class TrainTemplate:
+    """The ``train`` section: every run's training settings but its model,
+    batch size, seed and ablation."""
+
     epochs: int = 50
     lr: float = 1e-3
     lr_schedule: str = "fixed"
@@ -78,51 +98,37 @@ class TrainTemplate:
     early_stop_patience: int = 10
     batch_schedule: training.BatchSchedule = field(default_factory=training.BatchSchedule)
 
+    def __post_init__(self) -> None:
+        # the template's values are checked where every run's are
+        self.train_config(_PLACEHOLDER_MODEL, batch_size=1, seed=0)
+
     def train_config(
         self, model: models.ModelSpec, batch_size: int, seed: int, ablation=training.Ablation()
     ) -> training.TrainConfig:
         """The ``TrainConfig`` of one run; ``TrainConfig`` validates the settings."""
-        settings = {f.name: getattr(self, f.name) for f in fields(self)}
         return training.TrainConfig(
-            model=model, batch_size=batch_size, seed=seed, ablation=ablation, **settings
+            model=model, batch_size=batch_size, seed=seed, ablation=ablation, **vars(self)
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "lr": self.lr,
-            "lr_schedule": self.lr_schedule,
-            "optimizer": self.optimizer,
-            "lambda_causal": self.lambda_causal,
-            "early_stop_patience": self.early_stop_patience,
-            "batch_schedule": self.batch_schedule.to_dict(),
-        }
 
 
 @dataclass(frozen=True)
 class SweepConfig:
+    """The whole config file; a key that is absent or ``null`` takes the
+    default declared here."""
+
     dataset: dict
     model: dict
-    batch_sizes: tuple[int, ...]
-    seeds: tuple[int, ...]
-    train: TrainTemplate
-    ablations: tuple[training.Ablation, ...]
-    causal: analysis.AnalysisSettings
+    batch_sizes: tuple[int, ...] = DEFAULT_BATCH_SIZES
+    seeds: tuple[int, ...] = tuple(range(DEFAULT_SEED_COUNT))
+    train: TrainTemplate = field(default_factory=TrainTemplate)
+    ablations: tuple[training.Ablation, ...] = ()
+    causal: analysis.AnalysisSettings = field(default_factory=analysis.AnalysisSettings)
     out_dir: str | None = None
     workers: int = 1
 
-    def to_dict(self) -> dict:
-        return {
-            "dataset": dict(self.dataset),
-            "model": dict(self.model),
-            "batch_sizes": list(self.batch_sizes),
-            "seeds": list(self.seeds),
-            "train": self.train.to_dict(),
-            "ablations": [a.to_dict() for a in self.ablations],
-            "causal": self.causal.to_dict(),
-            "out_dir": self.out_dir,
-            "workers": self.workers,
-        }
+    def __post_init__(self) -> None:
+        if not isinstance(self.workers, int) or self.workers < 1:
+            raise ValueError("workers must be a positive integer")
 
 
 def _parse_dataset(obj) -> dict:
@@ -143,29 +149,21 @@ def _parse_model(obj) -> dict:
     kind = obj.get("kind")
     if kind not in models.MODEL_KINDS:
         raise ConfigError(f"model kind must be one of {models.MODEL_KINDS}, got {kind!r}")
-    if kind in ("mlp1", "graph_diffusion") and "hidden" not in obj:
-        raise ConfigError(f"model kind {kind!r} requires 'hidden'")
     return dict(obj)
 
 
 def _parse_batch_sizes(value) -> tuple[int, ...]:
-    if value is None:
-        return DEFAULT_BATCH_SIZES
     if not isinstance(value, list) or not value:
         raise ConfigError("batch_sizes must be a nonempty list")
-    sizes = []
     for b in value:
         if not isinstance(b, int) or b < 1:
             raise ConfigError(f"batch sizes must be positive integers, got {b!r}")
-        sizes.append(b)
-    if len(set(sizes)) != len(sizes):
+    if len(set(value)) != len(value):
         raise ConfigError("batch sizes must be distinct")
-    return tuple(sizes)
+    return tuple(value)
 
 
 def _parse_seeds(value) -> tuple[int, ...]:
-    if value is None:
-        return tuple(range(DEFAULT_SEED_COUNT))
     if isinstance(value, int):
         if value < 1:
             raise ConfigError("seeds count must be >= 1")
@@ -181,79 +179,40 @@ def _parse_seeds(value) -> tuple[int, ...]:
 
 
 def _parse_train(obj) -> TrainTemplate:
-    if obj is None:
-        return TrainTemplate()
-    if not isinstance(obj, dict):
-        raise ConfigError("train must be an object")
-    _reject_unknown(obj, TRAIN_KEYS, "train")
-    kwargs = dict(obj)
-    schedule = kwargs.get("batch_schedule", {})
-    if not isinstance(schedule, dict):
-        raise ConfigError("train.batch_schedule must be an object")
-    _reject_unknown(schedule, BATCH_SCHEDULE_KEYS, "train.batch_schedule")
-    try:
-        kwargs["batch_schedule"] = training.BatchSchedule(**schedule)
-        template = TrainTemplate(**kwargs)
-        # the template's values are checked where every run's are
-        template.train_config(models.ModelSpec("logistic", 1, 2), batch_size=1, seed=0)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid train settings: {exc}") from exc
-    return template
+    return _section(
+        TrainTemplate,
+        obj,
+        "train",
+        batch_schedule=lambda v: _section(training.BatchSchedule, v, "train.batch_schedule"),
+    )
 
 
 def _parse_ablations(value) -> tuple[training.Ablation, ...]:
-    if value is None:
-        return ()
     if not isinstance(value, list):
         raise ConfigError("ablations must be a list")
-    out = []
-    for obj in value:
-        if not isinstance(obj, dict):
-            raise ConfigError("each ablation must be an object")
-        _reject_unknown(obj, ABLATION_KEYS, "ablations[]")
-        try:
-            abl = training.Ablation(**obj)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid ablation: {exc}") from exc
-        if abl.kind == "none":
-            raise ConfigError("ablation list must not contain 'none' (it always runs)")
-        out.append(abl)
+    out = tuple(_section(training.Ablation, obj, "ablations[]") for obj in value)
+    if any(abl.kind == "none" for abl in out):
+        raise ConfigError("ablation list must not contain 'none' (it always runs)")
     tags = [a.tag for a in out]
     if len(set(tags)) != len(tags):
         raise ConfigError("duplicate ablation kinds")
-    return tuple(out)
-
-
-def _parse_causal(obj) -> analysis.AnalysisSettings:
-    if obj is None:
-        return analysis.AnalysisSettings()
-    if not isinstance(obj, dict):
-        raise ConfigError("causal must be an object")
-    _reject_unknown(obj, CAUSAL_KEYS, "causal")
-    try:
-        return analysis.AnalysisSettings(**obj)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid causal settings: {exc}") from exc
+    return out
 
 
 def build_sweep_config(obj: dict) -> SweepConfig:
     if not isinstance(obj, dict):
         raise ConfigError("config root must be an object")
-    _reject_unknown(obj, TOP_KEYS, "config")
-    _require(obj, {"dataset", "model"}, "config")
-    workers = obj.get("workers", 1)
-    if not isinstance(workers, int) or workers < 1:
-        raise ConfigError("workers must be a positive integer")
-    return SweepConfig(
-        dataset=_parse_dataset(obj["dataset"]),
-        model=_parse_model(obj["model"]),
-        batch_sizes=_parse_batch_sizes(obj.get("batch_sizes")),
-        seeds=_parse_seeds(obj.get("seeds")),
-        train=_parse_train(obj.get("train")),
-        ablations=_parse_ablations(obj.get("ablations")),
-        causal=_parse_causal(obj.get("causal")),
-        out_dir=obj.get("out_dir"),
-        workers=workers,
+    return _section(
+        SweepConfig,
+        {key: value for key, value in obj.items() if value is not None},
+        "config",
+        dataset=_parse_dataset,
+        model=_parse_model,
+        batch_sizes=_parse_batch_sizes,
+        seeds=_parse_seeds,
+        train=_parse_train,
+        ablations=_parse_ablations,
+        causal=lambda v: _section(analysis.AnalysisSettings, v, "causal"),
     )
 
 
@@ -267,7 +226,3 @@ def parse_config(path) -> SweepConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     return build_sweep_config(obj)
-
-
-def serialize_config(config: SweepConfig, path) -> None:
-    Path(path).write_text(json.dumps(config.to_dict(), indent=2))

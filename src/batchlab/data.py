@@ -329,14 +329,3 @@ def edge_list(adjacency) -> np.ndarray:
         r, c = np.nonzero(np.triu(np.asarray(adjacency), k=1))
         return np.stack([r, c], axis=1).astype(np.int64)
     return np.stack([coo.row, coo.col], axis=1).astype(np.int64)
-
-
-def bundles_equal(a: DatasetBundle, b: DatasetBundle) -> bool:
-    """Content equality (features, labels, adjacency); provenance ignored."""
-    if not np.array_equal(a.features, b.features) or not np.array_equal(a.labels, b.labels):
-        return False
-    if (a.adjacency is None) != (b.adjacency is None):
-        return False
-    if a.adjacency is not None:
-        return (a.adjacency != b.adjacency).nnz == 0
-    return True

@@ -130,15 +130,7 @@ class Measurement:
     epoch: int
 
     def to_dict(self) -> dict:
-        return {
-            "grad_noise": float(self.grad_noise),
-            "sharpness": float(self.sharpness),
-            "complexity": float(self.complexity),
-            "test_accuracy": float(self.test_accuracy),
-            "gen_gap": float(self.gen_gap),
-            "batch_size": int(self.batch_size),
-            "epoch": int(self.epoch),
-        }
+        return dict(vars(self))
 
     @staticmethod
     def from_dict(d: dict) -> "Measurement":

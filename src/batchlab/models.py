@@ -19,6 +19,8 @@ losses used here.
 from __future__ import annotations
 
 import functools
+import math
+import numbers
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -26,6 +28,15 @@ import numpy as np
 import scipy.sparse as sp
 
 MODEL_KINDS = ("logistic", "mlp1", "graph_diffusion")
+
+
+def require_integers(settings, *names: str) -> None:
+    """Raise ``ValueError`` naming the first of the fields ``names`` of
+    ``settings`` that does not hold an integer."""
+    for name in names:
+        value = getattr(settings, name)
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -50,6 +61,11 @@ class ModelSpec:
     def __post_init__(self) -> None:
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
+        require_integers(self, "input_dim", "num_classes", "hidden_dim", "diffusion_steps")
+        for name in ("diffusion_alpha", "diffusion_beta"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.input_dim < 1:
             raise ValueError("input_dim must be >= 1")
         if self.num_classes < 2:
@@ -60,19 +76,7 @@ class ModelSpec:
             raise ValueError("diffusion_steps must be >= 0")
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "input_dim": self.input_dim,
-            "num_classes": self.num_classes,
-            "hidden_dim": self.hidden_dim,
-            "diffusion_alpha": self.diffusion_alpha,
-            "diffusion_beta": self.diffusion_beta,
-            "diffusion_steps": self.diffusion_steps,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "ModelSpec":
-        return ModelSpec(**d)
+        return dict(vars(self))
 
 
 # -- parameter layout ---------------------------------------------------------

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import data as datamod
 from . import models, training
-from .config import ConfigError, SweepConfig
+from .config import ConfigError, SweepConfig, checked
 
 ENV_OUT_DIR = "BATCHLAB_OUT"
 DEFAULT_OUT_DIR = "batchlab_runs"
@@ -34,6 +34,11 @@ def resolve_out_dir(config: SweepConfig | None = None, explicit=None) -> Path:
     return Path(os.environ.get(ENV_OUT_DIR, DEFAULT_OUT_DIR))
 
 
+def default_records_path(config: SweepConfig, out_dir=None) -> Path:
+    """The record file a sweep writes when none is named."""
+    return resolve_out_dir(config, out_dir) / "records.jsonl"
+
+
 def build_dataset(config: SweepConfig) -> datamod.DatasetBundle:
     spec = dict(config.dataset)
     kind = spec.pop("kind")
@@ -45,19 +50,35 @@ def build_dataset(config: SweepConfig) -> datamod.DatasetBundle:
 
 
 def build_model_spec(config: SweepConfig, bundle: datamod.DatasetBundle) -> models.ModelSpec:
-    m = dict(config.model)
-    kind = m.pop("kind")
-    if kind == "graph_diffusion" and bundle.adjacency is None:
+    """The sweep's ``ModelSpec``; the model keys given in the config are
+    passed on (``hidden`` as ``hidden_dim``), so ``ModelSpec`` holds the
+    defaults and the rules."""
+    if config.model["kind"] == "graph_diffusion" and bundle.adjacency is None:
         raise ConfigError("graph_diffusion model requires a graph dataset")
+    given = {("hidden_dim" if k == "hidden" else k): v for k, v in config.model.items()}
     return models.ModelSpec(
-        kind=kind,
-        input_dim=bundle.features.shape[1],
-        num_classes=bundle.num_classes,
-        hidden_dim=m.pop("hidden", 0),
-        diffusion_alpha=m.pop("diffusion_alpha", 0.0),
-        diffusion_beta=m.pop("diffusion_beta", 0.0),
-        diffusion_steps=m.pop("diffusion_steps", 2),
+        input_dim=bundle.features.shape[1], num_classes=bundle.num_classes, **given
     )
+
+
+def plan_sweep(config: SweepConfig) -> tuple[datamod.DatasetBundle, list[training.TrainConfig]]:
+    """The dataset and every run's ``TrainConfig``, ordered by (batch size,
+    seed, ablation): all that a sweep checks before it trains.
+
+    ``batchlab validate`` runs this too, so it accepts exactly the configs a
+    sweep can start. An invalid or mistyped dataset or model value raises
+    ``ConfigError``.
+    """
+    bundle = checked("dataset", build_dataset, config)
+    model_spec = checked("model", build_model_spec, config, bundle)
+    ablations = (training.Ablation(),) + config.ablations
+    planned = [
+        config.train.train_config(model_spec, b, seed, abl)
+        for b in sorted(config.batch_sizes)
+        for seed in sorted(config.seeds)
+        for abl in ablations
+    ]
+    return bundle, planned
 
 
 def run_key(batch_size: int, seed: int, ablation_tag: str) -> tuple[int, int, str]:
@@ -106,14 +127,6 @@ def append_record(path, record: training.RunRecord) -> None:
         fh.write(json.dumps(record.to_dict()) + "\n")
 
 
-def _train_configs(config: SweepConfig, model_spec: models.ModelSpec):
-    ablations = (training.Ablation(),) + tuple(config.ablations)
-    for b in sorted(config.batch_sizes):
-        for seed in sorted(config.seeds):
-            for abl in ablations:
-                yield config.train.train_config(model_spec, b, seed, abl)
-
-
 def _check_resumable(path, record, tc, bundle) -> None:
     """Raise unless ``record`` was made by the planned run ``tc`` on ``bundle``."""
     want = tc.to_dict()
@@ -141,20 +154,19 @@ def run_sweep(
     """Execute all missing runs of the sweep, appending records as they finish.
 
     Returns every record (pre-existing plus new) sorted by
-    (batch size, seed, ablation), independent of execution order. Raises
+    (batch size, seed, ablation), independent of execution order. The sweep
+    is planned (``plan_sweep``) before the record file is read. Raises
     ``ValueError`` before training anything when a present record of a
     planned run carries another config or dataset id.
     """
-    out_dir = resolve_out_dir(config)
-    records_path = Path(records_path) if records_path else out_dir / "records.jsonl"
+    records_path = Path(records_path) if records_path else default_records_path(config)
     workers = workers if workers is not None else config.workers
 
+    bundle, planned = plan_sweep(config)
     existing = load_records(records_path)
     done = {record_key(r): r for r in existing}
-    bundle = build_dataset(config)
-    model_spec = build_model_spec(config, bundle)
     pending = []
-    for tc in _train_configs(config, model_spec):
+    for tc in planned:
         record = done.get(run_key(tc.batch_size, tc.seed, tc.ablation.tag))
         if record is None:
             pending.append(tc)

@@ -49,11 +49,7 @@ class Ablation:
         return self.kind
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "rho": self.rho, "l1": self.l1, "l2": self.l2}
-
-    @staticmethod
-    def from_dict(d: dict) -> "Ablation":
-        return Ablation(**d)
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -68,6 +64,9 @@ class BatchSchedule:
     def __post_init__(self) -> None:
         if self.kind not in BATCH_SCHEDULE_KINDS:
             raise ValueError(f"unknown batch schedule {self.kind!r}")
+        models.require_integers(self, "factor", "every_epochs")
+        if self.start is not None:
+            models.require_integers(self, "start")
         if self.factor < 1 or self.every_epochs < 1:
             raise ValueError("factor and every_epochs must be >= 1")
         if self.start is not None and self.start < 1:
@@ -81,16 +80,7 @@ class BatchSchedule:
         return min(b, n_train)
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "start": self.start,
-            "factor": self.factor,
-            "every_epochs": self.every_epochs,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "BatchSchedule":
-        return BatchSchedule(**d)
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -108,6 +98,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        models.require_integers(self, "batch_size", "epochs", "early_stop_patience", "seed")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 0:
@@ -124,27 +115,13 @@ class TrainConfig:
             raise ValueError("early_stop_patience must be >= 1")
 
     def to_dict(self) -> dict:
+        # the nested settings keep their field positions
         return {
+            **vars(self),
             "model": self.model.to_dict(),
-            "batch_size": self.batch_size,
-            "epochs": self.epochs,
-            "lr": self.lr,
-            "lr_schedule": self.lr_schedule,
-            "optimizer": self.optimizer,
-            "lambda_causal": self.lambda_causal,
             "ablation": self.ablation.to_dict(),
             "batch_schedule": self.batch_schedule.to_dict(),
-            "early_stop_patience": self.early_stop_patience,
-            "seed": self.seed,
         }
-
-    @staticmethod
-    def from_dict(d: dict) -> "TrainConfig":
-        d = dict(d)
-        d["model"] = models.ModelSpec.from_dict(d["model"])
-        d["ablation"] = Ablation.from_dict(d["ablation"])
-        d["batch_schedule"] = BatchSchedule.from_dict(d["batch_schedule"])
-        return TrainConfig(**d)
 
 
 def schedule_lr(config: TrainConfig, epoch: int) -> float:
@@ -284,11 +261,10 @@ def diffusion_update(
 
     H' = H + alpha (A_norm H - H) + beta (xi ⊙ H), xi iid Normal(0, noise_scale).
     No random numbers are drawn when beta = 0, so the deterministic path is
-    bit-identical regardless of the RNG passed.
+    bit-identical regardless of the RNG passed. ``ModelSpec`` checks once that
+    alpha and beta are finite; this per-step function does not.
     """
     h = np.asarray(h, dtype=np.float64)
-    if not (np.isfinite(alpha) and np.isfinite(beta)):
-        raise ValueError("alpha and beta must be finite")
     out = h + alpha * (adj_norm @ h - h)
     if beta != 0.0:
         if rng is None:

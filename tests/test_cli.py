@@ -38,25 +38,65 @@ class TestCli:
         assert "error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "train",
+        "section, value, message",
         [
-            {"lr": -1},
-            {"optimizer": "rmsprop"},
-            {"lr_schedule": "cosine"},
-            {"early_stop_patience": 0},
-            {"epochs": "ten"},
-            {"batch_schedule": 5},
-            {"batch_schedule": {"factor": "x"}},
-            {"batch_schedule": {"kind": "progressive", "start": -4}},
+            ("train", {"lr": -1}, "train"),
+            ("train", {"optimizer": "rmsprop"}, "train"),
+            ("train", {"lr_schedule": "cosine"}, "train"),
+            ("train", {"early_stop_patience": 0}, "train"),
+            ("train", {"epochs": "ten"}, "train"),
+            ("train", {"batch_schedule": 5}, "train"),
+            ("train", {"batch_schedule": {"factor": "x"}}, "train"),
+            ("train", {"batch_schedule": {"kind": "progressive", "start": -4}}, "train"),
+            ("train", {"epochs": 2.5}, "epochs must be an integer"),
+            ("train", {"batch_schedule": {"kind": "progressive", "factor": 1.5}}, "factor"),
+            ("train", {"batch_schedule": {"kind": "progressive", "start": 16.5}}, "start"),
+            ("dataset", dict(CONFIG["dataset"], separation=-1), "separation"),
+            ("dataset", dict(CONFIG["dataset"], label_noise=0.7), "label_noise"),
+            ("dataset", dict(CONFIG["dataset"], fractions=[0.5, 0.5]), "fractions"),
+            ("dataset", dict(CONFIG["dataset"], n="60"), "invalid dataset settings"),
+            (
+                "dataset",
+                {"kind": "sbm", "n": 60, "num_classes": 2, "p_in": 0.05, "p_out": 0.2, "d": 3},
+                "p_out < p_in",
+            ),
+            ("model", {"kind": "mlp1", "hidden": 0}, "hidden_dim"),
+            ("model", {"kind": "mlp1", "hidden": "8"}, "hidden_dim must be an integer"),
+            ("model", {"kind": "mlp1", "hidden": 8.5}, "hidden_dim must be an integer"),
+            ("model", {"kind": "logistic", "diffusion_alpha": "x"}, "diffusion_alpha"),
+            ("model", {"kind": "logistic", "diffusion_beta": float("inf")}, "diffusion_beta"),
         ],
-        ids=["lr", "optimizer", "lr_schedule", "patience", "epochs", "schedule", "factor", "start"],
+        ids=[
+            "lr",
+            "optimizer",
+            "lr_schedule",
+            "patience",
+            "epochs",
+            "schedule",
+            "factor",
+            "start",
+            "epochs_float",
+            "factor_float",
+            "start_float",
+            "separation",
+            "label_noise",
+            "fractions",
+            "n_string",
+            "sbm_p_out",
+            "hidden_zero",
+            "hidden_string",
+            "hidden_float",
+            "alpha_string",
+            "beta_inf",
+        ],
     )
-    def test_validate_rejects_what_sweep_rejects(self, tmp_path, capsys, train):
+    def test_validate_rejects_what_sweep_rejects(self, tmp_path, capsys, section, value, message):
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(dict(CONFIG, train=train, out_dir=str(tmp_path / "out"))))
+        path.write_text(json.dumps(dict(CONFIG, **{section: value}, out_dir=str(tmp_path / "out"))))
         assert main(["validate", str(path)]) == 1
+        validate_err = capsys.readouterr().err
         assert main(["sweep", str(path)]) == 1
-        assert "train" in capsys.readouterr().err
+        assert message in validate_err and capsys.readouterr().err == validate_err
         assert not (tmp_path / "out").exists()
 
     def test_sweep_on_non_finite_csv_feature_exit_1(self, tmp_path, capsys):
@@ -71,8 +111,9 @@ class TestCli:
         )
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
+        assert main(["validate", str(path)]) == 1
         assert main(["sweep", str(path)]) == 1
-        assert "non-finite feature value in row 1" in capsys.readouterr().err
+        assert capsys.readouterr().err.count("non-finite feature value in row 1") == 2
         assert not (tmp_path / "out").exists()
 
     def test_cli_import_leaves_scipy_stats_out(self):

@@ -1,13 +1,11 @@
 import json
+import re
 
 import pytest
 
-from batchlab.config import (
-    ConfigError,
-    build_sweep_config,
-    parse_config,
-    serialize_config,
-)
+from batchlab.analysis import AnalysisSettings
+from batchlab.config import ConfigError, build_sweep_config, parse_config
+from batchlab.training import Ablation, BatchSchedule
 
 MINIMAL = {
     "dataset": {"kind": "blobs", "n": 100, "d": 4, "num_classes": 3},
@@ -80,7 +78,7 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="JSON"):
             parse_config(path)
 
-    def test_round_trip(self, tmp_path):
+    def test_full_config_parses_to_typed_values(self, tmp_path):
         full = {
             "dataset": {
                 "kind": "blobs",
@@ -108,9 +106,40 @@ class TestParseConfig:
             "workers": 2,
         }
         cfg = parse_config(write_config(tmp_path, full))
-        reserialized = tmp_path / "round.json"
-        serialize_config(cfg, reserialized)
-        assert parse_config(reserialized) == cfg
+        assert cfg.dataset == full["dataset"] and cfg.model == full["model"]
+        assert cfg.batch_sizes == (16, 256) and cfg.seeds == (0, 1, 2)
+        assert (cfg.train.epochs, cfg.train.lr_schedule) == (40, "halve_every_10")
+        assert cfg.train.lambda_causal == 0.0  # absent, so the declared default
+        assert cfg.train.batch_schedule == BatchSchedule("progressive", 16, 2, 10)
+        assert cfg.ablations == (Ablation("sam", rho=0.05), Ablation("no_noise_averaging"))
+        assert cfg.causal == AnalysisSettings(bins=3, alpha=1.0, treat=16, control=256)
+        assert cfg.out_dir == "out" and cfg.workers == 2
+
+    @pytest.mark.parametrize(
+        "section",
+        ["config", "dataset", "model", "train", "train.batch_schedule", "ablations[]", "causal"],
+    )
+    def test_unknown_key_named_in_every_section(self, section):
+        obj = dict(
+            MINIMAL,
+            dataset=dict(MINIMAL["dataset"]),
+            model=dict(MINIMAL["model"]),
+            train={"batch_schedule": {}},
+            ablations=[{"kind": "sam"}],
+            causal={},
+        )
+        target = {
+            "config": obj,
+            "dataset": obj["dataset"],
+            "model": obj["model"],
+            "train": obj["train"],
+            "train.batch_schedule": obj["train"]["batch_schedule"],
+            "ablations[]": obj["ablations"][0],
+            "causal": obj["causal"],
+        }[section]
+        target["bogus"] = 1
+        with pytest.raises(ConfigError, match=rf"unknown config key 'bogus' in {re.escape(section)}$"):
+            build_sweep_config(obj)
 
     def test_seed_count_expansion(self):
         cfg = build_sweep_config(dict(MINIMAL, seeds=4))

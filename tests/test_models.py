@@ -250,3 +250,23 @@ class TestParamLayout:
             ModelSpec("logistic", 4, 1)
         with pytest.raises(ValueError):
             ModelSpec("rnn", 4, 3)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("hidden_dim", "8", "hidden_dim must be an integer"),
+            ("hidden_dim", 8.5, "hidden_dim must be an integer"),
+            ("diffusion_steps", 2.0, "diffusion_steps must be an integer"),
+            ("diffusion_alpha", "x", "diffusion_alpha must be a finite number"),
+            ("diffusion_alpha", float("nan"), "diffusion_alpha must be a finite number"),
+            ("diffusion_beta", float("inf"), "diffusion_beta must be a finite number"),
+        ],
+    )
+    def test_spec_value_types(self, field, value, message):
+        kwargs = {"hidden_dim": 4, field: value}
+        with pytest.raises(ValueError, match=message):
+            ModelSpec("graph_diffusion", 4, 3, **kwargs)
+
+    def test_numpy_scalars_accepted(self):
+        spec = ModelSpec("graph_diffusion", np.int64(4), 3, np.int64(4), np.float64(0.5), 0.1, 2)
+        assert models.param_count(spec) == 4 * 4 + 4 + 4 * 3 + 3
