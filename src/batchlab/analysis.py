@@ -3,8 +3,8 @@
 Extracts the five observed variables from completed, unablated runs, bins
 them, fits one table set per engine mode (each mode is a factor set, given by
 its own hypergraph structure), answers interventional queries for every
-observed batch size, and bundles everything into one JSON-serializable
-document so reports can be regenerated without re-training.
+observed batch size, and bundles everything into one JSON document
+(``analysis.json``) that is written for other tools and never read back.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from . import causal
 from .training import RunRecord
@@ -32,8 +30,8 @@ class AnalysisSettings:
 
     bins: int = 3
     alpha: float = 1.0
-    treat: int | None = 16
-    control: int | None = 512
+    treat: int | None = None
+    control: int | None = None
 
     def __post_init__(self) -> None:
         if self.bins < 1:
@@ -43,10 +41,6 @@ class AnalysisSettings:
 
     def to_dict(self) -> dict:
         return dict(vars(self))
-
-    @staticmethod
-    def from_dict(d: dict) -> "AnalysisSettings":
-        return AnalysisSettings(**d)
 
 
 def records_to_observations(records: list[RunRecord]) -> list[dict]:
@@ -97,40 +91,8 @@ class AnalysisBundle:
             "n_observations": self.n_observations,
         }
 
-    @staticmethod
-    def from_json_dict(d: dict) -> "AnalysisBundle":
-        return AnalysisBundle(
-            settings=AnalysisSettings.from_dict(d["settings"]),
-            treat=int(d["treat"]),
-            control=int(d["control"]),
-            scheme=causal.DiscretizationScheme.from_dict(d["scheme"]),
-            tables={
-                mode: [causal.ConditionalTable.from_dict(t) for t in tabs]
-                for mode, tabs in d["tables"].items()
-            },
-            interventions={
-                mode: [
-                    causal.InterventionResult(
-                        b=r["b"],
-                        mode=r["mode"],
-                        distribution=np.asarray(r["distribution"]),
-                        expected=r["expected"],
-                    )
-                    for r in results
-                ]
-                for mode, results in d["interventions"].items()
-            },
-            ate={mode: float(v) for mode, v in d["ate"].items()},
-            backdoor=[causal.StratumDiagnostic(**row) for row in d["backdoor"]],
-            n_observations=int(d["n_observations"]),
-        )
-
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_json_dict(), indent=2))
-
-    @staticmethod
-    def load(path) -> "AnalysisBundle":
-        return AnalysisBundle.from_json_dict(json.loads(Path(path).read_text()))
 
 
 def analyze_observations(observations: list[dict], settings: AnalysisSettings) -> AnalysisBundle:

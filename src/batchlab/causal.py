@@ -24,7 +24,6 @@ DEFAULT_VARIABLES = (VAR_BATCH, VAR_NOISE, VAR_SHARPNESS, VAR_COMPLEXITY, VAR_GE
 
 MODE_HYPERGRAPH = "hypergraph"
 MODE_ALGORITHM1 = "algorithm1"
-MODES = (MODE_HYPERGRAPH, MODE_ALGORITHM1)
 
 
 class GraphError(ValueError):
@@ -68,20 +67,6 @@ def default_hypergraph() -> CausalHypergraph:
             ((VAR_BATCH,), VAR_NOISE),
             ((VAR_NOISE,), VAR_SHARPNESS),
             ((VAR_NOISE, VAR_SHARPNESS), VAR_COMPLEXITY),
-            ((VAR_COMPLEXITY,), VAR_GENERALIZATION),
-        ],
-    )
-
-
-def pairwise_hypergraph() -> CausalHypergraph:
-    """Pairwise-only variant: the joint noise+sharpness edge into complexity
-    is replaced by a single noise edge."""
-    return CausalHypergraph.from_edges(
-        DEFAULT_VARIABLES,
-        [
-            ((VAR_BATCH,), VAR_NOISE),
-            ((VAR_NOISE,), VAR_SHARPNESS),
-            ((VAR_NOISE,), VAR_COMPLEXITY),
             ((VAR_COMPLEXITY,), VAR_GENERALIZATION),
         ],
     )
@@ -170,9 +155,6 @@ class DiscreteBinning:
 class DiscretizationScheme:
     bins: dict[str, ContinuousBinning | DiscreteBinning]
 
-    def k(self, var: str) -> int:
-        return self.bins[var].k
-
     def representatives(self, var: str) -> tuple:
         return tuple(self.bins[var].representatives)
 
@@ -188,18 +170,6 @@ class DiscretizationScheme:
                     "representatives": list(b.representatives),
                 }
         return out
-
-    @staticmethod
-    def from_dict(d: dict) -> "DiscretizationScheme":
-        bins: dict[str, ContinuousBinning | DiscreteBinning] = {}
-        for var, spec in d.items():
-            if spec["kind"] == "discrete":
-                bins[var] = DiscreteBinning(levels=tuple(spec["levels"]))
-            else:
-                bins[var] = ContinuousBinning(
-                    cuts=tuple(spec["cuts"]), representatives=tuple(spec["representatives"])
-                )
-        return DiscretizationScheme(bins=bins)
 
 
 @dataclass
@@ -291,9 +261,6 @@ class ConditionalTable:
     probs: np.ndarray
     alpha: float
 
-    def row(self, tail_bins: tuple[int, ...]) -> np.ndarray:
-        return self.probs[tail_bins]
-
     def to_dict(self) -> dict:
         return {
             "head": self.head,
@@ -302,15 +269,6 @@ class ConditionalTable:
             "probs": self.probs.ravel().tolist(),
             "alpha": self.alpha,
         }
-
-    @staticmethod
-    def from_dict(d: dict) -> "ConditionalTable":
-        return ConditionalTable(
-            head=d["head"],
-            tails=tuple(d["tails"]),
-            probs=np.asarray(d["probs"], dtype=np.float64).reshape(d["shape"]),
-            alpha=d["alpha"],
-        )
 
 
 def fit_cpts(

@@ -26,14 +26,10 @@ def _causal_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--control", type=int, default=None, help="control batch size")
 
 
-def _settings_from_args(args, base: AnalysisSettings | None = None) -> AnalysisSettings:
-    base = base or AnalysisSettings(treat=None, control=None)
-    return AnalysisSettings(
-        bins=args.bins if args.bins is not None else base.bins,
-        alpha=args.alpha if args.alpha is not None else base.alpha,
-        treat=args.treat if args.treat is not None else base.treat,
-        control=args.control if args.control is not None else base.control,
-    )
+def _settings_from_args(args) -> AnalysisSettings:
+    """The given causal flags; ``AnalysisSettings`` holds the defaults."""
+    given = {k: getattr(args, k) for k in ("bins", "alpha", "treat", "control")}
+    return AnalysisSettings(**{k: v for k, v in given.items() if v is not None})
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -193,8 +193,8 @@ def _parse_ablations(value) -> tuple[training.Ablation, ...]:
     out = tuple(_section(training.Ablation, obj, "ablations[]") for obj in value)
     if any(abl.kind == "none" for abl in out):
         raise ConfigError("ablation list must not contain 'none' (it always runs)")
-    tags = [a.tag for a in out]
-    if len(set(tags)) != len(tags):
+    kinds = [a.kind for a in out]
+    if len(set(kinds)) != len(kinds):
         raise ConfigError("duplicate ablation kinds")
     return out
 

@@ -24,12 +24,13 @@ class DatasetBundle:
     The one data boundary: every dataset (generated or loaded) is validated
     here, so the model kernels can trust the arrays they are given. Features
     must form a nonempty, all-finite [n x d] matrix, and labels a length-n
-    vector of nonnegative integers.
+    vector of nonnegative integers. An adjacency must be a symmetric [n x n]
+    matrix of finite, nonnegative weights; it is stored as CSR.
     """
 
     features: np.ndarray
     labels: np.ndarray
-    adjacency: object | None
+    adjacency: sp.csr_matrix | None
     splits: dict[str, np.ndarray]
     provenance: dict = field(default_factory=dict)
 
@@ -52,6 +53,15 @@ class DatasetBundle:
             raise ValueError("split indices out of range")
         if len(np.unique(seen)) != seen.size:
             raise ValueError("splits must be disjoint")
+        if self.adjacency is not None:
+            adj = sp.csr_matrix(self.adjacency, dtype=np.float64)
+            if adj.shape != (n, n):
+                raise ValueError(f"adjacency must be {n} x {n}, got {adj.shape}")
+            if not np.isfinite(adj.data).all() or (adj.data < 0).any():
+                raise ValueError("adjacency entries must be finite and nonnegative")
+            if (adj != adj.T).nnz:
+                raise ValueError("adjacency must be symmetric")
+            self.adjacency = adj
 
     @property
     def n(self) -> int:
@@ -320,12 +330,7 @@ def save_tabular_graph(bundle: DatasetBundle, nodes_path, edges_path) -> None:
                 writer.writerow([a, b])
 
 
-def edge_list(adjacency) -> np.ndarray:
+def edge_list(adjacency: sp.csr_matrix) -> np.ndarray:
     """Upper-triangle (i, j) pairs of a symmetric adjacency, as an [m x 2] array."""
-    if adjacency is None:
-        return np.empty((0, 2), dtype=np.int64)
-    coo = sp.triu(adjacency, k=1).tocoo() if sp.issparse(adjacency) else None
-    if coo is None:
-        r, c = np.nonzero(np.triu(np.asarray(adjacency), k=1))
-        return np.stack([r, c], axis=1).astype(np.int64)
+    coo = sp.triu(adjacency, k=1).tocoo()
     return np.stack([coo.row, coo.col], axis=1).astype(np.int64)

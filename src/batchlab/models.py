@@ -136,19 +136,11 @@ def head_spec(spec: ModelSpec) -> ModelSpec:
 # -- graph feature diffusion --------------------------------------------------
 
 
-def normalized_adjacency(adjacency):
-    """Symmetric renormalization D^(-1/2) (A + I) D^(-1/2)."""
-    if sp.issparse(adjacency):
-        a = adjacency.tocsr().astype(np.float64) + sp.identity(
-            adjacency.shape[0], format="csr"
-        )
-        deg = np.asarray(a.sum(axis=1)).ravel()
-        inv_sqrt = 1.0 / np.sqrt(deg)
-        scale = sp.diags(inv_sqrt)
-        return scale @ a @ scale
-    a = np.asarray(adjacency, dtype=np.float64) + np.eye(adjacency.shape[0])
-    inv_sqrt = 1.0 / np.sqrt(a.sum(axis=1))
-    return a * inv_sqrt[:, None] * inv_sqrt[None, :]
+def normalized_adjacency(adjacency: sp.csr_matrix) -> sp.csr_matrix:
+    """Symmetric renormalization D^(-1/2) (A + I) D^(-1/2) of a sparse adjacency."""
+    a = adjacency + sp.identity(adjacency.shape[0], format="csr")
+    scale = sp.diags(1.0 / np.sqrt(np.asarray(a.sum(axis=1)).ravel()))
+    return scale @ a @ scale
 
 
 def diffuse_features(features: np.ndarray, adj_norm, alpha: float, steps: int) -> np.ndarray:

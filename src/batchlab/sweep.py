@@ -13,9 +13,11 @@ ablation).
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from pathlib import Path
 
 from . import data as datamod
@@ -141,11 +143,6 @@ def _check_resumable(path, record, tc, bundle) -> None:
         )
 
 
-def _execute_run(payload) -> training.RunRecord:
-    bundle, train_config = payload
-    return training.train_run(bundle, train_config)
-
-
 def run_sweep(
     config: SweepConfig,
     records_path=None,
@@ -167,22 +164,19 @@ def run_sweep(
     done = {record_key(r): r for r in existing}
     pending = []
     for tc in planned:
-        record = done.get(run_key(tc.batch_size, tc.seed, tc.ablation.tag))
+        record = done.get(run_key(tc.batch_size, tc.seed, tc.ablation.kind))
         if record is None:
             pending.append(tc)
         else:
             _check_resumable(records_path, record, tc, bundle)
 
     new_records: list[training.RunRecord] = []
-    if workers <= 1:
-        for tc in pending:
-            record = _execute_run((bundle, tc))
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
+    with pool:
+        run_map = pool.map if workers > 1 else map
+        # looked up per sweep, so that a wrapped train_run is the one that runs
+        for record in run_map(training.train_run, itertools.repeat(bundle), pending):
             append_record(records_path, record)
             new_records.append(record)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for record in pool.map(_execute_run, [(bundle, tc) for tc in pending]):
-                append_record(records_path, record)
-                new_records.append(record)
 
     return sorted(existing + new_records, key=record_key)

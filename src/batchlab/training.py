@@ -29,7 +29,8 @@ SCALED_LR_REFERENCE_B = 16
 
 @dataclass(frozen=True)
 class Ablation:
-    """Single active ablation mode; parameters unused by the kind are ignored."""
+    """Single active ablation mode. A parameter the kind does not read must
+    keep its default: ``rho`` belongs to ``sam``, ``l1``/``l2`` to ``l1l2``."""
 
     kind: str = "none"
     rho: float = 0.05
@@ -43,10 +44,10 @@ class Ablation:
             raise ValueError("rho must be >= 0")
         if self.l1 < 0 or self.l2 < 0:
             raise ValueError("l1/l2 must be >= 0")
-
-    @property
-    def tag(self) -> str:
-        return self.kind
+        if self.kind != "sam" and self.rho != Ablation.rho:
+            raise ValueError(f"rho applies only to sam, not to {self.kind}")
+        if self.kind != "l1l2" and (self.l1 or self.l2):
+            raise ValueError(f"l1/l2 apply only to l1l2, not to {self.kind}")
 
     def to_dict(self) -> dict:
         return dict(vars(self))
@@ -237,9 +238,6 @@ class EdgeOperators:
         )
         return EdgeOperators(gather, scatter)
 
-    def __len__(self) -> int:
-        return self.gather.shape[0]
-
 
 def _causal_regularizer_grad(embeddings: np.ndarray, ops: EdgeOperators) -> np.ndarray:
     """d causal_regularizer / d embeddings for a nonempty edge set, through the
@@ -312,22 +310,19 @@ def gradient_with_penalties(
     y: np.ndarray,
     lambda_causal: float = 0.0,
     reg_inputs: np.ndarray | None = None,
-    edges: np.ndarray | EdgeOperators | None = None,
+    edges: EdgeOperators | None = None,
     l1: float = 0.0,
     l2: float = 0.0,
 ) -> np.ndarray:
     """Gradient of ``loss_with_penalties`` (analytic for every term).
 
-    ``edges`` is an [m x 2] edge array or the ``EdgeOperators`` built from it;
-    ``train_run`` passes operators it built once. The edge term's gradient
-    always runs through those operators, bit-identical to scattering
-    ``±2/m * diff`` edge by edge (see ``EdgeOperators``).
+    ``edges`` are the ``EdgeOperators`` of a nonempty edge set, which
+    ``train_run`` builds once per run; the edge term's gradient runs through
+    them, bit-identical to scattering ``±2/m * diff`` edge by edge.
     """
     g = models.mean_gradient(spec, params, x, y)
-    if lambda_causal > 0.0 and edges is not None and len(edges):
+    if lambda_causal > 0.0 and edges is not None:
         rx = reg_inputs if reg_inputs is not None else x
-        if not isinstance(edges, EdgeOperators):
-            edges = EdgeOperators.from_edges(edges, rx.shape[0])
         emb = models.hidden_activations(spec, params, rx)
         d_emb = _causal_regularizer_grad(emb, edges)
         g = g + lambda_causal * models.hidden_backward(spec, params, rx, emb, d_emb)
@@ -472,8 +467,8 @@ def train_run(dataset: datamod.DatasetBundle, config: TrainConfig) -> RunRecord:
             lambda_causal=config.lambda_causal,
             reg_inputs=train_features,
             edges=edge_ops,
-            l1=abl.l1 if abl.kind == "l1l2" else 0.0,
-            l2=abl.l2 if abl.kind == "l1l2" else 0.0,
+            l1=abl.l1,
+            l2=abl.l2,
         )
 
     adam_state = AdamState.zeros(params.size)
@@ -615,12 +610,12 @@ def train_run(dataset: datamod.DatasetBundle, config: TrainConfig) -> RunRecord:
             status, reason = "degenerate", str(exc)
 
     return RunRecord(
-        run_id=f"b{config.batch_size}-s{config.seed}-{abl.tag}",
+        run_id=f"b{config.batch_size}-s{config.seed}-{abl.kind}",
         dataset_id=dataset.dataset_id,
         model_kind=spec.kind,
         batch_size=config.batch_size,
         seed=config.seed,
-        ablation=abl.tag,
+        ablation=abl.kind,
         config=config.to_dict(),
         train_loss=series["train_loss"],
         test_loss=series["test_loss"],

@@ -116,7 +116,7 @@ def test_criterion_3_do_calculus_exactness():
     rng = np.random.default_rng(31)
     worst = 0.0
     for trial in range(100):
-        for mode in causal.MODES:
+        for mode in STRUCTURES:
             tables = _random_tables(rng, mode)
             b_idx = trial % 2
             res = causal.interventional_distribution(STRUCTURES[mode], tables, b_idx, mode=mode)

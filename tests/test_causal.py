@@ -22,10 +22,23 @@ from batchlab.causal import (
     discretize_records,
     fit_cpts,
     interventional_distribution,
-    pairwise_hypergraph,
     pearson_chi_square,
     validate_hypergraph,
 )
+
+
+def pairwise_hypergraph():
+    """The default structure with the joint noise+sharpness edge into
+    complexity replaced by a single noise edge."""
+    return CausalHypergraph.from_edges(
+        causal.DEFAULT_VARIABLES,
+        [
+            ((VAR_BATCH,), VAR_NOISE),
+            ((VAR_NOISE,), VAR_SHARPNESS),
+            ((VAR_NOISE,), VAR_COMPLEXITY),
+            ((VAR_COMPLEXITY,), VAR_GENERALIZATION),
+        ],
+    )
 
 
 def random_table(rng, head, tails, tail_shape, k_head, concentrate=0.05):
@@ -208,12 +221,15 @@ class TestDiscretize:
         scheme, binned = discretize_records(records, k={"x": 3, "y": 2})
         assert binned.k["x"] == 3 and binned.k["y"] == 2
 
-    def test_scheme_round_trip(self):
+    def test_scheme_dict_lists_cuts_and_levels(self):
         records = [{"x": float(v), VAR_BATCH: b} for v, b in zip(range(12), [16, 512] * 6)]
         scheme, _ = discretize_records(records, k=3)
-        back = causal.DiscretizationScheme.from_dict(scheme.to_dict())
-        assert back.bins["x"].cuts == scheme.bins["x"].cuts
-        assert back.bins[VAR_BATCH].levels == scheme.bins[VAR_BATCH].levels
+        out = scheme.to_dict()
+        assert out[VAR_BATCH] == {"kind": "discrete", "levels": [16, 512]}
+        assert out["x"]["kind"] == "continuous"
+        # tertiles of 0..11; bins {0..3}, {4..7}, {8..11}
+        assert out["x"]["cuts"] == pytest.approx([11 / 3, 22 / 3], rel=1e-15)
+        assert out["x"]["representatives"] == [1.5, 5.5, 9.5]
 
 
 class TestFitCpts:

@@ -65,6 +65,8 @@ class TestCli:
             ("model", {"kind": "mlp1", "hidden": 8.5}, "hidden_dim must be an integer"),
             ("model", {"kind": "logistic", "diffusion_alpha": "x"}, "diffusion_alpha"),
             ("model", {"kind": "logistic", "diffusion_beta": float("inf")}, "diffusion_beta"),
+            ("ablations", [{"kind": "inject_noise", "rho": 0.5}], "rho applies only to sam"),
+            ("ablations", [{"kind": "sam", "l2": 0.1}], "l1/l2 apply only to l1l2"),
         ],
         ids=[
             "lr",
@@ -88,6 +90,8 @@ class TestCli:
             "hidden_float",
             "alpha_string",
             "beta_inf",
+            "rho_unread",
+            "l2_unread",
         ],
     )
     def test_validate_rejects_what_sweep_rejects(self, tmp_path, capsys, section, value, message):

@@ -25,7 +25,7 @@ class TestParseConfig:
         assert cfg.batch_sizes == (16, 32, 64, 128, 256, 512)
         assert cfg.seeds == tuple(range(10))
         assert cfg.train.epochs == 50
-        assert cfg.causal.treat == 16 and cfg.causal.control == 512
+        assert cfg.causal.treat is None and cfg.causal.control is None
         assert cfg.ablations == ()
         assert cfg.workers == 1
 

@@ -146,6 +146,38 @@ class TestDatasetBundle:
         with pytest.raises(ValueError, match="negative label in row 1"):
             self.bundle(np.ones((3, 2)), np.array([0, -2, 1]))
 
+    @staticmethod
+    def path_graph():
+        # 0 - 1 - 2
+        return np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+
+    @staticmethod
+    def graph_bundle(adjacency):
+        return data.DatasetBundle(
+            np.ones((3, 2)), np.array([0, 1, 0]), adjacency, {"train": np.arange(3)}
+        )
+
+    def test_adjacency_stored_as_csr(self):
+        b = self.graph_bundle(self.path_graph())
+        assert isinstance(b.adjacency, sp.csr_matrix)
+        np.testing.assert_array_equal(b.adjacency.toarray(), self.path_graph())
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda a: np.eye(7), "adjacency must be 3 x 3"),
+            (np.tril, "symmetric"),
+            (lambda a: -a, "finite and nonnegative"),
+            (lambda a: np.where(a > 0, np.inf, 0.0), "finite and nonnegative"),
+            (lambda a: np.where(a > 0, np.nan, 0.0), "finite and nonnegative"),
+        ],
+        ids=["not-n-by-n", "lower-triangle", "negative", "infinite", "nan"],
+    )
+    def test_adjacency_rejected(self, edit, message):
+        adjacency = sp.csr_matrix(edit(self.path_graph()))
+        with pytest.raises(ValueError, match=message):
+            self.graph_bundle(adjacency)
+
 
 class TestTabularGraphFiles:
     def write_files(self, tmp_path, nodes, edges):
@@ -213,5 +245,5 @@ class TestEdgeList:
         edges = data.edge_list(adj)
         assert sorted(map(tuple, edges.tolist())) == [(0, 1), (1, 2)]
 
-    def test_none_adjacency(self):
-        assert data.edge_list(None).shape == (0, 2)
+    def test_edgeless_adjacency(self):
+        assert data.edge_list(sp.csr_matrix((3, 3))).shape == (0, 2)

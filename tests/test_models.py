@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from batchlab import data, models, training
 from batchlab.models import ModelSpec
@@ -174,7 +175,7 @@ class TestGraphDiffusion:
         adj = np.zeros((n, n))
         for i in range(n):
             adj[i, (i + 1) % n] = adj[(i + 1) % n, i] = 1.0
-        return adj
+        return sp.csr_matrix(adj)
 
     def run_pair(self, graph_spec):
         # the same seeded run as a graph model and as the mlp1 it trains
@@ -216,10 +217,10 @@ class TestGraphDiffusion:
             models.forward_loss(spec, models.init_params(spec, rng), *make_batch(rng, d=3, k=2))
 
     def test_normalized_adjacency_rows(self):
-        adj = np.array([[0.0, 1.0], [1.0, 0.0]])
+        adj = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
         a_norm = models.normalized_adjacency(adj)
         # A + I has degree 2 everywhere; normalization gives entries 1/2
-        np.testing.assert_allclose(a_norm, np.full((2, 2), 0.5))
+        np.testing.assert_allclose(a_norm.toarray(), np.full((2, 2), 0.5))
 
 
 class TestParamLayout:
