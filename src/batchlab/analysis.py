@@ -96,7 +96,8 @@ class AnalysisBundle:
 
 
 def analyze_observations(observations: list[dict], settings: AnalysisSettings) -> AnalysisBundle:
-    """Fit both engine modes on the observations and answer every do() query.
+    """Fit both engine modes on the observations and answer every do() query;
+    a mode's ATE is the difference of its do(treat) and do(control) answers.
 
     Variables with fewer distinct values than the requested bin count are
     binned at their distinct-value count (a constant column becomes a single
@@ -104,14 +105,7 @@ def analyze_observations(observations: list[dict], settings: AnalysisSettings) -
     """
     if not observations:
         raise ValueError("no usable observations (completed, unablated runs)")
-    variables = sorted(observations[0].keys())
-    k_map = {}
-    for var in variables:
-        if var == causal.VAR_BATCH:
-            continue
-        distinct = len({obs[var] for obs in observations})
-        k_map[var] = max(1, min(settings.bins, distinct))
-    scheme, binned = causal.discretize_records(observations, k=k_map)
+    scheme, binned = causal.discretize_records(observations, k=settings.bins)
 
     tables = {
         mode: causal.fit_cpts(graph, binned, alpha=settings.alpha)
@@ -132,7 +126,8 @@ def analyze_observations(observations: list[dict], settings: AnalysisSettings) -
             causal.interventional_distribution(graph, tables[mode], b, mode=mode, scheme=scheme)
             for b in levels
         ]
-        ate_by_mode[mode] = causal.ate(graph, tables[mode], treat, control, scheme=scheme)
+        expected = {res.b: res.expected for res in interventions[mode]}
+        ate_by_mode[mode] = expected[treat] - expected[control]
 
     return AnalysisBundle(
         settings=settings,

@@ -4,8 +4,8 @@ A causal hypergraph maps tail variable sets to single head variables; fitting
 one smoothed conditional probability table per hyperedge turns observed run
 records into a discrete structural model. Interventions on the batch-size
 variable are answered by truncated factorization (summing the product of the
-remaining factors over every mediator bin), and the average treatment effect
-is the difference of expected outcomes under two interventions.
+remaining factors over every mediator bin); the average treatment effect is
+the difference of the expected outcomes of two such answers.
 """
 
 from __future__ import annotations
@@ -49,6 +49,9 @@ class Hyperedge:
 class CausalHypergraph:
     variables: tuple[str, ...]
     hyperedges: tuple[Hyperedge, ...]
+
+    def __post_init__(self) -> None:
+        validate_hypergraph(self)  # once, when built: queries and fits trust the structure
 
     @staticmethod
     def from_edges(variables, edges) -> "CausalHypergraph":
@@ -193,11 +196,9 @@ class BinnedRecords:
 
 
 def _equal_frequency_binning(values: np.ndarray, k: int) -> ContinuousBinning:
-    distinct = np.unique(values)
-    if distinct.size < k:
-        raise DiscretizationError(
-            f"{distinct.size} distinct values cannot fill {k} bins"
-        )
+    """``k`` equal-frequency bins, or one per distinct value when there are
+    fewer (a constant column becomes a single bin)."""
+    k = min(k, np.unique(values).size)
     if k == 1:
         return ContinuousBinning(cuts=(), representatives=(float(values.mean()),))
     cuts = np.quantile(values, [i / k for i in range(1, k)])
@@ -221,12 +222,12 @@ def _equal_frequency_binning(values: np.ndarray, k: int) -> ContinuousBinning:
 
 def discretize_records(
     records,
-    k: int | dict = 3,
+    k: int = 3,
     discrete_vars=(VAR_BATCH,),
 ) -> tuple[DiscretizationScheme, BinnedRecords]:
-    """Equal-frequency binning of continuous variables; discrete ones keep
-    their sorted unique levels. ``k`` may be an int or a per-variable mapping.
-    Representatives are within-bin means of the fitting records."""
+    """Equal-frequency binning of continuous variables into at most ``k``
+    bins; discrete ones keep their sorted unique levels. Representatives are
+    within-bin means of the fitting records."""
     records = list(records)
     if not records:
         raise ValueError("no records to discretize")
@@ -240,8 +241,7 @@ def discretize_records(
             levels = tuple(sorted(set(columns[var].tolist())))
             binning: ContinuousBinning | DiscreteBinning = DiscreteBinning(levels=levels)
         else:
-            kv = k[var] if isinstance(k, dict) else int(k)
-            binning = _equal_frequency_binning(columns[var].astype(np.float64), kv)
+            binning = _equal_frequency_binning(columns[var].astype(np.float64), int(k))
         bins[var] = binning
         binned[var] = binning.assign(columns[var])
         k_map[var] = binning.k
@@ -275,15 +275,9 @@ def fit_cpts(
     h: CausalHypergraph, binned: BinnedRecords, alpha: float = 1.0
 ) -> list[ConditionalTable]:
     """One Laplace-smoothed table per hyperedge:
-    P(head | tail) = (count + alpha) / (row_total + alpha * k_head).
-
-    With alpha = 0, rows never observed fall back to uniform.
+    P(head | tail) = (count + alpha) / (row_total + alpha * k_head),
+    uniform where that denominator is 0 (a row never observed, alpha = 0).
     """
-    if binned.n == 0:
-        raise ValueError("no records to fit")
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    validate_hypergraph(h)
     tables = []
     for edge in h.hyperedges:
         k_head = binned.k[edge.head]
@@ -291,13 +285,9 @@ def fit_cpts(
         counts = np.zeros(shape, dtype=np.float64)
         idx = tuple(binned.columns[t] for t in edge.tails) + (binned.columns[edge.head],)
         np.add.at(counts, idx, 1.0)
-        row_totals = counts.sum(axis=-1, keepdims=True)
-        if alpha > 0:
-            probs = (counts + alpha) / (row_totals + alpha * k_head)
-        else:
-            probs = np.where(
-                row_totals > 0, counts / np.where(row_totals > 0, row_totals, 1.0), 1.0 / k_head
-            )
+        denom = counts.sum(axis=-1, keepdims=True) + alpha * k_head
+        seen = denom > 0
+        probs = np.where(seen, (counts + alpha) / np.where(seen, denom, 1.0), 1.0 / k_head)
         tables.append(ConditionalTable(head=edge.head, tails=edge.tails, probs=probs, alpha=alpha))
     return tables
 
@@ -360,7 +350,6 @@ def interventional_distribution(
     factor set. When a scheme is given, ``b`` is an actual level of the
     intervention variable; otherwise it is a bin index.
     """
-    validate_hypergraph(h)
     if outcome not in h.variables:
         raise ValueError(f"outcome {outcome!r} not in hypergraph")
     levels = None
@@ -399,19 +388,6 @@ def interventional_distribution(
         raise ValueError("truncated factorization produced zero mass")
     dist = dist / total
     return InterventionResult(b=b, mode=mode, distribution=dist, expected=_expected(dist, g_reps))
-
-
-def ate(
-    h: CausalHypergraph,
-    tables,
-    b_treat,
-    b_control,
-    scheme: DiscretizationScheme | None = None,
-) -> float:
-    """Expected outcome under do(b_treat) minus do(b_control)."""
-    treat = interventional_distribution(h, tables, b_treat, scheme=scheme)
-    control = interventional_distribution(h, tables, b_control, scheme=scheme)
-    return treat.expected - control.expected
 
 
 # -- back-door diagnostic ----------------------------------------------------------

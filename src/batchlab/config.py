@@ -1,22 +1,21 @@
 """Declarative sweep configuration: parsing, validation, defaults.
 
-Config files are JSON. Every section but ``dataset`` and ``model`` is declared
-once, by the dataclass it builds (``SweepConfig``, ``TrainTemplate``,
-``training.BatchSchedule``, ``training.Ablation``,
-``analysis.AnalysisSettings``): its fields are the section's keys and
-defaults, and its constructor checks the values. Unknown keys are rejected by
-name at every nesting level, so typos fail loudly instead of silently using a
-default. The dataset and model values are checked where a sweep builds them,
-in ``sweep.plan_sweep``.
+Config files are JSON. Every section is declared once, by the code that
+builds it: its parameters are the section's keys and defaults (``_check_keys``).
+Unknown keys are rejected by name at every nesting level, so typos fail loudly
+instead of silently using a default. The dataclass sections are built and
+checked here; the dataset (``data.BUILDERS``) and model (``models.ModelSpec``)
+values are checked where a sweep builds them, in ``sweep.plan_sweep``.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import analysis, models, training
+from . import analysis, data, models, training
 
 DEFAULT_BATCH_SIZES = (16, 32, 64, 128, 256, 512)
 DEFAULT_SEED_COUNT = 10
@@ -26,48 +25,36 @@ class ConfigError(ValueError):
     """Invalid sweep configuration."""
 
 
-DATASET_KEYS = {
-    "blobs": {"kind", "n", "d", "num_classes", "separation", "label_noise", "seed", "fractions"},
-    "sbm": {"kind", "n", "num_classes", "p_in", "p_out", "d", "feature_signal", "seed", "fractions"},
-    "files": {"kind", "nodes", "edges", "seed", "fractions"},
-}
-DATASET_REQUIRED = {
-    "blobs": {"n", "d", "num_classes"},
-    "sbm": {"n", "num_classes", "p_in", "p_out", "d"},
-    "files": {"nodes", "edges"},
-}
-MODEL_KEYS = {"kind", "hidden", "diffusion_alpha", "diffusion_beta", "diffusion_steps"}
+# The config key of each ModelSpec field named otherwise; None for the fields
+# the dataset fixes.
+MODEL_KEY_OF_FIELD = {"hidden_dim": "hidden", "input_dim": None, "num_classes": None}
 
 
-def _reject_unknown(obj: dict, allowed: set, where: str) -> None:
+def _check_keys(build, obj, where: str, key_of=None) -> None:
+    """Check the keys of the config object ``obj`` at ``where`` against the
+    parameters of ``build``, a dataclass or a function and the section's one
+    declaration: its parameters are the allowed keys, and those without a
+    default the required ones. ``key_of`` renames a parameter, or drops one
+    the program supplies (None).
+    """
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be an object")
+    params = inspect.signature(build).parameters.values()
+    is_required = {(key_of or {}).get(p.name, p.name): p.default is p.empty for p in params}
+    is_required.pop(None, None)
     for key in obj:
-        if key not in allowed:
+        if key not in is_required:
             raise ConfigError(f"unknown config key {key!r} in {where}")
-
-
-def _require(obj: dict, required: set, where: str) -> None:
-    for key in sorted(required):
+    for key in sorted(key for key, required in is_required.items() if required):
         if key not in obj:
             raise ConfigError(f"missing required key {key!r} in {where}")
 
 
 def _section(cls, obj, where: str, **parsers):
-    """Build dataclass ``cls`` from the config object ``obj`` at ``where``.
-
-    The dataclass is the one declaration of the section: its fields are the
-    allowed keys, the fields without a default the required ones, and its
-    constructor checks the values. ``parsers`` convert the given values of
-    nested sections first.
-    """
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be an object")
-    declared = fields(cls)
-    _reject_unknown(obj, {f.name for f in declared}, where)
-    _require(
-        obj,
-        {f.name for f in declared if f.default is MISSING and f.default_factory is MISSING},
-        where,
-    )
+    """Build dataclass ``cls``, whose constructor checks the values, from the
+    config object ``obj`` at ``where``; ``parsers`` convert the given values
+    of nested sections first."""
+    _check_keys(cls, obj, where)
     kwargs = {key: parsers[key](value) if key in parsers else value for key, value in obj.items()}
     return checked(where, cls, **kwargs)
 
@@ -135,20 +122,14 @@ def _parse_dataset(obj) -> dict:
     if not isinstance(obj, dict):
         raise ConfigError("dataset must be an object")
     kind = obj.get("kind")
-    if kind not in DATASET_KEYS:
-        raise ConfigError(f"dataset kind must be one of {sorted(DATASET_KEYS)}, got {kind!r}")
-    _reject_unknown(obj, DATASET_KEYS[kind], "dataset")
-    _require(obj, DATASET_REQUIRED[kind], "dataset")
+    if kind not in data.BUILDERS:
+        raise ConfigError(f"dataset kind must be one of {sorted(data.BUILDERS)}, got {kind!r}")
+    _check_keys(data.BUILDERS[kind], {k: v for k, v in obj.items() if k != "kind"}, "dataset")
     return dict(obj)
 
 
 def _parse_model(obj) -> dict:
-    if not isinstance(obj, dict):
-        raise ConfigError("model must be an object")
-    _reject_unknown(obj, MODEL_KEYS, "model")
-    kind = obj.get("kind")
-    if kind not in models.MODEL_KINDS:
-        raise ConfigError(f"model kind must be one of {models.MODEL_KINDS}, got {kind!r}")
+    _check_keys(models.ModelSpec, obj, "model", MODEL_KEY_OF_FIELD)
     return dict(obj)
 
 

@@ -23,10 +23,13 @@ class DatasetBundle:
 
     The one data boundary: every dataset (generated or loaded) is validated
     here, so the model kernels can trust the arrays they are given. Features
-    must form a nonempty, all-finite [n x d] matrix, and labels a length-n
-    vector of nonnegative integers. An adjacency must be a symmetric [n x n]
-    matrix of finite, nonnegative weights; it is stored as CSR.
+    must form a nonempty, all-finite [n x d] matrix, labels a length-n vector
+    of nonnegative integers, and the splits the disjoint ``SPLITS``. An
+    adjacency must be a symmetric [n x n] matrix of finite, nonnegative
+    weights; it is stored as CSR.
     """
+
+    SPLITS = ("train", "val", "test")
 
     features: np.ndarray
     labels: np.ndarray
@@ -48,6 +51,11 @@ class DatasetBundle:
         if labels.min() < 0:
             raise ValueError(f"negative label in row {np.argmax(labels < 0)}")
         self.labels = labels.astype(np.int64, copy=False)
+        for name in self.SPLITS:
+            if name not in self.splits:
+                raise ValueError(f"missing {name!r} split")
+        if len(self.splits) != len(self.SPLITS):
+            raise ValueError(f"splits must be exactly {self.SPLITS}, got {sorted(self.splits)}")
         seen = np.concatenate([np.asarray(v) for v in self.splits.values()])
         if seen.size and (seen.min() < 0 or seen.max() >= n):
             raise ValueError("split indices out of range")
@@ -227,8 +235,8 @@ class GraphFileError(ValueError):
 
 
 def load_tabular_graph(
-    nodes_path,
-    edges_path,
+    nodes,
+    edges,
     seed: int = 0,
     fractions=(0.6, 0.2, 0.2),
 ) -> DatasetBundle:
@@ -239,7 +247,7 @@ def load_tabular_graph(
     symmetrized and self-loops dropped. A content digest of both files is
     recorded for provenance.
     """
-    nodes_path, edges_path = Path(nodes_path), Path(edges_path)
+    nodes_path, edges_path = Path(nodes), Path(edges)
     nodes_bytes = nodes_path.read_bytes()
     edges_bytes = edges_path.read_bytes()
     digest = hashlib.sha256(nodes_bytes + edges_bytes).hexdigest()
@@ -308,6 +316,10 @@ def load_tabular_graph(
             "params": {"seed": seed, "fractions": list(fractions)},
         },
     )
+
+
+# Dataset kind -> builder; the builder's parameters are the config's dataset keys.
+BUILDERS = {"blobs": make_blobs, "sbm": make_sbm_graph, "files": load_tabular_graph}
 
 
 def save_tabular_graph(bundle: DatasetBundle, nodes_path, edges_path) -> None:

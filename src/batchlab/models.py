@@ -44,10 +44,10 @@ class ModelSpec:
     """Architecture description; the parameter count is fully determined by dims.
 
     ``diffusion_alpha`` blends each feature row toward its normalized-adjacency
-    neighborhood average, ``diffusion_steps`` times. ``diffusion_beta`` scales a
-    multiplicative noise term in that diffusion. Both are applied by the
-    training loop before the features reach the model; with alpha = beta = 0
-    the graph model is exactly an mlp1 over raw features.
+    neighborhood average, ``diffusion_steps`` times; ``diffusion_beta`` scales a
+    multiplicative noise term in each step, so needs one. The training loop
+    applies both (``training.diffusion_update``) before the features reach the
+    model; with alpha = beta = 0 the graph model is exactly an mlp1.
     """
 
     kind: str
@@ -74,6 +74,8 @@ class ModelSpec:
             raise ValueError(f"{self.kind} requires hidden_dim >= 1")
         if self.diffusion_steps < 0:
             raise ValueError("diffusion_steps must be >= 0")
+        if self.diffusion_beta != 0.0 and self.diffusion_steps == 0:
+            raise ValueError("diffusion_beta needs diffusion_steps >= 1")
 
     def to_dict(self) -> dict:
         return dict(vars(self))
@@ -141,16 +143,6 @@ def normalized_adjacency(adjacency: sp.csr_matrix) -> sp.csr_matrix:
     a = adjacency + sp.identity(adjacency.shape[0], format="csr")
     scale = sp.diags(1.0 / np.sqrt(np.asarray(a.sum(axis=1)).ravel()))
     return scale @ a @ scale
-
-
-def diffuse_features(features: np.ndarray, adj_norm, alpha: float, steps: int) -> np.ndarray:
-    """Deterministic diffusion: repeat H <- H + alpha (A_norm H - H)."""
-    h = np.asarray(features, dtype=np.float64)
-    if alpha == 0.0 or steps == 0:
-        return h.copy()
-    for _ in range(steps):
-        h = h + alpha * (adj_norm @ h - h)
-    return h
 
 
 # -- forward / gradients ------------------------------------------------------

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import data as datamod
 from . import models, training
-from .config import ConfigError, SweepConfig, checked
+from .config import MODEL_KEY_OF_FIELD, ConfigError, SweepConfig, checked
 
 ENV_OUT_DIR = "BATCHLAB_OUT"
 DEFAULT_OUT_DIR = "batchlab_runs"
@@ -42,22 +42,19 @@ def default_records_path(config: SweepConfig, out_dir=None) -> Path:
 
 
 def build_dataset(config: SweepConfig) -> datamod.DatasetBundle:
+    """The sweep's dataset, from the builder its ``kind`` names."""
     spec = dict(config.dataset)
-    kind = spec.pop("kind")
-    if kind == "blobs":
-        return datamod.make_blobs(**spec)
-    if kind == "sbm":
-        return datamod.make_sbm_graph(**spec)
-    return datamod.load_tabular_graph(spec.pop("nodes"), spec.pop("edges"), **spec)
+    return datamod.BUILDERS[spec.pop("kind")](**spec)
 
 
 def build_model_spec(config: SweepConfig, bundle: datamod.DatasetBundle) -> models.ModelSpec:
     """The sweep's ``ModelSpec``; the model keys given in the config are
-    passed on (``hidden`` as ``hidden_dim``), so ``ModelSpec`` holds the
-    defaults and the rules."""
+    passed on as the fields they name, so ``ModelSpec`` holds the defaults
+    and the rules."""
     if config.model["kind"] == "graph_diffusion" and bundle.adjacency is None:
         raise ConfigError("graph_diffusion model requires a graph dataset")
-    given = {("hidden_dim" if k == "hidden" else k): v for k, v in config.model.items()}
+    field_of_key = {key: name for name, key in MODEL_KEY_OF_FIELD.items() if key}
+    given = {field_of_key.get(k, k): v for k, v in config.model.items()}
     return models.ModelSpec(
         input_dim=bundle.features.shape[1], num_classes=bundle.num_classes, **given
     )

@@ -433,15 +433,20 @@ def train_run(dataset: datamod.DatasetBundle, config: TrainConfig) -> RunRecord:
     rng_init, rng_shuffle, rng_noise = (np.random.default_rng(s) for s in seed_seq.spawn(3))
     params = models.init_params(spec, rng_init)
 
+    def diffused(beta: float, noise_scale: float = 0.0) -> np.ndarray:
+        # the features after spec.diffusion_steps diffusion steps
+        h = dataset.features
+        for _ in range(spec.diffusion_steps):
+            h = diffusion_update(h, adj_norm, spec.diffusion_alpha, beta, noise_scale, rng_noise)
+        return h
+
     is_graph = spec.kind == "graph_diffusion"
     if is_graph:
         if dataset.adjacency is None:
             raise ValueError("graph_diffusion model requires a dataset adjacency")
         head = models.head_spec(spec)
         adj_norm = models.normalized_adjacency(dataset.adjacency)
-        det_features = models.diffuse_features(
-            dataset.features, adj_norm, spec.diffusion_alpha, spec.diffusion_steps
-        )
+        det_features = diffused(0.0)
     else:
         head = spec
         det_features = dataset.features
@@ -501,12 +506,7 @@ def train_run(dataset: datamod.DatasetBundle, config: TrainConfig) -> RunRecord:
         train_features = det_features
         if is_graph and spec.diffusion_beta != 0.0:
             scale = math.sqrt(running_noise) if running_noise and running_noise > 0 else 0.0
-            h = dataset.features
-            for _ in range(max(spec.diffusion_steps, 1)):
-                h = diffusion_update(
-                    h, adj_norm, spec.diffusion_alpha, spec.diffusion_beta, scale, rng_noise
-                )
-            train_features = h
+            train_features = diffused(spec.diffusion_beta, scale)
 
         inject_level = 0.0
         if abl.kind == "inject_noise":

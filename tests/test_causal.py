@@ -13,10 +13,8 @@ from batchlab.causal import (
     BinnedRecords,
     CausalHypergraph,
     ConditionalTable,
-    DiscretizationError,
     GraphError,
     algorithm1_structure,
-    ate,
     backdoor_diagnostic,
     default_hypergraph,
     discretize_records,
@@ -144,29 +142,27 @@ class TestValidateHypergraph:
         order = validate_hypergraph(pairwise_hypergraph())
         assert order.index(VAR_NOISE) < order.index(VAR_COMPLEXITY)
 
+    # an invalid structure cannot be built
     def test_cycle_rejected(self):
-        h = CausalHypergraph.from_edges(
-            (VAR_BATCH, VAR_NOISE), [((VAR_BATCH,), VAR_NOISE), ((VAR_NOISE,), VAR_BATCH)]
-        )
         with pytest.raises(GraphError, match="cycle"):
-            validate_hypergraph(h)
+            CausalHypergraph.from_edges(
+                (VAR_BATCH, VAR_NOISE), [((VAR_BATCH,), VAR_NOISE), ((VAR_NOISE,), VAR_BATCH)]
+            )
 
     def test_double_head_rejected(self):
-        h = CausalHypergraph.from_edges(
-            (VAR_BATCH, VAR_NOISE, VAR_SHARPNESS),
-            [
-                ((VAR_BATCH,), VAR_NOISE),
-                ((VAR_SHARPNESS,), VAR_NOISE),
-                ((VAR_BATCH,), VAR_SHARPNESS),
-            ],
-        )
         with pytest.raises(GraphError, match="two incoming"):
-            validate_hypergraph(h)
+            CausalHypergraph.from_edges(
+                (VAR_BATCH, VAR_NOISE, VAR_SHARPNESS),
+                [
+                    ((VAR_BATCH,), VAR_NOISE),
+                    ((VAR_SHARPNESS,), VAR_NOISE),
+                    ((VAR_BATCH,), VAR_SHARPNESS),
+                ],
+            )
 
     def test_unknown_variable_rejected(self):
-        h = CausalHypergraph.from_edges((VAR_BATCH,), [(("mystery",), VAR_BATCH)])
         with pytest.raises(GraphError, match="unknown"):
-            validate_hypergraph(h)
+            CausalHypergraph.from_edges((VAR_BATCH,), [(("mystery",), VAR_BATCH)])
 
 
 class TestDiscretize:
@@ -176,10 +172,18 @@ class TestDiscretize:
         expected = [0, 0, 0, 1, 1, 1, 2, 2, 2]
         np.testing.assert_array_equal(binned.columns["x"], expected)
 
-    def test_constant_column_rejected(self):
+    def test_constant_column_gets_one_bin(self):
         records = [{"x": 1.0, VAR_BATCH: 16} for _ in range(10)]
-        with pytest.raises(DiscretizationError, match="distinct"):
-            discretize_records(records, k=3)
+        scheme, binned = discretize_records(records, k=3)
+        assert scheme.bins["x"] == causal.ContinuousBinning(cuts=(), representatives=(1.0,))
+        assert binned.k["x"] == 1
+        np.testing.assert_array_equal(binned.columns["x"], np.zeros(10))
+
+    def test_bins_clamped_to_distinct_values(self):
+        records = [{"x": float(v % 2), VAR_BATCH: 16} for v in range(12)]
+        scheme, binned = discretize_records(records, k=3)
+        assert binned.k["x"] == 2
+        assert scheme.bins["x"].representatives == (0.0, 1.0)
 
     def test_quantile_occupancy(self):
         rng = np.random.default_rng(0)
@@ -215,11 +219,6 @@ class TestDiscretize:
         scheme, binned = discretize_records(records, k=2)
         assert scheme.bins[VAR_BATCH].levels == (16, 64, 512)
         np.testing.assert_array_equal(binned.columns[VAR_BATCH], [0, 2, 0, 2, 1, 0])
-
-    def test_per_variable_k(self):
-        records = [{"x": float(v), "y": float(v % 2), VAR_BATCH: 16} for v in range(12)]
-        scheme, binned = discretize_records(records, k={"x": 3, "y": 2})
-        assert binned.k["x"] == 3 and binned.k["y"] == 2
 
     def test_scheme_dict_lists_cuts_and_levels(self):
         records = [{"x": float(v), VAR_BATCH: b} for v, b in zip(range(12), [16, 512] * 6)]
@@ -407,11 +406,20 @@ class TestInterventionalDistribution:
             interventional_distribution(default_hypergraph(), tables, 64, scheme=scheme)
 
 
+def ate(tables, b_treat, b_control, scheme=None):
+    """E[outcome | do(b_treat)] - E[outcome | do(b_control)] on the default structure."""
+    treat, control = (
+        interventional_distribution(default_hypergraph(), tables, b, scheme=scheme)
+        for b in (b_treat, b_control)
+    )
+    return treat.expected - control.expected
+
+
 class TestAte:
     def test_identical_distributions_zero(self):
         rng = np.random.default_rng(15)
         tables = random_hypergraph_tables(rng)
-        assert ate(default_hypergraph(), tables, 0, 0) == 0.0
+        assert ate(tables, 0, 0) == 0.0
 
     def test_point_mass_expectations(self):
         # do(16) concentrates on a bin representing 83.9, do(512) on 80.5
@@ -435,7 +443,7 @@ class TestAte:
                 ),
             }
         )
-        value = ate(default_hypergraph(), tables, 16, 512, scheme=scheme)
+        value = ate(tables, 16, 512, scheme=scheme)
         assert value == pytest.approx(3.4, abs=1e-12)
 
     def test_matches_enumeration_expectations(self):
@@ -445,7 +453,7 @@ class TestAte:
             expected = hypergraph_oracle(tables, 0) @ np.arange(3) - hypergraph_oracle(
                 tables, 1
             ) @ np.arange(3)
-            assert ate(default_hypergraph(), tables, 0, 1) == pytest.approx(expected, abs=1e-12)
+            assert ate(tables, 0, 1) == pytest.approx(expected, abs=1e-12)
 
 
 class TestBackdoorDiagnostic:

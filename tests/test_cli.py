@@ -65,6 +65,12 @@ class TestCli:
             ("model", {"kind": "mlp1", "hidden": 8.5}, "hidden_dim must be an integer"),
             ("model", {"kind": "logistic", "diffusion_alpha": "x"}, "diffusion_alpha"),
             ("model", {"kind": "logistic", "diffusion_beta": float("inf")}, "diffusion_beta"),
+            (
+                "model",
+                {"kind": "mlp1", "hidden": 4, "diffusion_steps": 0, "diffusion_beta": 0.1},
+                "diffusion_beta needs diffusion_steps >= 1",
+            ),
+            ("model", {"kind": "rnn", "hidden": 4}, "unknown model kind 'rnn'"),
             ("ablations", [{"kind": "inject_noise", "rho": 0.5}], "rho applies only to sam"),
             ("ablations", [{"kind": "sam", "l2": 0.1}], "l1/l2 apply only to l1l2"),
         ],
@@ -90,6 +96,8 @@ class TestCli:
             "hidden_float",
             "alpha_string",
             "beta_inf",
+            "beta_without_steps",
+            "model_kind",
             "rho_unread",
             "l2_unread",
         ],

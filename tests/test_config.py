@@ -1,8 +1,10 @@
+import inspect
 import json
 import re
 
 import pytest
 
+from batchlab import data
 from batchlab.analysis import AnalysisSettings
 from batchlab.config import ConfigError, build_sweep_config, parse_config
 from batchlab.training import Ablation, BatchSchedule
@@ -62,6 +64,36 @@ class TestParseConfig:
             parse_config(
                 write_config(tmp_path, dict(MINIMAL, dataset={"kind": "blobs", "d": 4}))
             )
+
+    @pytest.mark.parametrize(
+        "dataset",
+        [
+            {"kind": "blobs", "n": 100, "d": 4, "num_classes": 3, "separation": 2.0,
+             "label_noise": 0.1, "seed": 1, "fractions": [0.5, 0.25, 0.25]},
+            {"kind": "sbm", "n": 60, "num_classes": 2, "p_in": 0.2, "p_out": 0.02, "d": 3,
+             "feature_signal": 1.5, "seed": 1, "fractions": [0.5, 0.25, 0.25]},
+            {"kind": "files", "nodes": "nodes.csv", "edges": "edges.csv", "seed": 1,
+             "fractions": [0.5, 0.25, 0.25]},
+        ],
+        ids=["blobs", "sbm", "files"],
+    )
+    def test_dataset_keys_are_builder_parameters(self, dataset):
+        builder = data.BUILDERS[dataset["kind"]]
+        assert set(dataset) - {"kind"} == set(inspect.signature(builder).parameters)
+        assert build_sweep_config(dict(MINIMAL, dataset=dataset)).dataset == dataset
+        with pytest.raises(ConfigError, match="unknown config key 'bogus' in dataset$"):
+            build_sweep_config(dict(MINIMAL, dataset=dict(dataset, bogus=1)))
+
+    def test_model_keys_are_spec_fields(self):
+        model = {"kind": "graph_diffusion", "hidden": 4, "diffusion_alpha": 0.5,
+                 "diffusion_beta": 0.1, "diffusion_steps": 3}
+        assert build_sweep_config(dict(MINIMAL, model=model)).model == model
+        # the dataset fixes input_dim and num_classes; hidden_dim is written "hidden"
+        for key in ("input_dim", "num_classes", "hidden_dim"):
+            with pytest.raises(ConfigError, match=f"unknown config key '{key}' in model$"):
+                build_sweep_config(dict(MINIMAL, model=dict(model, **{key: 4})))
+        with pytest.raises(ConfigError, match="missing required key 'kind' in model"):
+            build_sweep_config(dict(MINIMAL, model={"hidden": 4}))
 
     def test_bad_dataset_kind(self, tmp_path):
         bad = dict(MINIMAL, dataset={"kind": "imagenet"})

@@ -109,9 +109,14 @@ class TestSbm:
             data.make_sbm_graph(30, 2, p_in=0.1, p_out=0.2, d=3)
 
 
+def all_train(n):
+    """Splits that put all n rows in train."""
+    return {"train": np.arange(n), "val": np.arange(0), "test": np.arange(0)}
+
+
 class TestDatasetBundle:
     def bundle(self, features, labels):
-        return data.DatasetBundle(features, labels, None, {"train": np.arange(len(labels))})
+        return data.DatasetBundle(features, labels, None, all_train(len(labels)))
 
     def test_valid_arrays_kept(self):
         b = self.bundle(np.ones((3, 2)), np.array([0, 2, 1], dtype=np.int32))
@@ -146,6 +151,21 @@ class TestDatasetBundle:
         with pytest.raises(ValueError, match="negative label in row 1"):
             self.bundle(np.ones((3, 2)), np.array([0, -2, 1]))
 
+    @pytest.mark.parametrize(
+        "splits, message",
+        [
+            ({}, "missing 'train' split"),
+            ({"train": np.arange(2), "test": np.arange(2, 3)}, "missing 'val' split"),
+            (dict(all_train(3), extra=np.arange(0)), "splits must be exactly"),
+            (dict(all_train(3), val=np.arange(2, 4)), "out of range"),
+            (dict(all_train(3), test=np.arange(1)), "disjoint"),
+        ],
+        ids=["none", "no-val", "extra", "out-of-range", "overlap"],
+    )
+    def test_splits_rejected(self, splits, message):
+        with pytest.raises(ValueError, match=message):
+            data.DatasetBundle(np.ones((3, 2)), np.array([0, 1, 0]), None, splits)
+
     @staticmethod
     def path_graph():
         # 0 - 1 - 2
@@ -153,9 +173,7 @@ class TestDatasetBundle:
 
     @staticmethod
     def graph_bundle(adjacency):
-        return data.DatasetBundle(
-            np.ones((3, 2)), np.array([0, 1, 0]), adjacency, {"train": np.arange(3)}
-        )
+        return data.DatasetBundle(np.ones((3, 2)), np.array([0, 1, 0]), adjacency, all_train(3))
 
     def test_adjacency_stored_as_csr(self):
         b = self.graph_bundle(self.path_graph())

@@ -190,7 +190,7 @@ class TestGraphDiffusion:
     def test_zero_alpha_beta_reduces_to_mlp1(self, rng):
         x = rng.standard_normal((6, 3))
         a_norm = models.normalized_adjacency(self.ring_adjacency())
-        np.testing.assert_array_equal(models.diffuse_features(x, a_norm, 0.0, 2), x)
+        np.testing.assert_array_equal(training.diffusion_update(x, a_norm, 0.0, 0.0, 0.0), x)
         graph, plain = self.run_pair(ModelSpec("graph_diffusion", 3, 2, hidden_dim=4))
         assert graph == plain
 
@@ -199,7 +199,9 @@ class TestGraphDiffusion:
         a_norm = models.normalized_adjacency(self.ring_adjacency())
         once = x + 0.5 * (a_norm @ x - x)
         expected = once + 0.5 * (a_norm @ once - once)
-        np.testing.assert_allclose(models.diffuse_features(x, a_norm, 0.5, 2), expected)
+        twice = training.diffusion_update(x, a_norm, 0.5, 0.0, 0.0)
+        twice = training.diffusion_update(twice, a_norm, 0.5, 0.0, 0.0)
+        np.testing.assert_allclose(twice, expected)
         graph, plain = self.run_pair(
             ModelSpec("graph_diffusion", 3, 2, hidden_dim=4, diffusion_alpha=0.5)
         )
@@ -251,6 +253,11 @@ class TestParamLayout:
             ModelSpec("logistic", 4, 1)
         with pytest.raises(ValueError):
             ModelSpec("rnn", 4, 3)
+
+    def test_diffusion_noise_needs_a_step(self):
+        with pytest.raises(ValueError, match="diffusion_beta needs diffusion_steps >= 1"):
+            ModelSpec("graph_diffusion", 4, 3, 4, diffusion_beta=0.1, diffusion_steps=0)
+        ModelSpec("graph_diffusion", 4, 3, 4, diffusion_alpha=0.5, diffusion_steps=0)
 
     @pytest.mark.parametrize(
         "field, value, message",

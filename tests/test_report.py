@@ -4,8 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from batchlab import report, sweep
+from batchlab import causal, report, sweep
 from batchlab.analysis import (
+    STRUCTURES,
     AnalysisSettings,
     analyze_observations,
     analyze_records,
@@ -114,6 +115,23 @@ class TestAnalysis:
         for results in bundle.interventions.values():
             for res in results:
                 assert np.asarray(res.distribution).sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_ate_is_the_difference_of_its_do_expectations(self):
+        records = synthetic_sweep_records(np.random.default_rng(5), n_seeds=6)
+        for treat, control in ((16, 256), (256, 16), (16, 16)):
+            bundle = analyze_records(records, AnalysisSettings(treat=treat, control=control))
+            assert sorted(bundle.ate) == sorted(bundle.interventions)
+            for mode, results in bundle.interventions.items():
+                expected = {res.b: res.expected for res in results}
+                assert bundle.ate[mode] == expected[treat] - expected[control]
+                # and a fresh query of the fitted tables gives the same floats
+                fresh = {
+                    b: causal.interventional_distribution(
+                        STRUCTURES[mode], bundle.tables[mode], b, scheme=bundle.scheme
+                    ).expected
+                    for b in (treat, control)
+                }
+                assert bundle.ate[mode] == fresh[treat] - fresh[control]
 
     def test_auto_treat_control(self):
         records = synthetic_sweep_records()
