@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import causal
+from . import causal, models
 from .training import RunRecord
 
 # The factor set of each engine mode, as the hypergraph it is fitted and queried on.
@@ -34,6 +34,8 @@ class AnalysisSettings:
     control: int | None = None
 
     def __post_init__(self) -> None:
+        given = [name for name in ("treat", "control") if getattr(self, name) is not None]
+        models.require_integers(self, "bins", *given)
         if self.bins < 1:
             raise ValueError("bins must be >= 1")
         if self.alpha < 0:

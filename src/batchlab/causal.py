@@ -241,7 +241,7 @@ def discretize_records(
             levels = tuple(sorted(set(columns[var].tolist())))
             binning: ContinuousBinning | DiscreteBinning = DiscreteBinning(levels=levels)
         else:
-            binning = _equal_frequency_binning(columns[var].astype(np.float64), int(k))
+            binning = _equal_frequency_binning(columns[var].astype(np.float64), k)
         bins[var] = binning
         binned[var] = binning.assign(columns[var])
         k_map[var] = binning.k

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,8 @@ class DatasetBundle:
     must form a nonempty, all-finite [n x d] matrix, labels a length-n vector
     of nonnegative integers, and the splits the disjoint ``SPLITS``. An
     adjacency must be a symmetric [n x n] matrix of finite, nonnegative
-    weights; it is stored as CSR.
+    weights; it is stored as CSR. ``dataset_id`` names the data in every
+    run record made on it.
     """
 
     SPLITS = ("train", "val", "test")
@@ -35,7 +36,7 @@ class DatasetBundle:
     labels: np.ndarray
     adjacency: sp.csr_matrix | None
     splits: dict[str, np.ndarray]
-    provenance: dict = field(default_factory=dict)
+    dataset_id: str = "unknown"
 
     def __post_init__(self) -> None:
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -78,10 +79,6 @@ class DatasetBundle:
     @property
     def num_classes(self) -> int:
         return int(self.labels.max()) + 1
-
-    @property
-    def dataset_id(self) -> str:
-        return self.provenance.get("dataset_id", "unknown")
 
 
 def split(n: int, fractions, seed: int) -> dict[str, np.ndarray]:
@@ -150,19 +147,7 @@ def make_blobs(
         labels=labels,
         adjacency=None,
         splits=splits,
-        provenance={
-            "dataset_id": f"blobs-n{n}-d{d}-k{num_classes}-seed{seed}",
-            "generator": "blobs",
-            "params": {
-                "n": n,
-                "d": d,
-                "num_classes": num_classes,
-                "separation": separation,
-                "label_noise": label_noise,
-                "seed": seed,
-                "fractions": list(fractions),
-            },
-        },
+        dataset_id=f"blobs-n{n}-d{d}-k{num_classes}-seed{seed}",
     )
 
 
@@ -213,20 +198,7 @@ def make_sbm_graph(
         labels=labels,
         adjacency=adj,
         splits=split(n, fractions, seed),
-        provenance={
-            "dataset_id": f"sbm-n{n}-k{num_classes}-seed{seed}",
-            "generator": "sbm",
-            "params": {
-                "n": n,
-                "num_classes": num_classes,
-                "p_in": p_in,
-                "p_out": p_out,
-                "d": d,
-                "feature_signal": feature_signal,
-                "seed": seed,
-                "fractions": list(fractions),
-            },
-        },
+        dataset_id=f"sbm-n{n}-k{num_classes}-seed{seed}",
     )
 
 
@@ -244,8 +216,8 @@ def load_tabular_graph(
 
     nodes.csv: header ``id,f1,...,fd,label``; ids must cover 0..n-1 exactly.
     edges.csv: header ``src,dst``; endpoints must be valid ids. Edges are
-    symmetrized and self-loops dropped. A content digest of both files is
-    recorded for provenance.
+    symmetrized and self-loops dropped. The dataset id is a content digest of
+    both files.
     """
     nodes_path, edges_path = Path(nodes), Path(edges)
     nodes_bytes = nodes_path.read_bytes()
@@ -307,14 +279,7 @@ def load_tabular_graph(
         labels=labels_arr,
         adjacency=adj,
         splits=split(n, fractions, seed),
-        provenance={
-            "dataset_id": f"files-{digest[:12]}",
-            "generator": "files",
-            "nodes_path": str(nodes_path),
-            "edges_path": str(edges_path),
-            "digest": digest,
-            "params": {"seed": seed, "fractions": list(fractions)},
-        },
+        dataset_id=f"files-{digest[:12]}",
     )
 
 

@@ -6,11 +6,10 @@ calling convention: parameters live in a single contiguous float64 vector
 whose layout is given by ``param_slices``, inputs arrive as a float64 feature
 matrix ``x`` [n x d] and int64 labels ``y`` [n], and every operation is a
 pure function of its arguments. The kernels trust their inputs: data are
-validated once, by ``data.DatasetBundle`` and at the start of
-``training.train_run``, never per call. A graph_diffusion model runs as its
-``head_spec`` (an mlp1) on features the training loop diffuses over the
-whole graph; the forward and gradient functions take no adjacency.
-Gradients are analytic (manual backprop);
+validated once, by ``data.DatasetBundle`` and ``training.check_model_fits``,
+never per call. A graph_diffusion model is an mlp1 on features the training
+loop diffuses over the whole graph: every kernel takes its spec as that mlp1,
+and none takes an adjacency. Gradients are analytic (manual backprop);
 Hessian-vector products (``hvp_operator``) use central finite differences of
 the exact gradient, which is O(step^2) accurate for the smooth (tanh/softmax)
 losses used here.
@@ -125,16 +124,6 @@ def init_params(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
     return params
 
 
-def head_spec(spec: ModelSpec) -> ModelSpec:
-    """The mlp1 a graph_diffusion model applies to its diffused features.
-
-    Parameter layout is shared, so the same flat vector works for both specs.
-    """
-    if spec.kind != "graph_diffusion":
-        return spec
-    return ModelSpec("mlp1", spec.input_dim, spec.num_classes, spec.hidden_dim)
-
-
 # -- graph feature diffusion --------------------------------------------------
 
 
@@ -155,8 +144,6 @@ def _log_softmax(z: np.ndarray) -> np.ndarray:
 
 def _logits(spec: ModelSpec, params: np.ndarray, x: np.ndarray):
     """Returns (logits, hidden activations or None)."""
-    if spec.kind == "graph_diffusion":
-        raise ValueError("a graph_diffusion model runs as head_spec(spec) on diffused features")
     sl = param_slices(spec)
     d, k, h = spec.input_dim, spec.num_classes, spec.hidden_dim
     if spec.kind == "logistic":
@@ -231,8 +218,6 @@ def mean_gradient(spec: ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndar
 
 def hidden_activations(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Post-tanh hidden layer (the embedding the edge regularizer penalizes)."""
-    if spec.kind == "logistic":
-        raise ValueError("logistic models have no hidden embedding")
     return _logits(spec, params, x)[1]
 
 
@@ -248,8 +233,6 @@ def hidden_backward(
     ``act`` is ``hidden_activations(spec, params, x)``, passed in so the
     hidden layer is not computed twice.
     """
-    if spec.kind == "logistic":
-        raise ValueError("logistic models have no hidden embedding")
     dz1 = d_hidden * (1.0 - act * act)
     grad = np.zeros_like(params)
     sl = param_slices(spec)
@@ -261,17 +244,11 @@ def hidden_backward(
 # -- Hessian-vector products --------------------------------------------------
 
 
-def default_hvp_step(params: np.ndarray) -> float:
-    return 1e-4 * (1.0 + float(np.abs(params).max()))
-
-
-def hvp_from_grad(grad_fn, params: np.ndarray, v: np.ndarray, step: float) -> np.ndarray:
-    """Central finite difference of a gradient function: (g(p+sv) - g(p-sv)) / 2s."""
-    return (grad_fn(params + step * v) - grad_fn(params - step * v)) / (2.0 * step)
-
-
 def hvp_operator(spec: ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray):
-    """A pure callable v -> Hv of the mean loss on (x, y), for power iteration."""
+    """A pure callable v -> Hv of the mean loss on (x, y), for power iteration:
+    the central difference (g(p+sv) - g(p-sv)) / 2s of the exact gradient g."""
     params = params.copy()
-    step = default_hvp_step(params)
-    return lambda v: hvp_from_grad(lambda p: mean_gradient(spec, p, x, y), params, v, step)
+    step = 1e-4 * (1.0 + float(np.abs(params).max()))
+    return lambda v: (
+        mean_gradient(spec, params + step * v, x, y) - mean_gradient(spec, params - step * v, x, y)
+    ) / (2.0 * step)

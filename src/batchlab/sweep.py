@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import data as datamod
 from . import models, training
-from .config import MODEL_KEY_OF_FIELD, ConfigError, SweepConfig, checked
+from .config import MODEL_KEY_OF_FIELD, SweepConfig, checked
 
 ENV_OUT_DIR = "BATCHLAB_OUT"
 DEFAULT_OUT_DIR = "batchlab_runs"
@@ -48,16 +48,16 @@ def build_dataset(config: SweepConfig) -> datamod.DatasetBundle:
 
 
 def build_model_spec(config: SweepConfig, bundle: datamod.DatasetBundle) -> models.ModelSpec:
-    """The sweep's ``ModelSpec``; the model keys given in the config are
-    passed on as the fields they name, so ``ModelSpec`` holds the defaults
-    and the rules."""
-    if config.model["kind"] == "graph_diffusion" and bundle.adjacency is None:
-        raise ConfigError("graph_diffusion model requires a graph dataset")
+    """The sweep's ``ModelSpec``, checked to fit the dataset; the model keys
+    given in the config are passed on as the fields they name, so
+    ``ModelSpec`` holds the defaults and the rules."""
     field_of_key = {key: name for name, key in MODEL_KEY_OF_FIELD.items() if key}
     given = {field_of_key.get(k, k): v for k, v in config.model.items()}
-    return models.ModelSpec(
+    spec = models.ModelSpec(
         input_dim=bundle.features.shape[1], num_classes=bundle.num_classes, **given
     )
+    training.check_model_fits(spec, bundle)
+    return spec
 
 
 def plan_sweep(config: SweepConfig) -> tuple[datamod.DatasetBundle, list[training.TrainConfig]]:

@@ -158,8 +158,8 @@ def adam_step(
     t: int = 1,
 ) -> tuple[np.ndarray, AdamState]:
     """Standard bias-corrected Adam update at step ``t`` >= 1; pure (returns
-    new arrays). A non-finite gradient yields non-finite parameters, which the
-    training loop's divergence check catches."""
+    new arrays). A non-finite gradient makes the parameters non-finite, which
+    the training loop's divergence check catches."""
     m = beta1 * state.m + (1.0 - beta1) * grad
     v = beta2 * state.v + (1.0 - beta2) * grad * grad
     m_hat = m / (1.0 - beta1**t)
@@ -175,8 +175,6 @@ def noise_injected_gradient(
     Draws nothing unless noise_level > 0, so a zero level leaves the noise
     stream untouched.
     """
-    if noise_level < 0:
-        raise ValueError("noise_level must be >= 0")
     if noise_level > 0:
         grad = grad + rng.normal(0.0, math.sqrt(noise_level), size=grad.shape)
     return grad
@@ -265,8 +263,6 @@ def diffusion_update(
     h = np.asarray(h, dtype=np.float64)
     out = h + alpha * (adj_norm @ h - h)
     if beta != 0.0:
-        if rng is None:
-            raise ValueError("beta != 0 requires an RNG")
         out = out + beta * rng.normal(0.0, noise_scale, size=h.shape) * h
     return out
 
@@ -402,6 +398,19 @@ class RunRecord:
 # -- the training loop ----------------------------------------------------------
 
 
+def check_model_fits(spec: models.ModelSpec, dataset: datamod.DatasetBundle) -> None:
+    """Raise ``ValueError`` unless the model can train on the dataset: its
+    input width is the feature count, it has a class for every label, and a
+    graph_diffusion model has an adjacency to diffuse over."""
+    if spec.input_dim != dataset.features.shape[1] or spec.num_classes < dataset.num_classes:
+        raise ValueError(
+            f"model spec (input_dim {spec.input_dim}, num_classes {spec.num_classes}) does not "
+            f"fit the dataset ({dataset.features.shape[1]} features, {dataset.num_classes} classes)"
+        )
+    if spec.kind == "graph_diffusion" and dataset.adjacency is None:
+        raise ValueError("graph_diffusion model requires a graph dataset")
+
+
 def train_run(dataset: datamod.DatasetBundle, config: TrainConfig) -> RunRecord:
     """Run one seeded training job and measure its final state.
 
@@ -411,11 +420,12 @@ def train_run(dataset: datamod.DatasetBundle, config: TrainConfig) -> RunRecord:
     when the parameters or the loss leave the finite range or the final
     sharpness/noise leave the complexity domain; degenerate records carry no
     final measurement. The model spec is checked against the dataset once,
-    here; the kernels called per step check nothing.
+    here (``check_model_fits``); the kernels called per step check nothing.
     """
     t_start = perf_counter()
     spec = config.model
     abl = config.ablation
+    check_model_fits(spec, dataset)
     train_idx = dataset.splits["train"]
     val_idx = dataset.splits["val"]
     test_idx = dataset.splits["test"]
@@ -423,11 +433,6 @@ def train_run(dataset: datamod.DatasetBundle, config: TrainConfig) -> RunRecord:
     if n_train < 2:
         raise ValueError("train split too small")
     labels = dataset.labels
-    if spec.input_dim != dataset.features.shape[1] or spec.num_classes < dataset.num_classes:
-        raise ValueError(
-            f"model spec (input_dim {spec.input_dim}, num_classes {spec.num_classes}) does not "
-            f"fit the dataset ({dataset.features.shape[1]} features, {dataset.num_classes} classes)"
-        )
 
     seed_seq = np.random.SeedSequence(config.seed)
     rng_init, rng_shuffle, rng_noise = (np.random.default_rng(s) for s in seed_seq.spawn(3))
@@ -442,14 +447,8 @@ def train_run(dataset: datamod.DatasetBundle, config: TrainConfig) -> RunRecord:
 
     is_graph = spec.kind == "graph_diffusion"
     if is_graph:
-        if dataset.adjacency is None:
-            raise ValueError("graph_diffusion model requires a dataset adjacency")
-        head = models.head_spec(spec)
         adj_norm = models.normalized_adjacency(dataset.adjacency)
-        det_features = diffused(0.0)
-    else:
-        head = spec
-        det_features = dataset.features
+    det_features = diffused(0.0) if is_graph else dataset.features
     edge_ops = None
     if is_graph and config.lambda_causal > 0.0:
         edges = datamod.edge_list(dataset.adjacency)
@@ -462,10 +461,14 @@ def train_run(dataset: datamod.DatasetBundle, config: TrainConfig) -> RunRecord:
     )
     y_train, y_val, y_test, y_probe = (labels[i] for i in (train_idx, val_idx, test_idx, probe_idx))
 
+    def probe_noise(x: np.ndarray, b: int) -> float:
+        # gradient noise at batch size b of the probe rows of features x
+        return measures.gradient_noise(models.per_sample_gradients(spec, params, x, y_probe), b)
+
     def grad_at(p: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         # the edge term penalizes the whole graph under this epoch's features
         return gradient_with_penalties(
-            head,
+            spec,
             p,
             x,
             y,
@@ -475,6 +478,16 @@ def train_run(dataset: datamod.DatasetBundle, config: TrainConfig) -> RunRecord:
             l1=abl.l1,
             l2=abl.l2,
         )
+
+    def minibatch_gradient(idx: np.ndarray) -> np.ndarray:
+        # the gradient the ablation takes on the minibatch rows idx
+        xb, yb = train_features[idx], labels[idx]
+        if abl.kind == "sam" and abl.rho > 0.0:
+            return sam_perturbed_gradient(lambda p: grad_at(p, xb, yb), params, abl.rho)
+        g = grad_at(params, xb, yb)
+        if abl.kind == "inject_noise":
+            g = noise_injected_gradient(g, inject_level, rng_noise)
+        return g
 
     adam_state = AdamState.zeros(params.size)
     step_count = 0
@@ -508,43 +521,30 @@ def train_run(dataset: datamod.DatasetBundle, config: TrainConfig) -> RunRecord:
             scale = math.sqrt(running_noise) if running_noise and running_noise > 0 else 0.0
             train_features = diffused(spec.diffusion_beta, scale)
 
-        inject_level = 0.0
         if abl.kind == "inject_noise":
-            probe_x = train_features[probe_idx]
-            probe_grads = models.per_sample_gradients(head, params, probe_x, y_probe)
-            inject_level = measures.gradient_noise(probe_grads, eff_b)
+            inject_level = probe_noise(train_features[probe_idx], eff_b)
 
+        # one update per group: no_noise_averaging averages every minibatch
+        # of the epoch into one, every other kind updates per minibatch
         order = rng_shuffle.permutation(n_train)
-        batch_slices = [train_idx[order[i : i + eff_b]] for i in range(0, n_train, eff_b)]
-
-        diverged = False
-        if abl.kind == "no_noise_averaging":
-            grads = [grad_at(params, train_features[idx], labels[idx]) for idx in batch_slices]
-            params = apply_update(params, np.mean(grads, axis=0), lr)
-            diverged = not np.isfinite(params).all()
-        else:
-            for idx in batch_slices:
-                xb, yb = train_features[idx], labels[idx]
-                if abl.kind == "sam" and abl.rho > 0.0:
-                    g = sam_perturbed_gradient(lambda p: grad_at(p, xb, yb), params, abl.rho)
-                else:
-                    g = grad_at(params, xb, yb)
-                    if abl.kind == "inject_noise":
-                        g = noise_injected_gradient(g, inject_level, rng_noise)
-                params = apply_update(params, g, lr)
-                if not np.isfinite(params).all():
-                    diverged = True
-                    break
-        if diverged:
-            status, reason = "degenerate", "non-finite parameters"
+        batches = [train_idx[order[i : i + eff_b]] for i in range(0, n_train, eff_b)]
+        groups = [batches] if abl.kind == "no_noise_averaging" else [[idx] for idx in batches]
+        for group in groups:
+            grads = [minibatch_gradient(idx) for idx in group]
+            g = grads[0] if len(grads) == 1 else np.mean(grads, axis=0)
+            params = apply_update(params, g, lr)
+            if not np.isfinite(params).all():
+                status, reason = "degenerate", "non-finite parameters"
+                break
+        if status == "degenerate":
             break
 
-        train_loss = models.forward_loss(head, params, x_train, y_train)
-        test_loss = models.forward_loss(head, params, x_test, y_test)
-        val_loss = models.forward_loss(head, params, x_val, y_val)
+        train_loss = models.forward_loss(spec, params, x_train, y_train)
+        test_loss = models.forward_loss(spec, params, x_test, y_test)
+        val_loss = models.forward_loss(spec, params, x_val, y_val)
         series["train_loss"].append(train_loss)
         series["test_loss"].append(test_loss)
-        series["test_acc"].append(models.predict_accuracy(head, params, x_test, y_test))
+        series["test_acc"].append(models.predict_accuracy(spec, params, x_test, y_test))
         lr_log.append(lr)
         batch_log.append(eff_b)
         wall_log.append(perf_counter() - epoch_t0)
@@ -555,8 +555,7 @@ def train_run(dataset: datamod.DatasetBundle, config: TrainConfig) -> RunRecord:
             break
 
         if is_graph and spec.diffusion_beta != 0.0:
-            probe_grads = models.per_sample_gradients(head, params, x_probe, y_probe)
-            running_noise = measures.gradient_noise(probe_grads, eff_b)
+            running_noise = probe_noise(x_probe, eff_b)
 
         if val_loss < best["val"]:
             best = {"val": val_loss, "params": params.copy(), "epoch": epoch}
@@ -584,16 +583,15 @@ def train_run(dataset: datamod.DatasetBundle, config: TrainConfig) -> RunRecord:
         else:
             divisor_b = config.batch_size
         try:
-            probe_grads = models.per_sample_gradients(head, params, x_probe, y_probe)
-            noise = measures.gradient_noise(probe_grads, divisor_b)
+            noise = probe_noise(x_probe, divisor_b)
             sharpness, _ = measures.sharpness_lambda_max(
-                models.hvp_operator(head, params, x_probe, y_probe), dim=params.size
+                models.hvp_operator(spec, params, x_probe, y_probe), dim=params.size
             )
             comp = measures.complexity(sharpness, noise)
             gen = measures.measure_generalization(
-                models.forward_loss(head, params, x_train, y_train),
-                models.forward_loss(head, params, x_test, y_test),
-                models.predict_accuracy(head, params, x_test, y_test),
+                models.forward_loss(spec, params, x_train, y_train),
+                models.forward_loss(spec, params, x_test, y_test),
+                models.predict_accuracy(spec, params, x_test, y_test),
             )
             final = measures.Measurement(
                 grad_noise=noise,

@@ -71,8 +71,10 @@ class TestCli:
                 "diffusion_beta needs diffusion_steps >= 1",
             ),
             ("model", {"kind": "rnn", "hidden": 4}, "unknown model kind 'rnn'"),
+            ("model", {"kind": "graph_diffusion", "hidden": 4}, "requires a graph dataset"),
             ("ablations", [{"kind": "inject_noise", "rho": 0.5}], "rho applies only to sam"),
             ("ablations", [{"kind": "sam", "l2": 0.1}], "l1/l2 apply only to l1l2"),
+            ("causal", {"bins": 2.5}, "bins must be an integer"),
         ],
         ids=[
             "lr",
@@ -98,8 +100,10 @@ class TestCli:
             "beta_inf",
             "beta_without_steps",
             "model_kind",
+            "graph_model_without_graph",
             "rho_unread",
             "l2_unread",
+            "bins_float",
         ],
     )
     def test_validate_rejects_what_sweep_rejects(self, tmp_path, capsys, section, value, message):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -6,7 +8,7 @@ from batchlab import data
 
 
 def bundles_equal(a: data.DatasetBundle, b: data.DatasetBundle) -> bool:
-    """Content equality (features, labels, adjacency); provenance ignored."""
+    """Content equality (features, labels, adjacency); dataset id ignored."""
     if not np.array_equal(a.features, b.features) or not np.array_equal(a.labels, b.labels):
         return False
     if (a.adjacency is None) != (b.adjacency is None):
@@ -212,7 +214,8 @@ class TestTabularGraphFiles:
         expected = np.zeros((3, 3))
         expected[0, 1] = expected[1, 0] = 1.0
         np.testing.assert_array_equal(adj, expected)
-        assert "digest" in bundle.provenance
+        digest = hashlib.sha256((nodes + edges).encode()).hexdigest()
+        assert bundle.dataset_id == "files-" + digest[:12]
 
     def test_dangling_endpoint_names_line(self, tmp_path):
         nodes = "id,f1,label\n0,0.1,0\n1,0.2,1\n2,0.3,0\n"

@@ -104,13 +104,6 @@ class TestPerSampleGradients:
 
 
 class TestHvp:
-    def test_quadratic_exact(self):
-        # L = 0.5 theta^T A theta has linear gradient, so the central
-        # difference is exact up to rounding
-        a = np.diag([3.0, 1.0])
-        hv = models.hvp_from_grad(lambda p: a @ p, np.array([0.3, -0.2]), np.array([1.0, 0.0]), 1e-3)
-        np.testing.assert_allclose(hv, [3.0, 0.0], atol=1e-8)
-
     def test_zero_direction(self, rng):
         spec = ModelSpec("mlp1", 2, 2, hidden_dim=2)
         params = models.init_params(spec, rng)
@@ -180,8 +173,9 @@ class TestGraphDiffusion:
     def run_pair(self, graph_spec):
         # the same seeded run as a graph model and as the mlp1 it trains
         bundle = data.make_sbm_graph(90, 2, p_in=0.2, p_out=0.02, d=3, seed=4)
+        plain_spec = ModelSpec("mlp1", 3, 2, hidden_dim=graph_spec.hidden_dim)
         runs = []
-        for spec in (graph_spec, models.head_spec(graph_spec)):
+        for spec in (graph_spec, plain_spec):
             cfg = training.TrainConfig(model=spec, batch_size=16, epochs=2, seed=1)
             rec = training.train_run(bundle, cfg).canonical_dict()
             runs.append({k: rec[k] for k in ("train_loss", "test_loss", "test_acc", "final")})
@@ -210,13 +204,17 @@ class TestGraphDiffusion:
     def test_requires_adjacency(self):
         bundle = data.make_blobs(60, 3, 2, seed=0)
         spec = ModelSpec("graph_diffusion", 3, 2, hidden_dim=4)
-        with pytest.raises(ValueError, match="adjacency"):
+        with pytest.raises(ValueError, match="graph dataset"):
             training.train_run(bundle, training.TrainConfig(model=spec, batch_size=8, epochs=1))
 
-    def test_models_take_the_head_spec(self, rng):
-        spec = ModelSpec("graph_diffusion", 3, 2, hidden_dim=4)
-        with pytest.raises(ValueError, match="head_spec"):
-            models.forward_loss(spec, models.init_params(spec, rng), *make_batch(rng, d=3, k=2))
+    def test_kernels_run_a_graph_spec_as_its_mlp1(self, rng):
+        graph = ModelSpec("graph_diffusion", 3, 2, hidden_dim=4, diffusion_alpha=0.5)
+        plain = ModelSpec("mlp1", 3, 2, hidden_dim=4)
+        params = models.init_params(graph, rng)
+        x, y = make_batch(rng, d=3, k=2)
+        assert models.forward_loss(graph, params, x, y) == models.forward_loss(plain, params, x, y)
+        for kernel in (models.mean_gradient, models.per_sample_gradients):
+            np.testing.assert_array_equal(kernel(graph, params, x, y), kernel(plain, params, x, y))
 
     def test_normalized_adjacency_rows(self):
         adj = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))

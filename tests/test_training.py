@@ -181,10 +181,6 @@ class TestDiffusionUpdate:
         out = diffusion_update(h, a_norm, 1.0, 0.0, 0.0)
         np.testing.assert_allclose(out, a_norm @ h)
 
-    def test_beta_requires_rng(self):
-        with pytest.raises(ValueError, match="RNG"):
-            diffusion_update(np.ones((2, 2)), np.eye(2), 0.0, 0.5, 1.0)
-
     def test_noise_term_scales_with_h(self):
         rng = np.random.default_rng(1)
         h = np.full((200, 50), 2.0)
@@ -215,10 +211,6 @@ class TestNoiseInjectedStep:
         for i in range(10_000):
             draws[i] = noise_injected_gradient(np.zeros(1), n_hat, rng)[0]
         assert draws.std() == pytest.approx(math.sqrt(n_hat), rel=0.05)
-
-    def test_negative_noise_level(self):
-        with pytest.raises(ValueError):
-            noise_injected_gradient(np.zeros(1), -1.0, np.random.default_rng(0))
 
 
 class TestSam:
@@ -447,9 +439,18 @@ class TestTrainRun:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_gradient_gives_degenerate_record(self, blob_bundle, monkeypatch):
         # the loop's finite-parameter check is the one divergence rule, for
-        # every optimizer and for the two-gradient sam step
+        # every optimizer, the two-gradient sam step, the epoch-averaged
+        # no_noise_averaging step and the noise-injected step; 180 training
+        # rows at batch size 16 make 12 minibatches, so the third gradient is
+        # taken in the first epoch
         real = models.mean_gradient
-        for overrides in ({}, {"optimizer": "sgd"}, {"ablation": Ablation(kind="sam", rho=0.05)}):
+        for overrides in (
+            {},
+            {"optimizer": "sgd"},
+            {"ablation": Ablation(kind="sam", rho=0.05)},
+            {"ablation": Ablation(kind="no_noise_averaging")},
+            {"ablation": Ablation(kind="inject_noise")},
+        ):
             calls = []
 
             def poisoned(spec, params, x, y):
