@@ -148,10 +148,7 @@ class DiscreteBinning:
 
     def assign(self, values: np.ndarray) -> np.ndarray:
         index = {v: i for i, v in enumerate(self.levels)}
-        try:
-            return np.asarray([index[v] for v in values], dtype=np.int64)
-        except KeyError as exc:
-            raise DiscretizationError(f"unknown level {exc.args[0]!r}") from exc
+        return np.asarray([index[v] for v in values], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -177,22 +174,10 @@ class DiscretizationScheme:
 
 @dataclass
 class BinnedRecords:
+    """Each variable's bin index per record (``columns``) and bin count (``k``)."""
+
     columns: dict[str, np.ndarray]
     k: dict[str, int]
-
-    def __post_init__(self) -> None:
-        lengths = {len(v) for v in self.columns.values()}
-        if len(lengths) > 1:
-            raise ValueError("ragged record columns")
-        for var, col in self.columns.items():
-            col = np.asarray(col, dtype=np.int64)
-            if col.size and (col.min() < 0 or col.max() >= self.k[var]):
-                raise ValueError(f"bin index out of range for {var!r}")
-            self.columns[var] = col
-
-    @property
-    def n(self) -> int:
-        return len(next(iter(self.columns.values())))
 
 
 def _equal_frequency_binning(values: np.ndarray, k: int) -> ContinuousBinning:
@@ -220,24 +205,18 @@ def _equal_frequency_binning(values: np.ndarray, k: int) -> ContinuousBinning:
     return ContinuousBinning(cuts=binning.cuts, representatives=tuple(reps))
 
 
-def discretize_records(
-    records,
-    k: int = 3,
-    discrete_vars=(VAR_BATCH,),
-) -> tuple[DiscretizationScheme, BinnedRecords]:
-    """Equal-frequency binning of continuous variables into at most ``k``
-    bins; discrete ones keep their sorted unique levels. Representatives are
-    within-bin means of the fitting records."""
-    records = list(records)
-    if not records:
-        raise ValueError("no records to discretize")
+def discretize_records(records, k: int = 3) -> tuple[DiscretizationScheme, BinnedRecords]:
+    """Equal-frequency binning of the continuous variables of a nonempty
+    record list into at most ``k`` bins; the batch size keeps its sorted
+    unique levels. Representatives are within-bin means of the fitting
+    records."""
     variables = sorted(records[0].keys())
     columns = {v: np.asarray([r[v] for r in records]) for v in variables}
     bins: dict[str, ContinuousBinning | DiscreteBinning] = {}
     binned: dict[str, np.ndarray] = {}
     k_map: dict[str, int] = {}
     for var in variables:
-        if var in discrete_vars:
+        if var == VAR_BATCH:
             levels = tuple(sorted(set(columns[var].tolist())))
             binning: ContinuousBinning | DiscreteBinning = DiscreteBinning(levels=levels)
         else:
@@ -336,61 +315,55 @@ def interventional_distribution(
     b,
     mode: str = MODE_HYPERGRAPH,
     scheme: DiscretizationScheme | None = None,
-    intervention: str = VAR_BATCH,
-    outcome: str = VAR_GENERALIZATION,
 ) -> InterventionResult:
-    """Outcome distribution under do(intervention = b), by truncated factorization.
+    """Generalization distribution under do(batch size = b), by truncated
+    factorization.
 
-    Every hyperedge of ``h`` except the one into the intervention contributes
-    its table as one factor, with the intervention axis fixed at ``b``; a
+    Every hyperedge of ``h`` except the one into the batch size contributes
+    its table as one factor, with the batch-size axis fixed at ``b``; a
     single ``np.einsum`` sums the product over every other variable and the
     result is normalized. A variable with no incoming hyperedge (other than
-    the intervention) has no factor and is summed out of the tables that
+    the batch size) has no factor and is summed out of the tables that
     condition on it. ``mode`` only labels the result with the name of the
-    factor set. When a scheme is given, ``b`` is an actual level of the
-    intervention variable; otherwise it is a bin index.
+    factor set. When a scheme is given, ``b`` is an actual batch-size level;
+    otherwise it is a bin index.
     """
-    if outcome not in h.variables:
-        raise ValueError(f"outcome {outcome!r} not in hypergraph")
     levels = None
     g_reps = None
     if scheme is not None:
-        binning = scheme.bins.get(intervention)
+        binning = scheme.bins.get(VAR_BATCH)
         if isinstance(binning, DiscreteBinning):
             levels = binning.levels
-        if outcome in scheme.bins:
-            g_reps = scheme.representatives(outcome)
+        if VAR_GENERALIZATION in scheme.bins:
+            g_reps = scheme.representatives(VAR_GENERALIZATION)
     b_index = _resolve_level(b, levels)
 
     by_head = {t.head: t for t in tables}
     axis = {v: i for i, v in enumerate(h.variables)}
     operands = []
     for edge in h.hyperedges:
-        if edge.head == intervention:
+        if edge.head == VAR_BATCH:
             continue
         table = by_head.get(edge.head)
         if table is None or table.tails != edge.tails:
             raise ValueError(f"missing table for variable {edge.head!r} given {edge.tails}")
         probs = table.probs
-        if intervention in edge.tails:
-            j = edge.tails.index(intervention)
+        if VAR_BATCH in edge.tails:
+            j = edge.tails.index(VAR_BATCH)
             k_b = probs.shape[j]
             if not (0 <= b_index < k_b):
-                raise ValueError(
-                    f"unknown intervention level index {b_index} (have {k_b} levels)"
-                )
+                raise ValueError(f"unknown intervention level index {b_index} (have {k_b} levels)")
             probs = probs.take(b_index, axis=j)
-        tails = [axis[v] for v in edge.tails if v != intervention]
+        tails = [axis[v] for v in edge.tails if v != VAR_BATCH]
         operands += [probs, tails + [axis[edge.head]]]
-    dist = np.einsum(*operands, [axis[outcome]])
-    total = dist.sum()
-    if total <= 0:
-        raise ValueError("truncated factorization produced zero mass")
-    dist = dist / total
+    dist = np.einsum(*operands, [axis[VAR_GENERALIZATION]])
+    dist = dist / dist.sum()
     return InterventionResult(b=b, mode=mode, distribution=dist, expected=_expected(dist, g_reps))
 
 
 # -- back-door diagnostic ----------------------------------------------------------
+
+MIN_STRATUM_RECORDS = 5
 
 
 @dataclass(frozen=True)
@@ -420,32 +393,26 @@ def pearson_chi_square(table: np.ndarray) -> tuple[float, int]:
     return stat, (r - 1) * (c - 1)
 
 
-def backdoor_diagnostic(
-    binned: BinnedRecords,
-    stratify: str = VAR_COMPLEXITY,
-    treatment: str = VAR_BATCH,
-    outcome: str = VAR_GENERALIZATION,
-    min_count: int = 5,
-) -> list[StratumDiagnostic]:
-    """Per-stratum chi-square tests of outcome-treatment independence.
+def backdoor_diagnostic(binned: BinnedRecords) -> list[StratumDiagnostic]:
+    """Per-stratum chi-square tests of generalization-batch size independence.
 
     Diagnostic only: checks the conditional independence the back-door
-    adjustment assumes, within each stratum of the conditioning variable.
-    Strata with fewer than ``min_count`` records (or degenerate tables) are
-    skipped and reported as such.
+    adjustment assumes, within each complexity stratum. Strata with fewer
+    than ``MIN_STRATUM_RECORDS`` records (or degenerate tables) are skipped
+    and reported as such.
     """
     results = []
-    strata = binned.columns[stratify]
-    for s in range(binned.k[stratify]):
+    strata = binned.columns[VAR_COMPLEXITY]
+    for s in range(binned.k[VAR_COMPLEXITY]):
         mask = strata == s
         n = int(mask.sum())
-        if n < min_count:
-            results.append(
-                StratumDiagnostic(s, n, None, None, None, True, f"fewer than {min_count} records")
-            )
+        if n < MIN_STRATUM_RECORDS:
+            reason = f"fewer than {MIN_STRATUM_RECORDS} records"
+            results.append(StratumDiagnostic(s, n, None, None, None, True, reason))
             continue
-        table = np.zeros((binned.k[outcome], binned.k[treatment]))
-        np.add.at(table, (binned.columns[outcome][mask], binned.columns[treatment][mask]), 1.0)
+        table = np.zeros((binned.k[VAR_GENERALIZATION], binned.k[VAR_BATCH]))
+        outcome, treatment = binned.columns[VAR_GENERALIZATION], binned.columns[VAR_BATCH]
+        np.add.at(table, (outcome[mask], treatment[mask]), 1.0)
         try:
             stat, dof = pearson_chi_square(table)
         except ValueError as exc:

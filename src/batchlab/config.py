@@ -114,7 +114,7 @@ class SweepConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if not isinstance(self.workers, int) or self.workers < 1:
+        if not models.is_integer(self.workers) or self.workers < 1:
             raise ValueError("workers must be a positive integer")
 
 
@@ -137,7 +137,7 @@ def _parse_batch_sizes(value) -> tuple[int, ...]:
     if not isinstance(value, list) or not value:
         raise ConfigError("batch_sizes must be a nonempty list")
     for b in value:
-        if not isinstance(b, int) or b < 1:
+        if not models.is_integer(b) or b < 1:
             raise ConfigError(f"batch sizes must be positive integers, got {b!r}")
     if len(set(value)) != len(value):
         raise ConfigError("batch sizes must be distinct")
@@ -145,14 +145,14 @@ def _parse_batch_sizes(value) -> tuple[int, ...]:
 
 
 def _parse_seeds(value) -> tuple[int, ...]:
-    if isinstance(value, int):
+    if models.is_integer(value):
         if value < 1:
             raise ConfigError("seeds count must be >= 1")
         return tuple(range(value))
     if not isinstance(value, list) or not value:
         raise ConfigError("seeds must be a count or a nonempty list")
     for s in value:
-        if not isinstance(s, int) or s < 0:
+        if not models.is_integer(s) or s < 0:
             raise ConfigError(f"seeds must be nonnegative integers, got {s!r}")
     if len(set(value)) != len(value):
         raise ConfigError("seeds must be distinct")

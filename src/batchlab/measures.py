@@ -23,18 +23,13 @@ def gradient_noise(per_sample_grads: np.ndarray, batch_size: int) -> float:
     averaged over coordinates and divided by the batch size (the variance of a
     size-B mean is the per-sample variance over B). Dividing the per-coordinate
     average keeps the scale independent of parameter dimension and reduces to
-    the scalar-gradient case at dim 1.
+    the scalar-gradient case at dim 1. ``per_sample_grads`` is [n x P] with
+    n >= 2, and ``batch_size`` >= 1: ``train_run`` and ``TrainConfig`` ensure
+    both.
     """
-    grads = np.asarray(per_sample_grads, dtype=np.float64)
-    if grads.ndim == 1:
-        grads = grads[:, None]
-    if grads.shape[0] < 2:
-        raise ValueError("gradient noise needs at least 2 gradient samples")
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    if not np.isfinite(grads).all():
+    if not np.isfinite(per_sample_grads).all():
         raise ValueError("non-finite gradient samples")
-    return float(grads.var(axis=0, ddof=1).mean() / batch_size)
+    return float(per_sample_grads.var(axis=0, ddof=1).mean() / batch_size)
 
 
 def sharpness_lambda_max(

@@ -29,12 +29,17 @@ import scipy.sparse as sp
 MODEL_KINDS = ("logistic", "mlp1", "graph_diffusion")
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer; a bool (JSON ``true``) is not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def require_integers(settings, *names: str) -> None:
     """Raise ``ValueError`` naming the first of the fields ``names`` of
-    ``settings`` that does not hold an integer."""
+    ``settings`` that does not hold an integer (``is_integer``)."""
     for name in names:
         value = getattr(settings, name)
-        if not isinstance(value, numbers.Integral):
+        if not is_integer(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 

@@ -179,22 +179,24 @@ def _fmt(value, digits=6) -> str:
 
 
 def render_report_body(
-    records: list[RunRecord],
+    tables: dict[str, list[dict]],
     settings: AnalysisSettings,
     bundle: AnalysisBundle | None,
     sig: dict | None,
 ) -> str:
+    """The report text after its metadata line; ``tables`` holds the rows of
+    the accuracy, sharpness and timing CSVs, by name."""
     lines: list[str] = []
     add = lines.append
     add("== accuracy by batch size (percent, mean ± std over seeds) ==")
-    for row in accuracy_rows(records):
+    for row in tables["accuracy"]:
         add(
             f"  B={row['batch_size']:<5d} ablation={row['ablation']:<18s} "
             f"n={row['n']:<3d} {row['cell']}"
         )
     add("")
     add("== sharpness (top Hessian eigenvalue) by batch size ==")
-    for row in sharpness_rows(records):
+    for row in tables["sharpness"]:
         add(
             f"  B={row['batch_size']:<5d} n={row['n']:<3d} "
             f"median={_fmt(row['median_sharpness'])} mean={_fmt(row['mean_sharpness'])} "
@@ -202,7 +204,7 @@ def render_report_body(
         )
     add("")
     add("== time per epoch (seconds) ==")
-    for row in timing_rows(records):
+    for row in tables["timing"]:
         add(
             f"  B={row['batch_size']:<5d} epochs={row['epochs_timed']:<5d} "
             f"mean={row['mean_epoch_seconds']:.4f}"
@@ -272,9 +274,13 @@ def emit_report(records_path, settings: AnalysisSettings, out_dir) -> dict[str, 
         paths[name] = out_dir / f"{name}.csv"
         _write_csv(paths[name], rows)
 
-    emit_csv("accuracy", accuracy_rows(records))
-    emit_csv("sharpness", sharpness_rows(records))
-    emit_csv("timing", timing_rows(records))
+    tables = {
+        "accuracy": accuracy_rows(records),
+        "sharpness": sharpness_rows(records),
+        "timing": timing_rows(records),
+    }
+    for name, rows in tables.items():
+        emit_csv(name, rows)
     if bundle is not None:
         emit_csv(
             "interventions",
@@ -315,7 +321,7 @@ def emit_report(records_path, settings: AnalysisSettings, out_dir) -> dict[str, 
         "n_records": len(records),
         "analysis_error": analysis_error,
     }
-    body = render_report_body(records, settings, bundle, sig)
+    body = render_report_body(tables, settings, bundle, sig)
     paths["report"] = out_dir / "report.txt"
     paths["report"].write_text(
         "# metadata: " + json.dumps(meta) + "\n\n" + body

@@ -28,17 +28,13 @@ ENV_OUT_DIR = "BATCHLAB_OUT"
 DEFAULT_OUT_DIR = "batchlab_runs"
 
 
-def resolve_out_dir(config: SweepConfig | None = None, explicit=None) -> Path:
-    if explicit is not None:
-        return Path(explicit)
-    if config is not None and config.out_dir:
-        return Path(config.out_dir)
-    return Path(os.environ.get(ENV_OUT_DIR, DEFAULT_OUT_DIR))
-
-
 def default_records_path(config: SweepConfig, out_dir=None) -> Path:
-    """The record file a sweep writes when none is named."""
-    return resolve_out_dir(config, out_dir) / "records.jsonl"
+    """The record file a sweep writes when none is named: ``records.jsonl``
+    in ``out_dir`` when given, else in the config's ``out_dir``, else in
+    ``$BATCHLAB_OUT``, else in ``batchlab_runs``."""
+    if out_dir is None:
+        out_dir = config.out_dir or os.environ.get(ENV_OUT_DIR, DEFAULT_OUT_DIR)
+    return Path(out_dir) / "records.jsonl"
 
 
 def build_dataset(config: SweepConfig) -> datamod.DatasetBundle:

@@ -10,7 +10,6 @@ complexity, and generalization on a fixed probe batch. The result is a
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from time import perf_counter
 
@@ -147,24 +146,20 @@ class AdamState:
         return AdamState(m=np.zeros(dim), v=np.zeros(dim))
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 def adam_step(
-    params: np.ndarray,
-    grad: np.ndarray,
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-    t: int = 1,
+    params: np.ndarray, grad: np.ndarray, state: AdamState, lr: float, t: int
 ) -> tuple[np.ndarray, AdamState]:
     """Standard bias-corrected Adam update at step ``t`` >= 1; pure (returns
     new arrays). A non-finite gradient makes the parameters non-finite, which
     the training loop's divergence check catches."""
-    m = beta1 * state.m + (1.0 - beta1) * grad
-    v = beta2 * state.v + (1.0 - beta2) * grad * grad
-    m_hat = m / (1.0 - beta1**t)
-    v_hat = v / (1.0 - beta2**t)
-    return params - lr * m_hat / (np.sqrt(v_hat) + eps), AdamState(m=m, v=v)
+    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad * grad
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    return params - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS), AdamState(m=m, v=v)
 
 
 def noise_injected_gradient(
@@ -192,19 +187,6 @@ def sam_perturbed_gradient(grad_fn, params: np.ndarray, rho: float) -> np.ndarra
 # -- graph-specific pieces ----------------------------------------------------
 
 
-def causal_regularizer(embeddings: np.ndarray, edges) -> float:
-    """Mean squared embedding distance over the edge set; 0 for no edges."""
-    emb = np.asarray(embeddings, dtype=np.float64)
-    e = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
-    if e.size == 0:
-        warnings.warn("causal_regularizer: empty edge set, returning 0", stacklevel=2)
-        return 0.0
-    if e.max() >= emb.shape[0]:
-        raise ValueError("edge endpoint out of range")
-    diff = emb[e[:, 0]] - emb[e[:, 1]]
-    return float((diff * diff).sum() / e.shape[0])
-
-
 @dataclass(frozen=True)
 class EdgeOperators:
     """The edge regularizer's gradient as two fixed sparse operators.
@@ -213,11 +195,11 @@ class EdgeOperators:
     +1 at e0 and -1 at e1) maps embeddings to the edge differences
     ``emb[e0] - emb[e1]``, and ``scatter`` (n x 2m, entries +2/m in the e0
     columns, then -2/m in the e1 columns) maps ``[diff; diff]`` to the
-    gradient of ``causal_regularizer`` in the embeddings. A CSR row sum runs
-    in stored column order, so each node adds its e0 terms in edge order, then
-    its e1 terms in edge order: the same order, and so the same floats, as
-    scattering edge by edge. ``train_run`` builds them once per run, since the
-    graph is fixed.
+    embedding gradient of the edge regularizer, the mean over edges of
+    ``|emb[e0] - emb[e1]|^2``. A CSR row sum runs in stored column order, so
+    each node adds its e0 terms in edge order, then its e1 terms in edge
+    order: the same order, and so the same floats, as scattering edge by edge.
+    ``train_run`` builds them once per run, since the graph is fixed.
     """
 
     gather: sp.csr_matrix
@@ -238,9 +220,9 @@ class EdgeOperators:
 
 
 def _causal_regularizer_grad(embeddings: np.ndarray, ops: EdgeOperators) -> np.ndarray:
-    """d causal_regularizer / d embeddings for a nonempty edge set, through the
-    precomputed operators: one gather, one scatter, bit-identical to the
-    edge-order scatter."""
+    """The edge regularizer's gradient in the embeddings, for a nonempty edge
+    set, through the precomputed operators: one gather, one scatter,
+    bit-identical to the edge-order scatter."""
     diff = ops.gather @ embeddings
     return ops.scatter @ np.vstack((diff, diff))
 
@@ -270,58 +252,32 @@ def diffusion_update(
 # -- penalized loss/gradient assembly ------------------------------------------
 
 
-def loss_with_penalties(
-    spec,
-    params: np.ndarray,
-    x: np.ndarray,
-    y: np.ndarray,
-    lambda_causal: float = 0.0,
-    reg_inputs: np.ndarray | None = None,
-    edges: np.ndarray | None = None,
-    l1: float = 0.0,
-    l2: float = 0.0,
-) -> float:
-    """Cross-entropy on (x, y) plus optional edge-smoothness and L1/L2 terms.
-
-    The edge term penalizes the hidden embeddings of ``reg_inputs``, the
-    whole-graph features the edges index (``x`` when omitted). With all
-    penalty weights at zero this is exactly ``models.forward_loss`` (same code
-    path, bit-for-bit).
-    """
-    loss = models.forward_loss(spec, params, x, y)
-    if lambda_causal > 0.0 and edges is not None and len(edges):
-        emb = models.hidden_activations(spec, params, reg_inputs if reg_inputs is not None else x)
-        loss += lambda_causal * causal_regularizer(emb, edges)
-    if l1 > 0.0:
-        loss += l1 * float(np.abs(params).sum())
-    if l2 > 0.0:
-        loss += l2 * float(params @ params)
-    return loss
-
-
 def gradient_with_penalties(
     spec,
     params: np.ndarray,
     x: np.ndarray,
     y: np.ndarray,
-    lambda_causal: float = 0.0,
-    reg_inputs: np.ndarray | None = None,
-    edges: EdgeOperators | None = None,
-    l1: float = 0.0,
-    l2: float = 0.0,
+    lambda_causal: float,
+    reg_inputs: np.ndarray,
+    edges: EdgeOperators | None,
+    l1: float,
+    l2: float,
 ) -> np.ndarray:
-    """Gradient of ``loss_with_penalties`` (analytic for every term).
+    """Analytic gradient of the cross-entropy on (x, y) plus the penalties.
 
     ``edges`` are the ``EdgeOperators`` of a nonempty edge set, which
-    ``train_run`` builds once per run; the edge term's gradient runs through
-    them, bit-identical to scattering ``±2/m * diff`` edge by edge.
+    ``train_run`` builds once per run, and only when ``lambda_causal`` > 0;
+    with them the gradient adds ``lambda_causal`` times that of the edge
+    regularizer on the hidden embeddings of ``reg_inputs``, the whole-graph
+    features the edges index. Its gradient runs through the operators,
+    bit-identical to scattering ``±2/m * diff`` edge by edge. ``l1`` and
+    ``l2`` weight the parameters' L1 norm and squared L2 norm.
     """
     g = models.mean_gradient(spec, params, x, y)
-    if lambda_causal > 0.0 and edges is not None:
-        rx = reg_inputs if reg_inputs is not None else x
-        emb = models.hidden_activations(spec, params, rx)
+    if edges is not None:
+        emb = models.hidden_activations(spec, params, reg_inputs)
         d_emb = _causal_regularizer_grad(emb, edges)
-        g = g + lambda_causal * models.hidden_backward(spec, params, rx, emb, d_emb)
+        g = g + lambda_causal * models.hidden_backward(spec, params, reg_inputs, emb, d_emb)
     if l1 > 0.0:
         g = g + l1 * np.sign(params)
     if l2 > 0.0:
@@ -400,8 +356,9 @@ class RunRecord:
 
 def check_model_fits(spec: models.ModelSpec, dataset: datamod.DatasetBundle) -> None:
     """Raise ``ValueError`` unless the model can train on the dataset: its
-    input width is the feature count, it has a class for every label, and a
-    graph_diffusion model has an adjacency to diffuse over."""
+    input width is the feature count, it has a class for every label, a
+    graph_diffusion model has an adjacency to diffuse over, and the train
+    split has the 2 rows that the gradient-noise estimate needs."""
     if spec.input_dim != dataset.features.shape[1] or spec.num_classes < dataset.num_classes:
         raise ValueError(
             f"model spec (input_dim {spec.input_dim}, num_classes {spec.num_classes}) does not "
@@ -409,6 +366,8 @@ def check_model_fits(spec: models.ModelSpec, dataset: datamod.DatasetBundle) -> 
         )
     if spec.kind == "graph_diffusion" and dataset.adjacency is None:
         raise ValueError("graph_diffusion model requires a graph dataset")
+    if dataset.splits["train"].size < 2:
+        raise ValueError("train split too small")
 
 
 def train_run(dataset: datamod.DatasetBundle, config: TrainConfig) -> RunRecord:
@@ -430,8 +389,6 @@ def train_run(dataset: datamod.DatasetBundle, config: TrainConfig) -> RunRecord:
     val_idx = dataset.splits["val"]
     test_idx = dataset.splits["test"]
     n_train = train_idx.size
-    if n_train < 2:
-        raise ValueError("train split too small")
     labels = dataset.labels
 
     seed_seq = np.random.SeedSequence(config.seed)
@@ -482,7 +439,7 @@ def train_run(dataset: datamod.DatasetBundle, config: TrainConfig) -> RunRecord:
     def minibatch_gradient(idx: np.ndarray) -> np.ndarray:
         # the gradient the ablation takes on the minibatch rows idx
         xb, yb = train_features[idx], labels[idx]
-        if abl.kind == "sam" and abl.rho > 0.0:
+        if abl.kind == "sam":
             return sam_perturbed_gradient(lambda p: grad_at(p, xb, yb), params, abl.rho)
         g = grad_at(params, xb, yb)
         if abl.kind == "inject_noise":

@@ -49,6 +49,10 @@ class TestCli:
             ("train", {"batch_schedule": {"factor": "x"}}, "train"),
             ("train", {"batch_schedule": {"kind": "progressive", "start": -4}}, "train"),
             ("train", {"epochs": 2.5}, "epochs must be an integer"),
+            ("train", {"epochs": True}, "epochs must be an integer"),
+            ("batch_sizes", [True], "batch sizes must be positive integers"),
+            ("seeds", [True], "seeds must be nonnegative integers"),
+            ("seeds", True, "seeds must be a count or a nonempty list"),
             ("train", {"batch_schedule": {"kind": "progressive", "factor": 1.5}}, "factor"),
             ("train", {"batch_schedule": {"kind": "progressive", "start": 16.5}}, "start"),
             ("dataset", dict(CONFIG["dataset"], separation=-1), "separation"),
@@ -57,12 +61,18 @@ class TestCli:
             ("dataset", dict(CONFIG["dataset"], n="60"), "invalid dataset settings"),
             (
                 "dataset",
+                dict(CONFIG["dataset"], n=10, fractions=[0.1, 0.45, 0.45]),
+                "train split too small",
+            ),
+            (
+                "dataset",
                 {"kind": "sbm", "n": 60, "num_classes": 2, "p_in": 0.05, "p_out": 0.2, "d": 3},
                 "p_out < p_in",
             ),
             ("model", {"kind": "mlp1", "hidden": 0}, "hidden_dim"),
             ("model", {"kind": "mlp1", "hidden": "8"}, "hidden_dim must be an integer"),
             ("model", {"kind": "mlp1", "hidden": 8.5}, "hidden_dim must be an integer"),
+            ("model", {"kind": "mlp1", "hidden": True}, "hidden_dim must be an integer"),
             ("model", {"kind": "logistic", "diffusion_alpha": "x"}, "diffusion_alpha"),
             ("model", {"kind": "logistic", "diffusion_beta": float("inf")}, "diffusion_beta"),
             (
@@ -75,6 +85,7 @@ class TestCli:
             ("ablations", [{"kind": "inject_noise", "rho": 0.5}], "rho applies only to sam"),
             ("ablations", [{"kind": "sam", "l2": 0.1}], "l1/l2 apply only to l1l2"),
             ("causal", {"bins": 2.5}, "bins must be an integer"),
+            ("causal", {"bins": True}, "bins must be an integer"),
         ],
         ids=[
             "lr",
@@ -86,16 +97,22 @@ class TestCli:
             "factor",
             "start",
             "epochs_float",
+            "epochs_bool",
+            "batch_size_bool",
+            "seed_bool",
+            "seed_count_bool",
             "factor_float",
             "start_float",
             "separation",
             "label_noise",
             "fractions",
             "n_string",
+            "train_one_row",
             "sbm_p_out",
             "hidden_zero",
             "hidden_string",
             "hidden_float",
+            "hidden_bool",
             "alpha_string",
             "beta_inf",
             "beta_without_steps",
@@ -104,6 +121,7 @@ class TestCli:
             "rho_unread",
             "l2_unread",
             "bins_float",
+            "bins_bool",
         ],
     )
     def test_validate_rejects_what_sweep_rejects(self, tmp_path, capsys, section, value, message):

@@ -184,3 +184,5 @@ class TestParseConfig:
     def test_invalid_workers(self):
         with pytest.raises(ConfigError, match="workers"):
             build_sweep_config(dict(MINIMAL, workers=0))
+        with pytest.raises(ConfigError, match="workers"):
+            build_sweep_config(dict(MINIMAL, workers=True))

@@ -262,6 +262,7 @@ class TestParamLayout:
         [
             ("hidden_dim", "8", "hidden_dim must be an integer"),
             ("hidden_dim", 8.5, "hidden_dim must be an integer"),
+            ("hidden_dim", True, "hidden_dim must be an integer"),
             ("diffusion_steps", 2.0, "diffusion_steps must be an integer"),
             ("diffusion_alpha", "x", "diffusion_alpha must be a finite number"),
             ("diffusion_alpha", float("nan"), "diffusion_alpha must be a finite number"),

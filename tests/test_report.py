@@ -1,4 +1,5 @@
 import copy
+import csv
 import json
 
 import numpy as np
@@ -216,6 +217,48 @@ class TestEmitReport:
         assert body1 == body2
         meta1 = json.loads(p1["report"].read_text().splitlines()[0].split("# metadata: ")[1])
         assert "generated_at" in meta1
+
+    def test_body_tables_are_the_csv_rows(self, tmp_path):
+        records = synthetic_sweep_records(np.random.default_rng(3), n_seeds=4)
+        records.append(synthetic_record(16, 0, 0.70, ablation="no_noise_averaging"))
+        path = self.write_records(tmp_path, records)
+        paths = report.emit_report(path, AnalysisSettings(treat=16, control=256), tmp_path / "out")
+        sections = {
+            block.splitlines()[0]: block.splitlines()[1:]
+            for block in paths["report"].read_text().split("\n\n")[1:]
+            if block.startswith("==")
+        }
+
+        def rows(name):
+            with paths[name].open() as fh:
+                return list(csv.DictReader(fh))
+
+        accuracy = sections["== accuracy by batch size (percent, mean ± std over seeds) =="]
+        assert [line.split() for line in accuracy] == [
+            [f"B={r['batch_size']}", f"ablation={r['ablation']}", f"n={r['n']}", *r["cell"].split()]
+            for r in rows("accuracy")
+        ]
+        sharpness = sections["== sharpness (top Hessian eigenvalue) by batch size =="]
+        assert [line.split() for line in sharpness] == [
+            [
+                f"B={r['batch_size']}",
+                f"n={r['n']}",
+                f"median={float(r['median_sharpness']):.6g}",
+                f"mean={float(r['mean_sharpness']):.6g}",
+                f"std={float(r['std_sharpness']):.6g}",
+            ]
+            for r in rows("sharpness")
+        ]
+        timing = sections["== time per epoch (seconds) =="]
+        assert [line.split() for line in timing] == [
+            [
+                f"B={r['batch_size']}",
+                f"epochs={r['epochs_timed']}",
+                f"mean={float(r['mean_epoch_seconds']):.4f}",
+            ]
+            for r in rows("timing")
+        ]
+        assert len(accuracy) == 3 and len(sharpness) == len(timing) == 2
 
     def test_equal_accuracies_ate_zero_p_one_in_report(self, tmp_path):
         records = []

@@ -105,7 +105,7 @@ class TestRunSweep:
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv(sweep.ENV_OUT_DIR, str(tmp_path / "envout"))
         cfg = build_sweep_config(dict(BASE))  # no out_dir in config
-        assert sweep.resolve_out_dir(cfg) == tmp_path / "envout"
+        assert sweep.default_records_path(cfg) == tmp_path / "envout" / "records.jsonl"
 
     def test_missing_records_file_loads_empty(self, tmp_path):
         assert sweep.load_records(tmp_path / "absent.jsonl") == []

@@ -12,7 +12,6 @@ from batchlab.training import (
     BatchSchedule,
     TrainConfig,
     adam_step,
-    causal_regularizer,
     diffusion_update,
     noise_injected_gradient,
     sam_perturbed_gradient,
@@ -65,6 +64,20 @@ class TestAdam:
         assert params[0] == pytest.approx(theta_ref, abs=1e-12)
 
 
+def causal_regularizer(embeddings, edges):
+    """Reference edge regularizer: mean squared embedding distance over the edges."""
+    e = np.asarray(edges)
+    diff = embeddings[e[:, 0]] - embeddings[e[:, 1]]
+    return float((diff * diff).sum() / e.shape[0])
+
+
+def loss_with_penalties(spec, params, x, y, lambda_causal, edges):
+    """Reference loss whose gradient ``gradient_with_penalties`` computes when
+    the edge term penalizes the hidden embeddings of ``x`` itself."""
+    emb = models.hidden_activations(spec, params, x)
+    return models.forward_loss(spec, params, x, y) + lambda_causal * causal_regularizer(emb, edges)
+
+
 def edge_scatter_regularizer_grad(emb, edges):
     """Reference d causal_regularizer / d emb: scattered edge by edge, e0 then e1."""
     diff = emb[edges[:, 0]] - emb[edges[:, 1]]
@@ -91,14 +104,6 @@ class TestCausalRegularizer:
         brute = sum(((emb[i] - emb[j]) ** 2).sum() for i, j in edges) / len(edges)
         assert causal_regularizer(emb, edges) == pytest.approx(brute, rel=1e-12)
 
-    def test_empty_edges_warns_and_returns_zero(self):
-        with pytest.warns(UserWarning, match="empty edge set"):
-            assert causal_regularizer(np.ones((3, 2)), []) == 0.0
-
-    def test_out_of_range_endpoint(self):
-        with pytest.raises(ValueError, match="range"):
-            causal_regularizer(np.ones((2, 2)), [(0, 5)])
-
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(5)
         spec = ModelSpec("mlp1", 3, 2, hidden_dim=4)
@@ -106,15 +111,15 @@ class TestCausalRegularizer:
         x, y = rng.standard_normal((6, 3)), rng.integers(0, 2, 6)
         edges = np.array([(0, 1), (2, 3), (4, 5)])
         ops = training.EdgeOperators.from_edges(edges, len(x))
-        grad = training.gradient_with_penalties(spec, params, x, y, lambda_causal=0.7, edges=ops)
+        grad = training.gradient_with_penalties(spec, params, x, y, 0.7, x, ops, 0.0, 0.0)
         h = 1e-6
         for j in rng.choice(params.size, size=8, replace=False):
             up, down = params.copy(), params.copy()
             up[j] += h
             down[j] -= h
             fd = (
-                training.loss_with_penalties(spec, up, x, y, lambda_causal=0.7, edges=edges)
-                - training.loss_with_penalties(spec, down, x, y, lambda_causal=0.7, edges=edges)
+                loss_with_penalties(spec, up, x, y, 0.7, edges)
+                - loss_with_penalties(spec, down, x, y, 0.7, edges)
             ) / (2 * h)
             assert grad[j] == pytest.approx(fd, abs=1e-6)
 
@@ -252,11 +257,8 @@ class TestPenalizedPaths:
         spec = ModelSpec("mlp1", 4, 3, hidden_dim=5)
         params = models.init_params(spec, rng)
         x, y = rng.standard_normal((9, 4)), rng.integers(0, 3, 9)
-        assert training.loss_with_penalties(spec, params, x, y) == models.forward_loss(
-            spec, params, x, y
-        )
         np.testing.assert_array_equal(
-            training.gradient_with_penalties(spec, params, x, y),
+            training.gradient_with_penalties(spec, params, x, y, 0.0, x, None, 0.0, 0.0),
             models.mean_gradient(spec, params, x, y),
         )
 
@@ -265,7 +267,7 @@ class TestPenalizedPaths:
         spec = ModelSpec("logistic", 3, 2)
         params = rng.standard_normal(models.param_count(spec))
         x, y = rng.standard_normal((5, 3)), rng.integers(0, 2, 5)
-        g = training.gradient_with_penalties(spec, params, x, y, l1=0.01, l2=0.1)
+        g = training.gradient_with_penalties(spec, params, x, y, 0.0, x, None, 0.01, 0.1)
         expected = (
             models.mean_gradient(spec, params, x, y)
             + 0.01 * np.sign(params)
@@ -275,6 +277,13 @@ class TestPenalizedPaths:
 
 
 class TestTrainRun:
+    def test_one_row_train_split_rejected(self):
+        # gradient_noise needs two probe rows and no longer checks for them itself
+        bundle = data.make_blobs(10, 6, 3, seed=0, fractions=(0.1, 0.45, 0.45))
+        assert bundle.splits["train"].size == 1
+        with pytest.raises(ValueError, match="train split too small"):
+            train_run(bundle, quick_config())
+
     def test_zero_epochs_initial_evaluation_only(self, blob_bundle):
         rec = train_run(blob_bundle, quick_config(epochs=0))
         assert rec.train_loss == [] and rec.test_acc == []
