@@ -34,8 +34,10 @@ class AnalysisSettings:
     control: int | None = None
 
     def __post_init__(self) -> None:
-        given = [name for name in ("treat", "control") if getattr(self, name) is not None]
-        models.require_integers(self, "bins", *given)
+        optional = {"treat": self.treat, "control": self.control}
+        given = {name: value for name, value in optional.items() if value is not None}
+        models.require_integers(bins=self.bins, **given)
+        models.require_reals(alpha=self.alpha)
         if self.bins < 1:
             raise ValueError("bins must be >= 1")
         if self.alpha < 0:

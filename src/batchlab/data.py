@@ -16,6 +16,8 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
+from .models import require_integers, require_reals
+
 
 @dataclass
 class DatasetBundle:
@@ -83,9 +85,10 @@ class DatasetBundle:
 
 def split(n: int, fractions, seed: int) -> dict[str, np.ndarray]:
     """Seeded permutation cut into train/val/test by cumulative rounding."""
-    fractions = tuple(float(f) for f in fractions)
+    fractions = tuple(fractions)
     if len(fractions) != 3:
         raise ValueError("fractions must be (train, val, test)")
+    require_reals(**{f"fractions[{i}]": f for i, f in enumerate(fractions)})
     if any(f <= 0 for f in fractions):
         raise ValueError("fractions must be positive")
     if sum(fractions) > 1.0 + 1e-12:
@@ -124,6 +127,8 @@ def make_blobs(
     labels to a uniformly random different class, so the measured flip rate on
     the train split equals the requested fraction; val/test labels stay clean.
     """
+    require_integers(n=n, d=d, num_classes=num_classes, seed=seed)
+    require_reals(separation=separation, label_noise=label_noise)
     if not (n >= num_classes >= 2):
         raise ValueError("need n >= num_classes >= 2")
     if separation <= 0:
@@ -166,6 +171,8 @@ def make_sbm_graph(
     Node features are the block's mean direction (norm = feature_signal) plus
     unit Gaussian noise. The adjacency is symmetric with zero diagonal.
     """
+    require_integers(n=n, num_classes=num_classes, d=d, seed=seed)
+    require_reals(p_in=p_in, p_out=p_out, feature_signal=feature_signal)
     if not (0.0 <= p_out < p_in <= 1.0):
         raise ValueError("need 0 <= p_out < p_in <= 1")
     if not (n >= num_classes >= 2):
@@ -219,6 +226,7 @@ def load_tabular_graph(
     symmetrized and self-loops dropped. The dataset id is a content digest of
     both files.
     """
+    require_integers(seed=seed)
     nodes_path, edges_path = Path(nodes), Path(edges)
     nodes_bytes = nodes_path.read_bytes()
     edges_bytes = edges_path.read_bytes()

@@ -2,26 +2,38 @@
 
 Three small classifier families (softmax regression, a one-hidden-layer tanh
 network, and the same network applied to graph-diffused features) share one
-calling convention: parameters live in a single contiguous float64 vector
-whose layout is given by ``param_slices``, inputs arrive as a float64 feature
-matrix ``x`` [n x d] and int64 labels ``y`` [n], and every operation is a
-pure function of its arguments. The kernels trust their inputs: data are
-validated once, by ``data.DatasetBundle`` and ``training.check_model_fits``,
-never per call. A graph_diffusion model is an mlp1 on features the training
-loop diffuses over the whole graph: every kernel takes its spec as that mlp1,
-and none takes an adjacency. Gradients are analytic (manual backprop);
-Hessian-vector products (``hvp_operator``) use central finite differences of
-the exact gradient, which is O(step^2) accurate for the smooth (tanh/softmax)
-losses used here.
+calling convention. A model is an optional tanh hidden layer feeding a softmax
+output layer; its parameters live in one contiguous float64 vector whose
+layout, ``ModelSpec.layout``, is worked out once when the spec is built.
+Inputs arrive as a float64 feature matrix ``x`` [n x d] and int64 labels
+``y`` [n], and every operation is a pure function of its arguments.
+
+The training kernels (``mean_gradient``, ``hidden_activations`` and
+``hidden_backward``) are stack-aware: parameters may carry leading seed axes,
+``[S, P]``, with inputs ``[S, n, d]``; the two hidden-layer kernels also take
+shared features ``[n, d]`` (the whole graph), which broadcast over the seeds.
+``mean_gradient`` also takes extra minibatch axes after the seed axes, ``x``
+[S, M, n, d], and returns ``[S, M, P]``. Every
+stacked row is bit-identical to the call on that row alone: the kernels keep
+each seed's reductions in their own rows, and ``np.matmul`` runs the same
+per-matrix routine on a stack as on one matrix. The evaluation kernels
+(``forward_loss``, ``predict_accuracy``, ``per_sample_gradients``,
+``hvp_operator``) take one parameter vector.
+
+The kernels trust their inputs: data are validated once, by
+``data.DatasetBundle`` and ``training.check_model_fits``, never per call. A
+graph_diffusion model is an mlp1 on features the training loop diffuses over
+the whole graph: every kernel takes its spec as that mlp1, and none takes an
+adjacency. Gradients are analytic (manual backprop); Hessian-vector products
+(``hvp_operator``) use central finite differences of the exact gradient,
+which is O(step^2) accurate for the smooth (tanh/softmax) losses used here.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass
-from types import MappingProxyType
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,13 +46,62 @@ def is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def require_integers(settings, *names: str) -> None:
-    """Raise ``ValueError`` naming the first of the fields ``names`` of
-    ``settings`` that does not hold an integer (``is_integer``)."""
-    for name in names:
-        value = getattr(settings, name)
+def is_real(value) -> bool:
+    """Whether ``value`` is a finite real number; a bool (JSON ``true``) is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    return isinstance(value, numbers.Integral) or math.isfinite(value)
+
+
+def require_integers(**values) -> None:
+    """Raise ``ValueError`` naming the first of ``values`` that is not an
+    integer (``is_integer``)."""
+    for name, value in values.items():
         if not is_integer(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def require_reals(**values) -> None:
+    """Raise ``ValueError`` naming the first of ``values`` that is not a
+    finite real number (``is_real``)."""
+    for name, value in values.items():
+        if not is_real(value):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
+@dataclass(frozen=True)
+class Layout:
+    """Where each dense layer sits in the flat parameter vector.
+
+    The tanh hidden layer's weights ``w1`` [d x h] and bias ``b1`` [h] come
+    first, then the softmax output layer's weights ``w2`` [m x k] and bias
+    ``b2`` [k], with ``m`` its input width: ``h``, or ``d`` for a model with
+    no hidden layer (``h`` = 0, logistic).
+    """
+
+    d: int
+    h: int
+    k: int
+    w1: slice
+    b1: slice
+    w2: slice
+    b2: slice
+
+    @staticmethod
+    def of(kind: str, d: int, k: int, h: int) -> "Layout":
+        h = 0 if kind == "logistic" else h
+        o1 = d * h
+        o2 = o1 + h
+        o3 = o2 + (h or d) * k
+        return Layout(d, h, k, slice(0, o1), slice(o1, o2), slice(o2, o3), slice(o3, o3 + k))
+
+    @property
+    def m(self) -> int:
+        return self.h or self.d
+
+    @property
+    def size(self) -> int:
+        return self.b2.stop
 
 
 @dataclass(frozen=True)
@@ -51,7 +112,8 @@ class ModelSpec:
     neighborhood average, ``diffusion_steps`` times; ``diffusion_beta`` scales a
     multiplicative noise term in each step, so needs one. The training loop
     applies both (``training.diffusion_update``) before the features reach the
-    model; with alpha = beta = 0 the graph model is exactly an mlp1.
+    model; with alpha = beta = 0 the graph model is exactly an mlp1. The
+    parameter ``layout`` is not a field: it is derived from them, once.
     """
 
     kind: str
@@ -65,11 +127,13 @@ class ModelSpec:
     def __post_init__(self) -> None:
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
-        require_integers(self, "input_dim", "num_classes", "hidden_dim", "diffusion_steps")
-        for name in ("diffusion_alpha", "diffusion_beta"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or not math.isfinite(value):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        require_integers(
+            input_dim=self.input_dim,
+            num_classes=self.num_classes,
+            hidden_dim=self.hidden_dim,
+            diffusion_steps=self.diffusion_steps,
+        )
+        require_reals(diffusion_alpha=self.diffusion_alpha, diffusion_beta=self.diffusion_beta)
         if self.input_dim < 1:
             raise ValueError("input_dim must be >= 1")
         if self.num_classes < 2:
@@ -80,52 +144,29 @@ class ModelSpec:
             raise ValueError("diffusion_steps must be >= 0")
         if self.diffusion_beta != 0.0 and self.diffusion_steps == 0:
             raise ValueError("diffusion_beta needs diffusion_steps >= 1")
+        layout = Layout.of(self.kind, self.input_dim, self.num_classes, self.hidden_dim)
+        object.__setattr__(self, "layout", layout)
 
     def to_dict(self) -> dict:
-        return dict(vars(self))
+        out = dict(vars(self))
+        del out["layout"]  # derived from the fields
+        return out
 
 
 # -- parameter layout ---------------------------------------------------------
 
 
-@functools.cache
-def param_slices(spec: ModelSpec) -> MappingProxyType:
-    """Offset map of the flat parameter vector, in storage order.
-
-    Cached per spec (specs are frozen), so the map is read-only: every caller
-    shares it.
-    """
-    d, k, h = spec.input_dim, spec.num_classes, spec.hidden_dim
-    if spec.kind == "logistic":
-        return MappingProxyType({"weights": slice(0, d * k), "bias": slice(d * k, d * k + k)})
-    o1 = d * h
-    o2 = o1 + h
-    o3 = o2 + h * k
-    return MappingProxyType(
-        {
-            "w1": slice(0, o1),
-            "b1": slice(o1, o2),
-            "w2": slice(o2, o3),
-            "b2": slice(o3, o3 + k),
-        }
-    )
-
-
 def param_count(spec: ModelSpec) -> int:
-    last = list(param_slices(spec).values())[-1]
-    return last.stop
+    return spec.layout.size
 
 
 def init_params(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
     """Seeded Gaussian init, std 1/sqrt(fan_in) for weights, zero biases."""
+    lay = spec.layout
     params = np.zeros(param_count(spec))
-    sl = param_slices(spec)
-    d, h = spec.input_dim, spec.hidden_dim
-    if spec.kind == "logistic":
-        params[sl["weights"]] = rng.standard_normal(sl["weights"].stop) / np.sqrt(d)
-    else:
-        params[sl["w1"]] = rng.standard_normal(d * h) / np.sqrt(d)
-        params[sl["w2"]] = rng.standard_normal(h * spec.num_classes) / np.sqrt(h)
+    if lay.h:
+        params[lay.w1] = rng.standard_normal(lay.d * lay.h) / np.sqrt(lay.d)
+    params[lay.w2] = rng.standard_normal(lay.m * lay.k) / np.sqrt(lay.m)
     return params
 
 
@@ -142,36 +183,43 @@ def normalized_adjacency(adjacency: sp.csr_matrix) -> sp.csr_matrix:
 # -- forward / gradients ------------------------------------------------------
 
 
+def with_minibatch_axes(a: np.ndarray, ndim: int) -> np.ndarray:
+    """``a`` [..., P] with axes of length 1 inserted before its last, up to
+    ``ndim`` axes: a seed's parameters, or a term of its gradient, shared by
+    the minibatch axes that follow the seed axes."""
+    return a.reshape(a.shape[:-1] + (1,) * (ndim - a.ndim) + a.shape[-1:])
+
+
+def _weights(params: np.ndarray, where: slice, rows: int, cols: int) -> np.ndarray:
+    """One layer's weight matrices, [..., rows, cols], of params [..., P]."""
+    return params[..., where].reshape(params.shape[:-1] + (rows, cols))
+
+
+def _hidden(lay: Layout, params: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return np.tanh(x @ _weights(params, lay.w1, lay.d, lay.h) + params[..., None, lay.b1])
+
+
+def _forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray):
+    """Returns (logits, the output layer's input: hidden activations or x)."""
+    lay = spec.layout
+    act = _hidden(lay, params, x) if lay.h else x
+    return act @ _weights(params, lay.w2, lay.m, lay.k) + params[..., None, lay.b2], act
+
+
 def _log_softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-
-
-def _logits(spec: ModelSpec, params: np.ndarray, x: np.ndarray):
-    """Returns (logits, hidden activations or None)."""
-    sl = param_slices(spec)
-    d, k, h = spec.input_dim, spec.num_classes, spec.hidden_dim
-    if spec.kind == "logistic":
-        w = params[sl["weights"]].reshape(d, k)
-        b = params[sl["bias"]]
-        return x @ w + b, None
-    w1 = params[sl["w1"]].reshape(d, h)
-    b1 = params[sl["b1"]]
-    w2 = params[sl["w2"]].reshape(h, k)
-    b2 = params[sl["b2"]]
-    act = np.tanh(x @ w1 + b1)
-    return act @ w2 + b2, act
+    z = z - z.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
 def forward_loss(spec: ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
     """Mean cross-entropy of the rows under the model. Deterministic."""
-    logp = _log_softmax(_logits(spec, params, x)[0])
+    logp = _log_softmax(_forward(spec, params, x)[0])
     return float(-logp[np.arange(x.shape[0]), y].mean())
 
 
 def predict_accuracy(spec: ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
     """Fraction of argmax-correct labels; argmax ties go to the lowest class."""
-    pred = np.argmax(_logits(spec, params, x)[0], axis=1)
+    pred = np.argmax(_forward(spec, params, x)[0], axis=1)
     return float((pred == y).mean())
 
 
@@ -183,47 +231,52 @@ def per_sample_gradients(
     Each row is the gradient of that sample's own cross-entropy, so the row
     mean equals the gradient of ``forward_loss``.
     """
+    lay = spec.layout
     n = x.shape[0]
-    logits, act = _logits(spec, params, x)
-    probs = np.exp(_log_softmax(logits))
-    delta = probs.copy()
+    logits, act = _forward(spec, params, x)
+    delta = np.exp(_log_softmax(logits))
     delta[np.arange(n), y] -= 1.0
-    if spec.kind == "logistic":
-        gw = np.einsum("ni,nk->nik", x, delta).reshape(n, -1)
-        return np.concatenate([gw, delta], axis=1)
-    sl = param_slices(spec)
-    w2 = params[sl["w2"]].reshape(spec.hidden_dim, spec.num_classes)
     gw2 = np.einsum("nh,nk->nhk", act, delta).reshape(n, -1)
-    delta1 = (delta @ w2.T) * (1.0 - act * act)
+    if not lay.h:
+        return np.concatenate([gw2, delta], axis=1)
+    delta1 = (delta @ _weights(params, lay.w2, lay.h, lay.k).T) * (1.0 - act * act)
     gw1 = np.einsum("ni,nh->nih", x, delta1).reshape(n, -1)
     return np.concatenate([gw1, delta1, gw2, delta], axis=1)
 
 
-def mean_gradient(spec: ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Gradient of ``forward_loss``; cheaper than averaging per-sample rows."""
-    n = x.shape[0]
-    logits, act = _logits(spec, params, x)
+def mean_gradient(
+    spec: ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray, out=None
+) -> np.ndarray:
+    """Gradient of ``forward_loss``; cheaper than averaging per-sample rows.
+
+    ``params`` is [P] or a stack [S, P]; ``x`` is [..., n, d] and ``y``
+    [..., n], whose leading axes are the parameters' followed by any
+    minibatch axes. Returns [..., P], written into ``out`` when given.
+    """
+    lay = spec.layout
+    if x.ndim - 1 > params.ndim:
+        params = with_minibatch_axes(params, x.ndim - 1)
+    logits, act = _forward(spec, params, x)
     delta = np.exp(_log_softmax(logits))
-    delta[np.arange(n), y] -= 1.0
+    n, k = delta.shape[-2:]
+    delta.reshape(-1)[np.arange(0, delta.size, k) + y.reshape(-1)] -= 1.0
     delta /= n
-    if spec.kind == "logistic":
-        return np.concatenate([(x.T @ delta).ravel(), delta.sum(axis=0)])
-    sl = param_slices(spec)
-    w2 = params[sl["w2"]].reshape(spec.hidden_dim, spec.num_classes)
-    delta1 = (delta @ w2.T) * (1.0 - act * act)
-    return np.concatenate(
-        [
-            (x.T @ delta1).ravel(),
-            delta1.sum(axis=0),
-            (act.T @ delta).ravel(),
-            delta.sum(axis=0),
-        ]
-    )
+    if out is None:
+        out = np.empty(delta.shape[:-2] + (lay.size,))
+    lead = out.shape[:-1]
+    out[..., lay.w2] = (act.swapaxes(-1, -2) @ delta).reshape(lead + (-1,))
+    out[..., lay.b2] = delta.sum(axis=-2)
+    if lay.h:
+        delta1 = (delta @ _weights(params, lay.w2, lay.h, k).swapaxes(-1, -2)) * (1.0 - act * act)
+        out[..., lay.w1] = (x.swapaxes(-1, -2) @ delta1).reshape(lead + (-1,))
+        out[..., lay.b1] = delta1.sum(axis=-2)
+    return out
 
 
 def hidden_activations(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Post-tanh hidden layer (the embedding the edge regularizer penalizes)."""
-    return _logits(spec, params, x)[1]
+    """Post-tanh hidden layer (the embedding the edge regularizer penalizes),
+    [..., n, h] for params [..., P]."""
+    return _hidden(spec.layout, params, x)
 
 
 def hidden_backward(
@@ -236,13 +289,13 @@ def hidden_backward(
     """Map a total derivative w.r.t. hidden activations to flat-parameter space.
 
     ``act`` is ``hidden_activations(spec, params, x)``, passed in so the
-    hidden layer is not computed twice.
+    hidden layer is not computed twice; the result has the shape of ``params``.
     """
+    lay = spec.layout
     dz1 = d_hidden * (1.0 - act * act)
     grad = np.zeros_like(params)
-    sl = param_slices(spec)
-    grad[sl["w1"]] = (x.T @ dz1).ravel()
-    grad[sl["b1"]] = dz1.sum(axis=0)
+    grad[..., lay.w1] = (x.swapaxes(-1, -2) @ dz1).reshape(params.shape[:-1] + (-1,))
+    grad[..., lay.b1] = dz1.sum(axis=-2)
     return grad
 
 

@@ -4,15 +4,21 @@ The record file is append-only JSON Lines, one self-contained record per
 line. On resume, a truncated (unparseable) final line is moved to a
 ``.quarantine`` sidecar; already-present (batch size, seed, ablation) runs
 are skipped, and one whose recorded config or dataset id differs from the
-planned run's raises instead of being reused. Runs execute serially or in a
-process pool; every run is a pure function of (dataset, train config), so the
-record set is identical either way. A single writer appends records as they
-complete, and the returned list is always sorted by (batch size, seed,
-ablation).
+planned run's raises instead of being reused.
+
+The unit of work is a cell: the pending runs that share a batch size and an
+ablation and differ only in the seed, which ``training.train_run`` trains as
+one stack. Cells execute serially or in a process pool; when the pool has
+more workers than there are cells, cells are split by seed until no worker
+idles. Every run is a pure function of (dataset, train config), whatever
+its stack, so the record set is identical either way. A single writer
+appends each cell's records together as the cell completes, and the
+returned list is always sorted by (batch size, seed, ablation).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import os
@@ -65,6 +71,7 @@ def plan_sweep(config: SweepConfig) -> tuple[datamod.DatasetBundle, list[trainin
     ``ConfigError``.
     """
     bundle = checked("dataset", build_dataset, config)
+    checked("dataset", training.check_train_split, bundle)
     model_spec = checked("model", build_model_spec, config, bundle)
     ablations = (training.Ablation(),) + config.ablations
     planned = [
@@ -136,12 +143,31 @@ def _check_resumable(path, record, tc, bundle) -> None:
         )
 
 
+def work_units(
+    pending: list[training.TrainConfig], workers: int
+) -> list[list[training.TrainConfig]]:
+    """The pending runs grouped into cells (configs equal but for the seed),
+    in plan order; while there are fewer units than ``workers``, the largest
+    unit is split in two by seed."""
+    cells: dict[training.TrainConfig, list[training.TrainConfig]] = {}
+    for tc in pending:
+        cells.setdefault(dataclasses.replace(tc, seed=0), []).append(tc)
+    units = list(cells.values())
+    while len(units) < workers and any(len(unit) > 1 for unit in units):
+        i = max(range(len(units)), key=lambda j: len(units[j]))
+        half = (len(units[i]) + 1) // 2
+        units[i : i + 1] = [units[i][:half], units[i][half:]]
+    return units
+
+
 def run_sweep(
     config: SweepConfig,
     records_path=None,
     workers: int | None = None,
 ) -> list[training.RunRecord]:
-    """Execute all missing runs of the sweep, appending records as they finish.
+    """Execute all missing runs of the sweep, appending each cell's records
+    as the cell finishes (``work_units``; on a resume only a cell's pending
+    seeds train).
 
     Returns every record (pre-existing plus new) sorted by
     (batch size, seed, ablation), independent of execution order. The sweep
@@ -168,8 +194,10 @@ def run_sweep(
     with pool:
         run_map = pool.map if workers > 1 else map
         # looked up per sweep, so that a wrapped train_run is the one that runs
-        for record in run_map(training.train_run, itertools.repeat(bundle), pending):
-            append_record(records_path, record)
-            new_records.append(record)
+        units = work_units(pending, workers)
+        for records in run_map(training.train_run, itertools.repeat(bundle), units):
+            for record in records:
+                append_record(records_path, record)
+            new_records.extend(records)
 
     return sorted(existing + new_records, key=record_key)

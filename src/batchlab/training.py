@@ -1,16 +1,24 @@
 """Mini-batch training loop and the measurement of each finished run.
 
-One ``train_run`` call owns an isolated RNG stream derived from its seed,
-applies the configured optimizer / learning-rate schedule / ablation mode /
-batch-size schedule, and finishes by measuring gradient noise, curvature,
-complexity, and generalization on a fixed probe batch. The result is a
-``RunRecord``: the observational unit all causal analysis is built on.
+One ``train_run`` call trains the seeds of one sweep cell (runs whose
+configs differ only in the seed) as one stacked computation: the parameters,
+optimizer state and minibatches of the active seeds are ``[S, ...]`` arrays,
+and each update is one call of the stack-aware kernels (``models``; a few
+calls of at most ``MAX_STACK_ROWS`` rows under ``no_noise_averaging`` on a
+large dataset). Each seed keeps its own RNG streams (initialization,
+shuffling, noise), its early stop, its best-parameters restore and its
+divergence exit; a seed that stops or diverges leaves the stack, and the
+others go on. Epoch evaluation and the final measurement of gradient
+noise, curvature, complexity and generalization on a fixed probe batch run
+per seed. A seed's ``RunRecord``, the observational unit all causal analysis
+is built on, is bit-identical outside its wall-clock fields whether the seed
+trains alone or in a stack.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from time import perf_counter
 
 import numpy as np
@@ -24,6 +32,9 @@ LR_SCHEDULES = ("fixed", "halve_every_10", "scaled_inverse_B")
 OPTIMIZERS = ("adam", "sgd")
 BATCH_SCHEDULE_KINDS = ("fixed", "progressive")
 SCALED_LR_REFERENCE_B = 16
+# rows of all seeds in one no_noise_averaging gradient call, which bounds a
+# stack's per-call inputs and activations on large datasets
+MAX_STACK_ROWS = 16384
 
 
 @dataclass(frozen=True)
@@ -39,6 +50,7 @@ class Ablation:
     def __post_init__(self) -> None:
         if self.kind not in ABLATION_KINDS:
             raise ValueError(f"unknown ablation kind {self.kind!r}")
+        models.require_reals(rho=self.rho, l1=self.l1, l2=self.l2)
         if self.rho < 0:
             raise ValueError("rho must be >= 0")
         if self.l1 < 0 or self.l2 < 0:
@@ -64,9 +76,9 @@ class BatchSchedule:
     def __post_init__(self) -> None:
         if self.kind not in BATCH_SCHEDULE_KINDS:
             raise ValueError(f"unknown batch schedule {self.kind!r}")
-        models.require_integers(self, "factor", "every_epochs")
+        models.require_integers(factor=self.factor, every_epochs=self.every_epochs)
         if self.start is not None:
-            models.require_integers(self, "start")
+            models.require_integers(start=self.start)
         if self.factor < 1 or self.every_epochs < 1:
             raise ValueError("factor and every_epochs must be >= 1")
         if self.start is not None and self.start < 1:
@@ -98,7 +110,13 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        models.require_integers(self, "batch_size", "epochs", "early_stop_patience", "seed")
+        models.require_integers(
+            batch_size=self.batch_size,
+            epochs=self.epochs,
+            early_stop_patience=self.early_stop_patience,
+            seed=self.seed,
+        )
+        models.require_reals(lr=self.lr, lambda_causal=self.lambda_causal)
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 0:
@@ -142,8 +160,8 @@ class AdamState:
     v: np.ndarray
 
     @staticmethod
-    def zeros(dim: int) -> "AdamState":
-        return AdamState(m=np.zeros(dim), v=np.zeros(dim))
+    def zeros(shape) -> "AdamState":
+        return AdamState(m=np.zeros(shape), v=np.zeros(shape))
 
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -151,15 +169,21 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 def adam_step(
     params: np.ndarray, grad: np.ndarray, state: AdamState, lr: float, t: int
-) -> tuple[np.ndarray, AdamState]:
-    """Standard bias-corrected Adam update at step ``t`` >= 1; pure (returns
-    new arrays). A non-finite gradient makes the parameters non-finite, which
-    the training loop's divergence check catches."""
-    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
-    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad * grad
-    m_hat = m / (1.0 - ADAM_BETA1**t)
-    v_hat = v / (1.0 - ADAM_BETA2**t)
-    return params - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS), AdamState(m=m, v=v)
+) -> None:
+    """Standard bias-corrected Adam update at step ``t`` >= 1, in place on
+    ``params`` and ``state`` (a vector or a stack of them). The float
+    operations are those of ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2)
+    g g`` and ``params - lr m_hat / (sqrt(v_hat) + eps)``, in that order. A
+    non-finite gradient makes the parameters non-finite, which the training
+    loop's divergence check catches."""
+    m, v = state.m, state.v
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * grad * grad
+    step = lr * (m / (1.0 - ADAM_BETA1**t))
+    step /= np.sqrt(v / (1.0 - ADAM_BETA2**t)) + ADAM_EPS
+    params -= step
 
 
 def noise_injected_gradient(
@@ -176,12 +200,21 @@ def noise_injected_gradient(
 
 
 def sam_perturbed_gradient(grad_fn, params: np.ndarray, rho: float) -> np.ndarray:
-    """Gradient re-evaluated at params + rho * g/|g| (skipped when g = 0)."""
+    """Gradients of a stack of parameter vectors [S, P], each re-evaluated at
+    its params + rho * g/|g|; a row whose gradient g is zero keeps g.
+
+    ``grad_fn`` maps a stack to its gradients, in a new array per call. Each
+    norm is a 1-D call per row: a norm along the stack's last axis differs
+    from it in the last bit.
+    """
     g = grad_fn(params)
-    norm = float(np.linalg.norm(g))
-    if rho == 0.0 or norm == 0.0:
+    if rho == 0.0:
         return g
-    return grad_fn(params + rho * g / norm)
+    norms = np.array([np.linalg.norm(row) for row in g])
+    flat = norms == 0.0
+    perturbed = grad_fn(params + rho * g / np.where(flat, 1.0, norms)[:, None])
+    perturbed[flat] = g[flat]
+    return perturbed
 
 
 # -- graph-specific pieces ----------------------------------------------------
@@ -199,7 +232,7 @@ class EdgeOperators:
     ``|emb[e0] - emb[e1]|^2``. A CSR row sum runs in stored column order, so
     each node adds its e0 terms in edge order, then its e1 terms in edge
     order: the same order, and so the same floats, as scattering edge by edge.
-    ``train_run`` builds them once per run, since the graph is fixed.
+    ``train_run`` builds them once per cell, since the graph is fixed.
     """
 
     gather: sp.csr_matrix
@@ -262,26 +295,33 @@ def gradient_with_penalties(
     edges: EdgeOperators | None,
     l1: float,
     l2: float,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Analytic gradient of the cross-entropy on (x, y) plus the penalties.
+    """Analytic gradient of the cross-entropy on (x, y) plus the penalties,
+    with the shapes of ``models.mean_gradient`` (a seed stack, minibatch
+    axes), written into ``out`` when given.
 
     ``edges`` are the ``EdgeOperators`` of a nonempty edge set, which
-    ``train_run`` builds once per run, and only when ``lambda_causal`` > 0;
+    ``train_run`` builds once per cell, and only when ``lambda_causal`` > 0;
     with them the gradient adds ``lambda_causal`` times that of the edge
     regularizer on the hidden embeddings of ``reg_inputs``, the whole-graph
-    features the edges index. Its gradient runs through the operators,
-    bit-identical to scattering ``±2/m * diff`` edge by edge. ``l1`` and
-    ``l2`` weight the parameters' L1 norm and squared L2 norm.
+    features the edges index ([n, d], or one [S, n, d] per seed). Its
+    gradient runs through the operators, one seed at a time, bit-identical to
+    scattering ``±2/m * diff`` edge by edge. ``l1`` and ``l2`` weight the
+    parameters' L1 norm and squared L2 norm. A penalty depends on the
+    parameters only, so every minibatch of a seed gets the same term.
     """
-    g = models.mean_gradient(spec, params, x, y)
+    g = models.mean_gradient(spec, params, x, y, out=out)
     if edges is not None:
         emb = models.hidden_activations(spec, params, reg_inputs)
-        d_emb = _causal_regularizer_grad(emb, edges)
-        g = g + lambda_causal * models.hidden_backward(spec, params, reg_inputs, emb, d_emb)
+        seeds = emb.reshape((-1,) + emb.shape[-2:])
+        d_emb = np.stack([_causal_regularizer_grad(e, edges) for e in seeds]).reshape(emb.shape)
+        term = lambda_causal * models.hidden_backward(spec, params, reg_inputs, emb, d_emb)
+        g += models.with_minibatch_axes(term, g.ndim)
     if l1 > 0.0:
-        g = g + l1 * np.sign(params)
+        g += models.with_minibatch_axes(l1 * np.sign(params), g.ndim)
     if l2 > 0.0:
-        g = g + 2.0 * l2 * params
+        g += models.with_minibatch_axes(2.0 * l2 * params, g.ndim)
     return g
 
 
@@ -356,9 +396,8 @@ class RunRecord:
 
 def check_model_fits(spec: models.ModelSpec, dataset: datamod.DatasetBundle) -> None:
     """Raise ``ValueError`` unless the model can train on the dataset: its
-    input width is the feature count, it has a class for every label, a
-    graph_diffusion model has an adjacency to diffuse over, and the train
-    split has the 2 rows that the gradient-noise estimate needs."""
+    input width is the feature count, it has a class for every label, and a
+    graph_diffusion model has an adjacency to diffuse over."""
     if spec.input_dim != dataset.features.shape[1] or spec.num_classes < dataset.num_classes:
         raise ValueError(
             f"model spec (input_dim {spec.input_dim}, num_classes {spec.num_classes}) does not "
@@ -366,46 +405,100 @@ def check_model_fits(spec: models.ModelSpec, dataset: datamod.DatasetBundle) -> 
         )
     if spec.kind == "graph_diffusion" and dataset.adjacency is None:
         raise ValueError("graph_diffusion model requires a graph dataset")
-    if dataset.splits["train"].size < 2:
-        raise ValueError("train split too small")
 
 
-def train_run(dataset: datamod.DatasetBundle, config: TrainConfig) -> RunRecord:
-    """Run one seeded training job and measure its final state.
+def check_train_split(dataset: datamod.DatasetBundle) -> None:
+    """Raise ``ValueError`` unless the train split has the 2 rows that the
+    gradient-noise estimate needs."""
+    rows = dataset.splits["train"].size
+    if rows < 2:
+        raise ValueError(f"train split too small: the noise estimate needs 2 rows, got {rows}")
 
-    Deterministic given (dataset, config): all randomness flows from three
-    child streams of the config seed (init, shuffling, noise). Wall-clock
-    fields are the only nondeterministic outputs. A run is marked degenerate
-    when the parameters or the loss leave the finite range or the final
-    sharpness/noise leave the complexity domain; degenerate records carry no
-    final measurement. The model spec is checked against the dataset once,
-    here (``check_model_fits``); the kernels called per step check nothing.
+
+@dataclass
+class _Seed:
+    """One seed's state in a stacked cell: its streams, its logs and its
+    exit. ``params`` holds its parameters once it leaves the stack."""
+
+    config: TrainConfig
+    rng_shuffle: np.random.Generator
+    rng_noise: np.random.Generator
+    series: dict = field(
+        default_factory=lambda: {
+            k: [] for k in ("train_loss", "test_loss", "test_acc", "lr", "effective_batch")
+        }
+    )
+    epoch_wall: list = field(default_factory=list)
+    wall: float = 0.0
+    status: str = "completed"
+    reason: str | None = None
+    best_val: float = math.inf
+    best_params: np.ndarray | None = None
+    best_epoch: int = -1
+    bad_epochs: int = 0
+    running_noise: float | None = None
+    inject_level: float = 0.0
+    params: np.ndarray | None = None
+
+
+def train_run(dataset: datamod.DatasetBundle, configs) -> list[RunRecord]:
+    """Train the seeds of one sweep cell as one stack, and measure each one.
+
+    ``configs`` are ``TrainConfig``s equal but for their distinct seeds; the
+    records come back in their order. Each record is deterministic given
+    (dataset, its config), whatever the stack: all randomness flows from three
+    child streams of the seed (init, shuffling, noise), and the stacked
+    kernels give each seed the floats it gets alone. Wall-clock fields are
+    the only nondeterministic outputs: ``epoch_wall_seconds`` holds the
+    cell's epoch time divided by the seeds that began the epoch, and
+    ``wall_seconds`` the seed's share of the cell's time. A run is marked
+    degenerate when the parameters or the loss leave the finite range or the
+    final sharpness/noise leave the complexity domain; degenerate records
+    carry no final measurement. The model spec is checked against the dataset
+    once, here (``check_model_fits``, ``check_train_split``); the kernels
+    called per step check nothing.
     """
     t_start = perf_counter()
+    configs = list(configs)
+    config = configs[0]
+    seeds = [c.seed for c in configs]
+    if len(set(seeds)) != len(seeds) or any(
+        replace(c, seed=config.seed) != config for c in configs
+    ):
+        raise ValueError("the configs of one train_run must differ in distinct seeds only")
     spec = config.model
     abl = config.ablation
     check_model_fits(spec, dataset)
+    check_train_split(dataset)
     train_idx = dataset.splits["train"]
     val_idx = dataset.splits["val"]
     test_idx = dataset.splits["test"]
     n_train = train_idx.size
     labels = dataset.labels
 
-    seed_seq = np.random.SeedSequence(config.seed)
-    rng_init, rng_shuffle, rng_noise = (np.random.default_rng(s) for s in seed_seq.spawn(3))
-    params = models.init_params(spec, rng_init)
+    active: list[_Seed] = []
+    initial = []
+    for c in configs:
+        rng_init, rng_shuffle, rng_noise = (
+            np.random.default_rng(s) for s in np.random.SeedSequence(c.seed).spawn(3)
+        )
+        initial.append(models.init_params(spec, rng_init))
+        active.append(_Seed(c, rng_shuffle, rng_noise))
+    runs = list(active)
+    params = np.stack(initial)
 
-    def diffused(beta: float, noise_scale: float = 0.0) -> np.ndarray:
+    def diffused(beta: float, noise_scale: float, rng) -> np.ndarray:
         # the features after spec.diffusion_steps diffusion steps
         h = dataset.features
         for _ in range(spec.diffusion_steps):
-            h = diffusion_update(h, adj_norm, spec.diffusion_alpha, beta, noise_scale, rng_noise)
+            h = diffusion_update(h, adj_norm, spec.diffusion_alpha, beta, noise_scale, rng)
         return h
 
     is_graph = spec.kind == "graph_diffusion"
+    noisy = is_graph and spec.diffusion_beta != 0.0
     if is_graph:
         adj_norm = models.normalized_adjacency(dataset.adjacency)
-    det_features = diffused(0.0) if is_graph else dataset.features
+    det_features = diffused(0.0, 0.0, None) if is_graph else dataset.features
     edge_ops = None
     if is_graph and config.lambda_causal > 0.0:
         edges = datamod.edge_list(dataset.adjacency)
@@ -418,168 +511,215 @@ def train_run(dataset: datamod.DatasetBundle, config: TrainConfig) -> RunRecord:
     )
     y_train, y_val, y_test, y_probe = (labels[i] for i in (train_idx, val_idx, test_idx, probe_idx))
 
-    def probe_noise(x: np.ndarray, b: int) -> float:
-        # gradient noise at batch size b of the probe rows of features x
-        return measures.gradient_noise(models.per_sample_gradients(spec, params, x, y_probe), b)
+    def probe_noise(p: np.ndarray, x: np.ndarray, b: int) -> float:
+        # gradient noise at batch size b of parameters p on the probe rows of features x
+        return measures.gradient_noise(models.per_sample_gradients(spec, p, x, y_probe), b)
 
-    def grad_at(p: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        # the edge term penalizes the whole graph under this epoch's features
+    def grad_at(p: np.ndarray, idx: np.ndarray, out=None) -> np.ndarray:
+        # the stack's gradients on the minibatch rows idx [S, ..., b]; the
+        # edge term penalizes the whole graph under this epoch's features
+        if features.ndim == 2:
+            xb = features[idx]
+        else:
+            xb = features[np.arange(len(idx)).reshape((-1,) + (1,) * (idx.ndim - 1)), idx]
         return gradient_with_penalties(
             spec,
             p,
-            x,
-            y,
+            xb,
+            labels[idx],
             lambda_causal=config.lambda_causal,
-            reg_inputs=train_features,
+            reg_inputs=features,
             edges=edge_ops,
             l1=abl.l1,
             l2=abl.l2,
+            out=out,
         )
 
-    def minibatch_gradient(idx: np.ndarray) -> np.ndarray:
-        # the gradient the ablation takes on the minibatch rows idx
-        xb, yb = train_features[idx], labels[idx]
+    def update_gradient(group: np.ndarray) -> np.ndarray:
+        # the gradient of one update on the minibatch rows group [S, b], or
+        # under no_noise_averaging on all the epoch's rows, [S, n_train]
+        if abl.kind == "no_noise_averaging":
+            # the mean of every minibatch gradient of the epoch, the short last
+            # one included; the full ones go MAX_STACK_ROWS rows at a time
+            full, short = divmod(n_train, eff_b)
+            count = full + (short > 0)
+            if count == 1:
+                return grad_at(params, group)
+            full_rows = group[:, : full * eff_b].reshape(len(active), full, eff_b)
+            step = max(1, MAX_STACK_ROWS // (len(active) * eff_b))
+            chunks = [full_rows[:, i : i + step] for i in range(0, full, step)]
+            if short:
+                chunks.append(group[:, None, full * eff_b :])
+            # summed as np.mean sums an axis that is not the innermost: in order, from 0.0
+            buf = np.empty((len(active), min(step, full), params.shape[1]))
+            total = np.zeros_like(params)
+            for rows in chunks:
+                for g in grad_at(params, rows, buf[:, : rows.shape[1]]).swapaxes(0, 1):
+                    total += g
+            return total / count
         if abl.kind == "sam":
-            return sam_perturbed_gradient(lambda p: grad_at(p, xb, yb), params, abl.rho)
-        g = grad_at(params, xb, yb)
+            return sam_perturbed_gradient(lambda p: grad_at(p, group), params, abl.rho)
+        g = grad_at(params, group)
         if abl.kind == "inject_noise":
-            g = noise_injected_gradient(g, inject_level, rng_noise)
+            for row, run in enumerate(active):
+                g[row] = noise_injected_gradient(g[row], run.inject_level, run.rng_noise)
         return g
 
-    adam_state = AdamState.zeros(params.size)
+    def measure(run: _Seed) -> RunRecord:
+        # the record of a seed that has left training, with its final
+        # measurement unless it diverged
+        t0 = perf_counter()
+        cfg = run.config
+        epochs_run = len(run.series["lr"])
+        final_epoch = run.best_epoch if run.status == "early_stopped" else epochs_run - 1
+        status, reason = run.status, run.reason
+        final = None
+        if status != "degenerate":
+            params = run.params
+            if abl.kind == "no_noise_averaging":
+                divisor_b = cfg.batch_size * math.ceil(n_train / cfg.batch_size)
+            elif cfg.batch_schedule.kind == "progressive":
+                divisor_b = cfg.batch_schedule.effective(
+                    cfg.batch_size, max(epochs_run - 1, 0), n_train
+                )
+            else:
+                divisor_b = cfg.batch_size
+            try:
+                noise = probe_noise(params, x_probe, divisor_b)
+                sharpness, _ = measures.sharpness_lambda_max(
+                    models.hvp_operator(spec, params, x_probe, y_probe), dim=params.size
+                )
+                comp = measures.complexity(sharpness, noise)
+                gen = measures.measure_generalization(
+                    models.forward_loss(spec, params, x_train, y_train),
+                    models.forward_loss(spec, params, x_test, y_test),
+                    models.predict_accuracy(spec, params, x_test, y_test),
+                )
+                final = measures.Measurement(
+                    grad_noise=noise,
+                    sharpness=sharpness,
+                    complexity=comp,
+                    test_accuracy=gen.accuracy,
+                    gen_gap=gen.gap,
+                    batch_size=cfg.batch_size,
+                    epoch=final_epoch,
+                )
+            except measures.ComplexityDomainError as exc:
+                status, reason = "degenerate", f"complexity domain: {exc}"
+            except ValueError as exc:
+                status, reason = "degenerate", str(exc)
+
+        return RunRecord(
+            run_id=f"b{cfg.batch_size}-s{cfg.seed}-{cfg.ablation.kind}",
+            dataset_id=dataset.dataset_id,
+            model_kind=spec.kind,
+            batch_size=cfg.batch_size,
+            seed=cfg.seed,
+            ablation=cfg.ablation.kind,
+            config=cfg.to_dict(),
+            **run.series,
+            epoch_wall_seconds=run.epoch_wall,
+            final=final,
+            status=status,
+            degenerate_reason=reason,
+            wall_seconds=run.wall + perf_counter() - t0,
+        )
+
+    adam_state = AdamState.zeros(params.shape)
     step_count = 0
 
-    def apply_update(p: np.ndarray, g: np.ndarray, lr: float) -> np.ndarray:
-        nonlocal adam_state, step_count
-        step_count += 1
-        if config.optimizer == "adam":
-            new_p, adam_state = adam_step(p, g, adam_state, lr, t=step_count)
-            return new_p
-        return p - lr * g
+    def leave(keep: np.ndarray) -> None:
+        # drop the seeds that left from every stacked array
+        nonlocal active, params, features, order
+        active = [run for run, k in zip(active, keep) if k]
+        params, order = params[keep], order[keep]
+        adam_state.m, adam_state.v = adam_state.m[keep], adam_state.v[keep]
+        if features.ndim == 3:
+            features = features[keep]
 
-    series: dict[str, list] = {k: [] for k in ("train_loss", "test_loss", "test_acc")}
-    lr_log: list[float] = []
-    batch_log: list[int] = []
-    wall_log: list[float] = []
-    status = "completed"
-    reason = None
-    best = {"val": math.inf, "params": params.copy(), "epoch": -1}
-    bad_epochs = 0
-    running_noise: float | None = None
-    epochs_run = 0
-
+    for run in runs:
+        run.wall = (perf_counter() - t_start) / len(runs)
     for epoch in range(config.epochs):
+        if not active:
+            break
         epoch_t0 = perf_counter()
+        began = list(active)
         lr = schedule_lr(config, epoch)
         eff_b = config.batch_schedule.effective(config.batch_size, epoch, n_train)
 
-        train_features = det_features
-        if is_graph and spec.diffusion_beta != 0.0:
-            scale = math.sqrt(running_noise) if running_noise and running_noise > 0 else 0.0
-            train_features = diffused(spec.diffusion_beta, scale)
+        features = det_features  # or one noisy copy per seed, [S, n, d]
+        if noisy:
+            scales = [math.sqrt(r.running_noise) if r.running_noise else 0.0 for r in active]
+            features = np.stack(
+                [diffused(spec.diffusion_beta, s, r.rng_noise) for s, r in zip(scales, active)]
+            )
 
         if abl.kind == "inject_noise":
-            inject_level = probe_noise(train_features[probe_idx], eff_b)
+            for row, run in enumerate(active):
+                x = features[row] if noisy else features
+                run.inject_level = probe_noise(params[row], x[probe_idx], eff_b)
 
         # one update per group: no_noise_averaging averages every minibatch
         # of the epoch into one, every other kind updates per minibatch
-        order = rng_shuffle.permutation(n_train)
-        batches = [train_idx[order[i : i + eff_b]] for i in range(0, n_train, eff_b)]
-        groups = [batches] if abl.kind == "no_noise_averaging" else [[idx] for idx in batches]
-        for group in groups:
-            grads = [minibatch_gradient(idx) for idx in group]
-            g = grads[0] if len(grads) == 1 else np.mean(grads, axis=0)
-            params = apply_update(params, g, lr)
-            if not np.isfinite(params).all():
-                status, reason = "degenerate", "non-finite parameters"
-                break
-        if status == "degenerate":
-            break
+        order = train_idx[np.stack([run.rng_shuffle.permutation(n_train) for run in active])]
+        starts = [0] if abl.kind == "no_noise_averaging" else range(0, n_train, eff_b)
+        for start in starts:
+            group = order if abl.kind == "no_noise_averaging" else order[:, start : start + eff_b]
+            g = update_gradient(group)
+            step_count += 1
+            if config.optimizer == "adam":
+                adam_step(params, g, adam_state, lr, t=step_count)
+            else:
+                params -= lr * g
+            finite = np.isfinite(params).all(axis=1)
+            if not finite.all():
+                for run in (r for r, ok in zip(active, finite) if not ok):
+                    run.status, run.reason = "degenerate", "non-finite parameters"
+                leave(finite)
+                if not active:
+                    break
 
-        train_loss = models.forward_loss(spec, params, x_train, y_train)
-        test_loss = models.forward_loss(spec, params, x_test, y_test)
-        val_loss = models.forward_loss(spec, params, x_val, y_val)
-        series["train_loss"].append(train_loss)
-        series["test_loss"].append(test_loss)
-        series["test_acc"].append(models.predict_accuracy(spec, params, x_test, y_test))
-        lr_log.append(lr)
-        batch_log.append(eff_b)
-        wall_log.append(perf_counter() - epoch_t0)
-        epochs_run += 1
+        evaluated = list(active)
+        stay = np.ones(len(active), dtype=bool)
+        for row, run in enumerate(active):
+            p = params[row]
+            train_loss = models.forward_loss(spec, p, x_train, y_train)
+            test_loss = models.forward_loss(spec, p, x_test, y_test)
+            val_loss = models.forward_loss(spec, p, x_val, y_val)
+            for key, value in (
+                ("train_loss", train_loss),
+                ("test_loss", test_loss),
+                ("test_acc", models.predict_accuracy(spec, p, x_test, y_test)),
+                ("lr", lr),
+                ("effective_batch", eff_b),
+            ):
+                run.series[key].append(value)
 
-        if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
-            status, reason = "degenerate", "non-finite loss"
-            break
+            if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
+                run.status, run.reason = "degenerate", "non-finite loss"
+                stay[row] = False
+                continue
 
-        if is_graph and spec.diffusion_beta != 0.0:
-            running_noise = probe_noise(x_probe, eff_b)
+            if noisy:
+                run.running_noise = probe_noise(p, x_probe, eff_b)
 
-        if val_loss < best["val"]:
-            best = {"val": val_loss, "params": params.copy(), "epoch": epoch}
-            bad_epochs = 0
-        else:
-            bad_epochs += 1
-            if bad_epochs >= config.early_stop_patience:
-                status = "early_stopped"
-                break
+            if val_loss < run.best_val:
+                run.best_val, run.best_params, run.best_epoch = val_loss, p.copy(), epoch
+                run.bad_epochs = 0
+            else:
+                run.bad_epochs += 1
+                if run.bad_epochs >= config.early_stop_patience:
+                    run.status, run.params = "early_stopped", run.best_params
+                    stay[row] = False
 
-    if status == "early_stopped" and best["epoch"] >= 0:
-        params = best["params"]
-        final_epoch = best["epoch"]
-    else:
-        final_epoch = epochs_run - 1
+        share = (perf_counter() - epoch_t0) / len(began)
+        for run in began:
+            run.wall += share
+        for run in evaluated:
+            run.epoch_wall.append(share)
+        if not stay.all():
+            leave(stay)
 
-    final = None
-    if status != "degenerate":
-        if abl.kind == "no_noise_averaging":
-            divisor_b = config.batch_size * math.ceil(n_train / config.batch_size)
-        elif config.batch_schedule.kind == "progressive":
-            divisor_b = config.batch_schedule.effective(
-                config.batch_size, max(epochs_run - 1, 0), n_train
-            )
-        else:
-            divisor_b = config.batch_size
-        try:
-            noise = probe_noise(x_probe, divisor_b)
-            sharpness, _ = measures.sharpness_lambda_max(
-                models.hvp_operator(spec, params, x_probe, y_probe), dim=params.size
-            )
-            comp = measures.complexity(sharpness, noise)
-            gen = measures.measure_generalization(
-                models.forward_loss(spec, params, x_train, y_train),
-                models.forward_loss(spec, params, x_test, y_test),
-                models.predict_accuracy(spec, params, x_test, y_test),
-            )
-            final = measures.Measurement(
-                grad_noise=noise,
-                sharpness=sharpness,
-                complexity=comp,
-                test_accuracy=gen.accuracy,
-                gen_gap=gen.gap,
-                batch_size=config.batch_size,
-                epoch=final_epoch,
-            )
-        except measures.ComplexityDomainError as exc:
-            status, reason = "degenerate", f"complexity domain: {exc}"
-        except ValueError as exc:
-            status, reason = "degenerate", str(exc)
-
-    return RunRecord(
-        run_id=f"b{config.batch_size}-s{config.seed}-{abl.kind}",
-        dataset_id=dataset.dataset_id,
-        model_kind=spec.kind,
-        batch_size=config.batch_size,
-        seed=config.seed,
-        ablation=abl.kind,
-        config=config.to_dict(),
-        train_loss=series["train_loss"],
-        test_loss=series["test_loss"],
-        test_acc=series["test_acc"],
-        lr=lr_log,
-        effective_batch=batch_log,
-        epoch_wall_seconds=wall_log,
-        final=final,
-        status=status,
-        degenerate_reason=reason,
-        wall_seconds=perf_counter() - t_start,
-    )
+    for row, run in enumerate(active):
+        run.params = params[row]
+    return [measure(run) for run in runs]

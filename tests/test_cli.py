@@ -62,7 +62,30 @@ class TestCli:
             (
                 "dataset",
                 dict(CONFIG["dataset"], n=10, fractions=[0.1, 0.45, 0.45]),
-                "train split too small",
+                "invalid dataset settings: train split too small",
+            ),
+            ("train", {"lr": True}, "invalid train settings: lr must be a finite number"),
+            ("train", {"lambda_causal": False}, "lambda_causal must be a finite number"),
+            ("train", {"lr": float("inf")}, "lr must be a finite number"),
+            ("causal", {"alpha": True}, "invalid causal settings: alpha must be a finite number"),
+            ("ablations", [{"kind": "sam", "rho": True}], "rho must be a finite number"),
+            ("ablations", [{"kind": "l1l2", "l2": True}], "l2 must be a finite number"),
+            ("model", {"kind": "logistic", "diffusion_alpha": True}, "diffusion_alpha"),
+            (
+                "dataset",
+                dict(CONFIG["dataset"], seed=True),
+                "invalid dataset settings: seed must be an integer",
+            ),
+            ("dataset", dict(CONFIG["dataset"], separation=True), "separation must be a finite"),
+            (
+                "dataset",
+                dict(CONFIG["dataset"], fractions=[True, 0.2, 0.2]),
+                "fractions[0] must be a finite number",
+            ),
+            (
+                "dataset",
+                {"kind": "sbm", "n": 60, "num_classes": 2, "p_in": True, "p_out": 0.0, "d": 3},
+                "p_in must be a finite number",
             ),
             (
                 "dataset",
@@ -108,6 +131,17 @@ class TestCli:
             "fractions",
             "n_string",
             "train_one_row",
+            "lr_bool",
+            "lambda_bool",
+            "lr_inf",
+            "alpha_bool",
+            "rho_bool",
+            "l2_bool",
+            "diffusion_alpha_bool",
+            "dataset_seed_bool",
+            "separation_bool",
+            "fractions_bool",
+            "p_in_bool",
             "sbm_p_out",
             "hidden_zero",
             "hidden_string",

@@ -39,6 +39,44 @@ class TestSplit:
             data.split(10, (0.8, 0.2, 0.2), seed=0)
 
 
+class TestDatasetArguments:
+    @pytest.mark.parametrize(
+        "build, kwargs, message",
+        [
+            (data.make_blobs, {"seed": True}, "seed must be an integer"),
+            (data.make_blobs, {"d": 4.0}, "d must be an integer"),
+            (data.make_blobs, {"separation": True}, "separation must be a finite number"),
+            (data.make_blobs, {"label_noise": float("nan")}, "label_noise must be a finite"),
+            (data.make_blobs, {"fractions": (0.6, "0.2", 0.2)}, r"fractions\[1\] must be a finite"),
+            (data.make_sbm_graph, {"seed": False}, "seed must be an integer"),
+            (data.make_sbm_graph, {"feature_signal": True}, "feature_signal must be a finite"),
+            (data.make_sbm_graph, {"p_out": True}, "p_out must be a finite number"),
+        ],
+        ids=[
+            "blobs_seed_bool",
+            "blobs_d_float",
+            "blobs_separation_bool",
+            "blobs_label_noise_nan",
+            "blobs_fraction_string",
+            "sbm_seed_bool",
+            "sbm_signal_bool",
+            "sbm_p_out_bool",
+        ],
+    )
+    def test_booleans_and_strings_rejected(self, build, kwargs, message):
+        # a JSON true is neither an integer nor a real number: seed=True used
+        # to build the data of seed 1 under the id "...-seedTrue"
+        base = {"n": 60, "d": 4, "num_classes": 2}
+        if build is data.make_sbm_graph:
+            base.update(p_in=0.2, p_out=0.02)
+        with pytest.raises(ValueError, match=message):
+            build(**{**base, **kwargs})
+
+    def test_numpy_scalars_accepted(self):
+        bundle = data.make_blobs(np.int64(60), 4, 2, separation=np.float64(2.0), seed=np.int64(3))
+        assert bundle.dataset_id == "blobs-n60-d4-k2-seed3"
+
+
 class TestBlobs:
     def test_deterministic_bytes(self):
         a = data.make_blobs(100, 4, 3, seed=5)

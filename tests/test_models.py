@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -32,15 +34,15 @@ class TestForwardLoss:
         spec = ModelSpec("logistic", 2, 2)
         # weights push the true class logit 100 above the other
         params = np.zeros(models.param_count(spec))
-        params[models.param_slices(spec)["bias"]] = [100.0, 0.0]
+        params[spec.layout.b2] = [100.0, 0.0]
         assert models.forward_loss(spec, params, np.ones((4, 2)), np.zeros(4, dtype=int)) == 0.0
 
     def test_matches_direct_softmax_evaluation(self, rng):
         spec = ModelSpec("logistic", 4, 3)
         params = rng.standard_normal(models.param_count(spec))
         x, y = make_batch(rng, n=3, d=4, k=3)
-        w = params[models.param_slices(spec)["weights"]].reshape(4, 3)
-        b = params[models.param_slices(spec)["bias"]]
+        w = params[spec.layout.w2].reshape(4, 3)
+        b = params[spec.layout.b2]
         expected = -np.mean([np.log(softmax_oracle(x[i] @ w + b)[y[i]]) for i in range(3)])
         assert models.forward_loss(spec, params, x, y) == pytest.approx(expected, rel=1e-12)
 
@@ -146,13 +148,13 @@ class TestPredictAccuracy:
     def test_perfectly_correct(self):
         spec = ModelSpec("logistic", 2, 2)
         params = np.zeros(models.param_count(spec))
-        params[models.param_slices(spec)["bias"]] = [10.0, 0.0]
+        params[spec.layout.b2] = [10.0, 0.0]
         assert models.predict_accuracy(spec, params, np.ones((5, 2)), np.zeros(5, dtype=int)) == 1.0
 
     def test_counting(self, rng):
         spec = ModelSpec("logistic", 2, 2)
         params = np.zeros(models.param_count(spec))
-        params[models.param_slices(spec)["bias"]] = [1.0, 0.0]  # always predicts class 0
+        params[spec.layout.b2] = [1.0, 0.0]  # always predicts class 0
         x, y = rng.standard_normal((3, 2)), np.array([0, 0, 1])
         assert models.predict_accuracy(spec, params, x, y) == pytest.approx(2 / 3)
 
@@ -177,7 +179,7 @@ class TestGraphDiffusion:
         runs = []
         for spec in (graph_spec, plain_spec):
             cfg = training.TrainConfig(model=spec, batch_size=16, epochs=2, seed=1)
-            rec = training.train_run(bundle, cfg).canonical_dict()
+            rec = training.train_run(bundle, [cfg])[0].canonical_dict()
             runs.append({k: rec[k] for k in ("train_loss", "test_loss", "test_acc", "final")})
         return runs
 
@@ -205,7 +207,7 @@ class TestGraphDiffusion:
         bundle = data.make_blobs(60, 3, 2, seed=0)
         spec = ModelSpec("graph_diffusion", 3, 2, hidden_dim=4)
         with pytest.raises(ValueError, match="graph dataset"):
-            training.train_run(bundle, training.TrainConfig(model=spec, batch_size=8, epochs=1))
+            training.train_run(bundle, [training.TrainConfig(model=spec, batch_size=8, epochs=1)])
 
     def test_kernels_run_a_graph_spec_as_its_mlp1(self, rng):
         graph = ModelSpec("graph_diffusion", 3, 2, hidden_dim=4, diffusion_alpha=0.5)
@@ -229,20 +231,28 @@ class TestParamLayout:
         assert models.param_count(ModelSpec("mlp1", 4, 3, hidden_dim=5)) == 4 * 5 + 5 + 5 * 3 + 3
 
     def test_slices_cover_vector(self):
-        spec = ModelSpec("mlp1", 4, 3, hidden_dim=5)
-        slices = models.param_slices(spec)
-        stops = [s.stop for s in slices.values()]
-        starts = [s.start for s in slices.values()]
-        assert starts[0] == 0
-        assert stops[:-1] == starts[1:]
-        assert stops[-1] == models.param_count(spec)
+        # a logistic model is the output layer alone: its hidden slices are empty
+        for spec, widths in (
+            (ModelSpec("mlp1", 4, 3, hidden_dim=5), [4 * 5, 5, 5 * 3, 3]),
+            (ModelSpec("logistic", 4, 3, hidden_dim=5), [0, 0, 4 * 3, 3]),
+        ):
+            slices = [spec.layout.w1, spec.layout.b1, spec.layout.w2, spec.layout.b2]
+            stops = [s.stop for s in slices]
+            starts = [s.start for s in slices]
+            assert starts[0] == 0
+            assert stops[:-1] == starts[1:]
+            assert stops[-1] == models.param_count(spec)
+            assert [s.stop - s.start for s in slices] == widths
 
     def test_slices_cached_per_spec(self):
+        # the layout is worked out once, when the spec is built, and is not a field
         spec = ModelSpec("mlp1", 4, 3, hidden_dim=5)
-        assert models.param_slices(spec) is models.param_slices(ModelSpec("mlp1", 4, 3, 5))
-        assert models.param_slices(spec) is not models.param_slices(ModelSpec("mlp1", 4, 3, 6))
-        with pytest.raises(TypeError):
-            models.param_slices(spec)["w1"] = slice(0, 1)
+        assert spec.layout is spec.layout
+        assert spec.layout == ModelSpec("mlp1", 4, 3, 5).layout
+        assert spec.layout != ModelSpec("mlp1", 4, 3, 6).layout
+        assert spec == ModelSpec("mlp1", 4, 3, 5) and "layout" not in spec.to_dict()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.layout.w1 = slice(0, 1)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -265,6 +275,7 @@ class TestParamLayout:
             ("hidden_dim", True, "hidden_dim must be an integer"),
             ("diffusion_steps", 2.0, "diffusion_steps must be an integer"),
             ("diffusion_alpha", "x", "diffusion_alpha must be a finite number"),
+            ("diffusion_alpha", True, "diffusion_alpha must be a finite number"),
             ("diffusion_alpha", float("nan"), "diffusion_alpha must be a finite number"),
             ("diffusion_beta", float("inf"), "diffusion_beta must be a finite number"),
         ],

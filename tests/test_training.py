@@ -37,15 +37,16 @@ def quick_config(**overrides):
 
 class TestAdam:
     def test_zero_gradient_no_move(self):
-        params = np.array([1.0, -2.0])
-        new, state = adam_step(params, np.zeros(2), AdamState.zeros(2), lr=1e-3, t=1)
-        np.testing.assert_array_equal(new, params)
+        params, state = np.array([1.0, -2.0]), AdamState.zeros(2)
+        adam_step(params, np.zeros(2), state, lr=1e-3, t=1)
+        np.testing.assert_array_equal(params, [1.0, -2.0])
         np.testing.assert_array_equal(state.m, np.zeros(2))
 
     def test_first_step_magnitude(self):
         # bias correction cancels at t=1: delta = -lr * g / (|g| + eps)
-        new, _ = adam_step(np.zeros(1), np.array([0.5]), AdamState.zeros(1), lr=1e-3, t=1)
-        assert new[0] == pytest.approx(-1e-3, rel=1e-6)
+        params = np.zeros(1)
+        adam_step(params, np.array([0.5]), AdamState.zeros(1), lr=1e-3, t=1)
+        assert params[0] == pytest.approx(-1e-3, rel=1e-6)
 
     def test_three_step_recursion_matches_reference(self):
         # independent scalar recursion straight from the update equations
@@ -60,7 +61,7 @@ class TestAdam:
             theta_ref -= lr * mh / (math.sqrt(vh) + eps)
         params, state = np.array([0.2]), AdamState.zeros(1)
         for t, g in enumerate(grads, start=1):
-            params, state = adam_step(params, np.array([g]), state, lr=lr, t=t)
+            adam_step(params, np.array([g]), state, lr=lr, t=t)
         assert params[0] == pytest.approx(theta_ref, abs=1e-12)
 
 
@@ -155,7 +156,7 @@ class TestCausalRegularizer:
         cfg = TrainConfig(
             model=spec, batch_size=16, epochs=3, lambda_causal=0.5, ablation=ablation, seed=1
         )
-        got = train_run(bundle, cfg).canonical_dict()
+        got = train_run(bundle, [cfg])[0].canonical_dict()
         edges = data.edge_list(bundle.adjacency)
         calls = []
 
@@ -164,7 +165,7 @@ class TestCausalRegularizer:
             return edge_scatter_regularizer_grad(emb, edges)
 
         monkeypatch.setattr(training, "_causal_regularizer_grad", oracle)
-        assert train_run(bundle, cfg).canonical_dict() == got
+        assert train_run(bundle, [cfg])[0].canonical_dict() == got
         assert calls and set(calls) == {len(edges)}
 
 
@@ -224,15 +225,16 @@ class TestSam:
         spec = ModelSpec("logistic", 3, 2)
         params = rng.standard_normal(models.param_count(spec))
         x, y = rng.standard_normal((5, 3)), rng.integers(0, 2, 5)
-        out = sam_perturbed_gradient(lambda p: models.mean_gradient(spec, p, x, y), params, 0.0)
-        np.testing.assert_array_equal(out, models.mean_gradient(spec, params, x, y))
+        stack = params[None]  # a stack of one seed
+        out = sam_perturbed_gradient(lambda p: models.mean_gradient(spec, p, x, y), stack, 0.0)
+        np.testing.assert_array_equal(out[0], models.mean_gradient(spec, params, x, y))
 
     def test_one_d_quadratic_analytic(self):
         # grad of 0.5 a theta^2 is a theta; at theta > 0 the perturbed
         # gradient is a (theta + rho)
         a, theta, rho = 2.5, 1.2, 0.3
-        g = sam_perturbed_gradient(lambda p: a * p, np.array([theta]), rho)
-        assert g[0] == pytest.approx(a * (theta + rho), rel=1e-12)
+        g = sam_perturbed_gradient(lambda p: a * p, np.array([[theta]]), rho)
+        assert g[0, 0] == pytest.approx(a * (theta + rho), rel=1e-12)
 
     def test_two_d_reference_bitwise(self):
         rng = np.random.default_rng(4)
@@ -243,12 +245,13 @@ class TestSam:
         g0 = models.mean_gradient(spec, params, x, y)
         eps = rho * g0 / np.linalg.norm(g0)
         g_ref = models.mean_gradient(spec, params + eps, x, y)
-        out = sam_perturbed_gradient(lambda p: models.mean_gradient(spec, p, x, y), params, rho)
-        np.testing.assert_array_equal(out, g_ref)
+        stack = params[None]  # a stack of one seed
+        out = sam_perturbed_gradient(lambda p: models.mean_gradient(spec, p, x, y), stack, rho)
+        np.testing.assert_array_equal(out[0], g_ref)
 
     def test_zero_gradient_skips_perturbation(self):
-        g = sam_perturbed_gradient(lambda p: np.zeros_like(p), np.ones(3), 0.5)
-        np.testing.assert_array_equal(g, np.zeros(3))
+        g = sam_perturbed_gradient(lambda p: np.zeros_like(p), np.ones((1, 3)), 0.5)
+        np.testing.assert_array_equal(g, np.zeros((1, 3)))
 
 
 class TestPenalizedPaths:
@@ -282,10 +285,10 @@ class TestTrainRun:
         bundle = data.make_blobs(10, 6, 3, seed=0, fractions=(0.1, 0.45, 0.45))
         assert bundle.splits["train"].size == 1
         with pytest.raises(ValueError, match="train split too small"):
-            train_run(bundle, quick_config())
+            train_run(bundle, [quick_config()])
 
     def test_zero_epochs_initial_evaluation_only(self, blob_bundle):
-        rec = train_run(blob_bundle, quick_config(epochs=0))
+        rec = train_run(blob_bundle, [quick_config(epochs=0)])[0]
         assert rec.train_loss == [] and rec.test_acc == []
         assert rec.status == "completed"
         assert rec.final is not None
@@ -293,13 +296,13 @@ class TestTrainRun:
 
     def test_deterministic_given_seed(self, blob_bundle):
         cfg = quick_config(epochs=4, seed=3)
-        a = train_run(blob_bundle, cfg)
-        b = train_run(blob_bundle, cfg)
+        a = train_run(blob_bundle, [cfg])[0]
+        b = train_run(blob_bundle, [cfg])[0]
         assert a.canonical_dict() == b.canonical_dict()
 
     def test_seed_changes_trajectory(self, blob_bundle):
-        a = train_run(blob_bundle, quick_config(epochs=3, seed=0))
-        b = train_run(blob_bundle, quick_config(epochs=3, seed=1))
+        a = train_run(blob_bundle, [quick_config(epochs=3, seed=0)])[0]
+        b = train_run(blob_bundle, [quick_config(epochs=3, seed=1)])[0]
         assert a.train_loss != b.train_loss
 
     def test_separable_blobs_reach_high_accuracy(self):
@@ -310,19 +313,19 @@ class TestTrainRun:
             epochs=50,
             seed=0,
         )
-        rec = train_run(bundle, cfg)
+        rec = train_run(bundle, [cfg])[0]
         assert rec.final.test_accuracy >= 0.95
 
     def test_lr_schedule_halving_logged(self, blob_bundle):
         cfg = quick_config(epochs=25, lr_schedule="halve_every_10", early_stop_patience=100)
-        rec = train_run(blob_bundle, cfg)
+        rec = train_run(blob_bundle, [cfg])[0]
         expected = [1e-3 * 2 ** (-(e // 10)) for e in range(25)]
         assert rec.lr == pytest.approx(expected, rel=1e-15)
 
     def test_scaled_inverse_b_schedule(self, blob_bundle):
         rec = train_run(
-            blob_bundle, quick_config(epochs=2, batch_size=64, lr_schedule="scaled_inverse_B")
-        )
+            blob_bundle, [quick_config(epochs=2, batch_size=64, lr_schedule="scaled_inverse_B")]
+        )[0]
         assert rec.lr[0] == pytest.approx(1e-3 * 16 / 64)
 
     def test_progressive_batch_schedule_capped(self, blob_bundle):
@@ -333,7 +336,7 @@ class TestTrainRun:
             batch_schedule=BatchSchedule(kind="progressive", factor=4, every_epochs=4),
             early_stop_patience=100,
         )
-        rec = train_run(blob_bundle, cfg)
+        rec = train_run(blob_bundle, [cfg])[0]
         assert rec.effective_batch[:4] == [16] * 4
         assert rec.effective_batch[4:8] == [64] * 4
         assert rec.effective_batch[8:12] == [min(256, n_train)] * 4
@@ -349,7 +352,7 @@ class TestTrainRun:
             early_stop_patience=5,
             seed=1,
         )
-        rec = train_run(bundle, cfg)
+        rec = train_run(bundle, [cfg])[0]
         assert rec.status == "early_stopped"
         assert len(rec.train_loss) < 200
         assert rec.final.epoch <= len(rec.train_loss) - 1
@@ -364,7 +367,7 @@ class TestTrainRun:
             ablation=Ablation(kind="l1l2", l1=0.0, l2=1e6),
             early_stop_patience=1000,
         )
-        rec = train_run(blob_bundle, cfg)
+        rec = train_run(blob_bundle, [cfg])[0]
         assert rec.status == "degenerate"
         assert rec.final is None
         assert rec.degenerate_reason
@@ -381,32 +384,32 @@ class TestTrainRun:
                     epochs=5,
                     seed=seed,
                 )
-                recs[b] = train_run(bundle, cfg)
+                recs[b] = train_run(bundle, [cfg])[0]
             if recs[16].final.grad_noise > recs[256].final.grad_noise:
                 wins += 1
         assert wins >= 9
 
     def test_no_noise_averaging_lowers_measured_noise(self, blob_bundle):
         for seed in (0, 1):
-            plain = train_run(blob_bundle, quick_config(epochs=4, seed=seed))
+            plain = train_run(blob_bundle, [quick_config(epochs=4, seed=seed)])[0]
             averaged = train_run(
                 blob_bundle,
-                quick_config(epochs=4, seed=seed, ablation=Ablation(kind="no_noise_averaging")),
-            )
+                [quick_config(epochs=4, seed=seed, ablation=Ablation(kind="no_noise_averaging"))]
+            )[0]
             assert averaged.final.grad_noise < plain.final.grad_noise
             assert averaged.batch_size == plain.batch_size == 16
 
     def test_inject_noise_runs_deterministically(self, blob_bundle):
         cfg = quick_config(epochs=3, ablation=Ablation(kind="inject_noise"), seed=5)
-        a = train_run(blob_bundle, cfg)
-        b = train_run(blob_bundle, cfg)
+        a = train_run(blob_bundle, [cfg])[0]
+        b = train_run(blob_bundle, [cfg])[0]
         assert a.status == "completed"
         assert a.canonical_dict() == b.canonical_dict()
 
     def test_sam_ablation_runs(self, blob_bundle):
         rec = train_run(
-            blob_bundle, quick_config(epochs=3, ablation=Ablation(kind="sam", rho=0.05))
-        )
+            blob_bundle, [quick_config(epochs=3, ablation=Ablation(kind="sam", rho=0.05))]
+        )[0]
         assert rec.status in ("completed", "early_stopped")
         assert rec.ablation == "sam"
 
@@ -414,11 +417,11 @@ class TestTrainRun:
         bundle = data.make_sbm_graph(150, 2, p_in=0.2, p_out=0.02, d=5, seed=3)
         spec = ModelSpec("graph_diffusion", 5, 2, hidden_dim=6, diffusion_alpha=0.3)
         cfg = TrainConfig(model=spec, batch_size=16, epochs=6, lambda_causal=0.1, seed=0)
-        rec = train_run(bundle, cfg)
+        rec = train_run(bundle, [cfg])[0]
         assert rec.status in ("completed", "early_stopped")
         assert rec.final is not None
         # deterministic too
-        rec2 = train_run(bundle, cfg)
+        rec2 = train_run(bundle, [cfg])[0]
         assert rec.canonical_dict() == rec2.canonical_dict()
 
     def test_graph_model_with_noise_coupling(self):
@@ -427,8 +430,8 @@ class TestTrainRun:
             "graph_diffusion", 5, 2, hidden_dim=6, diffusion_alpha=0.3, diffusion_beta=0.1
         )
         cfg = TrainConfig(model=spec, batch_size=16, epochs=5, seed=0)
-        a = train_run(bundle, cfg)
-        b = train_run(bundle, cfg)
+        a = train_run(bundle, [cfg])[0]
+        b = train_run(bundle, [cfg])[0]
         assert a.status in ("completed", "early_stopped")
         assert a.canonical_dict() == b.canonical_dict()
 
@@ -443,15 +446,15 @@ class TestTrainRun:
 
         monkeypatch.setattr(models, "init_params", no_init)
         with pytest.raises(ValueError, match=r"does not fit the dataset \(6 features, 3 classes\)"):
-            train_run(blob_bundle, quick_config(model=spec))
+            train_run(blob_bundle, [quick_config(model=spec)])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_gradient_gives_degenerate_record(self, blob_bundle, monkeypatch):
         # the loop's finite-parameter check is the one divergence rule, for
         # every optimizer, the two-gradient sam step, the epoch-averaged
         # no_noise_averaging step and the noise-injected step; 180 training
-        # rows at batch size 16 make 12 minibatches, so the third gradient is
-        # taken in the first epoch
+        # rows at batch size 16 make 11 full minibatches and a short one, so
+        # the second gradient call is taken in the first epoch, by every kind
         real = models.mean_gradient
         for overrides in (
             {},
@@ -462,20 +465,22 @@ class TestTrainRun:
         ):
             calls = []
 
-            def poisoned(spec, params, x, y):
+            def poisoned(spec, params, x, y, out=None):
                 calls.append(None)
-                g = real(spec, params, x, y)
-                return np.full_like(g, np.nan) if len(calls) == 3 else g
+                g = real(spec, params, x, y, out=out)
+                if len(calls) == 2:
+                    g[...] = np.nan
+                return g
 
             monkeypatch.setattr(models, "mean_gradient", poisoned)
-            rec = train_run(blob_bundle, quick_config(epochs=3, **overrides))
-            assert len(calls) >= 3
+            rec = train_run(blob_bundle, [quick_config(epochs=3, **overrides)])[0]
+            assert len(calls) >= 2
             assert rec.status == "degenerate"
             assert rec.degenerate_reason == "non-finite parameters"
             assert rec.final is None and rec.train_loss == []
 
     def test_record_round_trip(self, blob_bundle):
-        rec = train_run(blob_bundle, quick_config(epochs=2))
+        rec = train_run(blob_bundle, [quick_config(epochs=2)])[0]
         back = training.RunRecord.from_dict(rec.to_dict())
         assert back.canonical_dict() == rec.canonical_dict()
 
