@@ -127,7 +127,7 @@ def analyze_observations(observations: list[dict], settings: AnalysisSettings) -
     ate_by_mode: dict[str, float] = {}
     for mode, graph in STRUCTURES.items():
         interventions[mode] = [
-            causal.interventional_distribution(graph, tables[mode], b, mode=mode, scheme=scheme)
+            causal.interventional_distribution(graph, tables[mode], b, scheme, mode=mode)
             for b in levels
         ]
         expected = {res.b: res.expected for res in interventions[mode]}

@@ -4,8 +4,10 @@ A causal hypergraph maps tail variable sets to single head variables; fitting
 one smoothed conditional probability table per hyperedge turns observed run
 records into a discrete structural model. Interventions on the batch-size
 variable are answered by truncated factorization (summing the product of the
-remaining factors over every mediator bin); the average treatment effect is
-the difference of the expected outcomes of two such answers.
+remaining factors over every mediator bin). A query names a batch-size level
+of the fitted discretization scheme, and its expected outcome weights the
+scheme's generalization representatives; the average treatment effect is the
+difference of the expected outcomes of two such answers.
 """
 
 from __future__ import annotations
@@ -142,10 +144,6 @@ class DiscreteBinning:
     def k(self) -> int:
         return len(self.levels)
 
-    @property
-    def representatives(self) -> tuple:
-        return self.levels
-
     def assign(self, values: np.ndarray) -> np.ndarray:
         index = {v: i for i, v in enumerate(self.levels)}
         return np.asarray([index[v] for v in values], dtype=np.int64)
@@ -154,9 +152,6 @@ class DiscreteBinning:
 @dataclass(frozen=True)
 class DiscretizationScheme:
     bins: dict[str, ContinuousBinning | DiscreteBinning]
-
-    def representatives(self, var: str) -> tuple:
-        return tuple(self.bins[var].representatives)
 
     def to_dict(self) -> dict:
         out = {}
@@ -290,53 +285,29 @@ class InterventionResult:
         }
 
 
-def _resolve_level(b, levels) -> int:
-    if levels is None:
-        index = int(b)
-        return index
-    levels = list(levels)
-    if b not in levels:
-        raise ValueError(f"unknown intervention level {b!r}; known levels {levels}")
-    return levels.index(b)
-
-
-def _expected(dist: np.ndarray, representatives) -> float:
-    reps = (
-        np.arange(dist.size, dtype=np.float64)
-        if representatives is None
-        else np.asarray(representatives, dtype=np.float64)
-    )
-    return float(dist @ reps)
-
-
 def interventional_distribution(
     h: CausalHypergraph,
     tables,
     b,
+    scheme: DiscretizationScheme,
     mode: str = MODE_HYPERGRAPH,
-    scheme: DiscretizationScheme | None = None,
 ) -> InterventionResult:
     """Generalization distribution under do(batch size = b), by truncated
-    factorization.
+    factorization, with ``b`` a batch-size level of the fitted ``scheme``.
 
     Every hyperedge of ``h`` except the one into the batch size contributes
-    its table as one factor, with the batch-size axis fixed at ``b``; a
-    single ``np.einsum`` sums the product over every other variable and the
-    result is normalized. A variable with no incoming hyperedge (other than
-    the batch size) has no factor and is summed out of the tables that
-    condition on it. ``mode`` only labels the result with the name of the
-    factor set. When a scheme is given, ``b`` is an actual batch-size level;
-    otherwise it is a bin index.
+    its table as one factor, with the batch-size axis fixed at the bin of
+    ``b``; a single ``np.einsum`` sums the product over every other variable
+    and the result is normalized. A variable with no incoming hyperedge
+    (other than the batch size) has no factor and is summed out of the tables
+    that condition on it. The expected outcome weights the scheme's
+    generalization representatives. ``mode`` only labels the result with the
+    name of the factor set.
     """
-    levels = None
-    g_reps = None
-    if scheme is not None:
-        binning = scheme.bins.get(VAR_BATCH)
-        if isinstance(binning, DiscreteBinning):
-            levels = binning.levels
-        if VAR_GENERALIZATION in scheme.bins:
-            g_reps = scheme.representatives(VAR_GENERALIZATION)
-    b_index = _resolve_level(b, levels)
+    levels = scheme.bins[VAR_BATCH].levels
+    if b not in levels:
+        raise ValueError(f"unknown intervention level {b!r}; known levels {list(levels)}")
+    b_index = levels.index(b)
 
     by_head = {t.head: t for t in tables}
     axis = {v: i for i, v in enumerate(h.variables)}
@@ -349,16 +320,13 @@ def interventional_distribution(
             raise ValueError(f"missing table for variable {edge.head!r} given {edge.tails}")
         probs = table.probs
         if VAR_BATCH in edge.tails:
-            j = edge.tails.index(VAR_BATCH)
-            k_b = probs.shape[j]
-            if not (0 <= b_index < k_b):
-                raise ValueError(f"unknown intervention level index {b_index} (have {k_b} levels)")
-            probs = probs.take(b_index, axis=j)
+            probs = probs.take(b_index, axis=edge.tails.index(VAR_BATCH))
         tails = [axis[v] for v in edge.tails if v != VAR_BATCH]
         operands += [probs, tails + [axis[edge.head]]]
     dist = np.einsum(*operands, [axis[VAR_GENERALIZATION]])
     dist = dist / dist.sum()
-    return InterventionResult(b=b, mode=mode, distribution=dist, expected=_expected(dist, g_reps))
+    reps = np.asarray(scheme.bins[VAR_GENERALIZATION].representatives, dtype=np.float64)
+    return InterventionResult(b=b, mode=mode, distribution=dist, expected=float(dist @ reps))
 
 
 # -- back-door diagnostic ----------------------------------------------------------

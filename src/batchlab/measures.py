@@ -46,15 +46,9 @@ def sharpness_lambda_max(
     One restart from a second seeded start guards against a start vector
     orthogonal to the top eigenspace; the larger-magnitude Rayleigh quotient
     wins. Returns the signed quotient (negative for negative-definite
-    operators) and total iterations used.
+    operators) and total iterations used. ``dim``, ``max_iters`` >= 1 and
+    ``tol`` > 0: ``train_run`` passes the parameter count and the defaults.
     """
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-
     def one_start(start_seed: int):
         rng = np.random.default_rng(start_seed)
         v = rng.standard_normal(dim)
@@ -107,8 +101,6 @@ def measure_generalization(
     for name, value in (("train_loss", train_loss), ("test_loss", test_loss)):
         if not np.isfinite(value):
             raise ValueError(f"{name} must be finite")
-    if not (0.0 <= test_accuracy <= 1.0):
-        raise ValueError("test_accuracy must lie in [0, 1]")
     return GeneralizationMetrics(accuracy=float(test_accuracy), gap=float(test_loss - train_loss))
 
 

@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
-from . import causal, stats, sweep
+from . import stats, sweep
 from .analysis import AnalysisBundle, AnalysisSettings, analyze_records
 from .training import RunRecord
 
@@ -25,38 +24,6 @@ def format_mean_std_percent(mean: float, std: float | None) -> str:
     if std is None:
         return f"{mean * 100:.1f}"
     return f"{mean * 100:.1f} ± {std * 100:.1f}"
-
-
-@dataclass(frozen=True)
-class PointAteRow:
-    label: str
-    expected_treat: float
-    expected_control: float
-
-    @property
-    def difference(self) -> float:
-        return self.expected_treat - self.expected_control
-
-
-@dataclass(frozen=True)
-class PointAteTable:
-    rows: tuple[PointAteRow, ...]
-
-    @property
-    def mean_difference(self) -> float:
-        return float(np.mean([r.difference for r in self.rows]))
-
-
-def ate_point_table(rows) -> PointAteTable:
-    """Per-row treatment-control differences from supplied expected outcomes.
-
-    Arithmetic only: rows are (label, expected under treatment, expected
-    under control); the mean row is the plain average of the differences.
-    """
-    built = tuple(PointAteRow(str(l), float(t), float(c)) for l, t, c in rows)
-    if not built:
-        raise ValueError("no rows")
-    return PointAteTable(rows=built)
 
 
 # -- aggregation ------------------------------------------------------------------

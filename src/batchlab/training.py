@@ -409,10 +409,14 @@ def check_model_fits(spec: models.ModelSpec, dataset: datamod.DatasetBundle) -> 
 
 def check_train_split(dataset: datamod.DatasetBundle) -> None:
     """Raise ``ValueError`` unless the train split has the 2 rows that the
-    gradient-noise estimate needs."""
+    gradient-noise estimate needs and the val and test splits, which early
+    stopping and the final measurement read, are nonempty."""
     rows = dataset.splits["train"].size
     if rows < 2:
         raise ValueError(f"train split too small: the noise estimate needs 2 rows, got {rows}")
+    for name in ("val", "test"):
+        if dataset.splits[name].size == 0:
+            raise ValueError(f"{name} split is empty")
 
 
 @dataclass

@@ -17,8 +17,9 @@ from batchlab import causal, data, models, sweep as sweepmod, training
 from batchlab.analysis import STRUCTURES, AnalysisSettings, analyze_records
 from batchlab.config import build_sweep_config
 from batchlab.measures import gradient_noise, sharpness_lambda_max
-from batchlab.report import ate_point_table, significance_result
+from batchlab.report import render_report_body, significance_result
 from batchlab.stats import welch_t_test, wilcoxon_signed_rank
+from helpers import index_scheme
 
 
 def verdict(criterion: str, ok: bool, detail: str) -> None:
@@ -119,7 +120,9 @@ def test_criterion_3_do_calculus_exactness():
         for mode in STRUCTURES:
             tables = _random_tables(rng, mode)
             b_idx = trial % 2
-            res = causal.interventional_distribution(STRUCTURES[mode], tables, b_idx, mode=mode)
+            res = causal.interventional_distribution(
+                STRUCTURES[mode], tables, b_idx, index_scheme(2, 3), mode=mode
+            )
             oracle = _enumeration_oracle(tables, b_idx, mode)
             worst = max(worst, 0.5 * np.abs(res.distribution - oracle).sum())
     ok = worst <= 1e-12
@@ -164,7 +167,7 @@ def test_criterion_4_scm_recovery():
     expectations = {}
     analytic_expectations = {}
     for b in (0, 1):
-        est = causal.interventional_distribution(graph, fitted, b)
+        est = causal.interventional_distribution(graph, fitted, b, index_scheme(2, k))
         analytic = _enumeration_oracle(truth, b, "hypergraph")
         worst_tv = max(worst_tv, 0.5 * np.abs(est.distribution - analytic).sum())
         expectations[b] = est.expected
@@ -317,25 +320,27 @@ def test_criterion_8_statistical_machinery():
     )
 
 
-# -- criterion 9: arithmetic reproduction of published point values ---------------
+# -- criterion 9: the reported ATE is the plain difference of two do() answers ----
 
 
-def test_criterion_9_point_value_arithmetic():
-    table = ate_point_table(
-        [
-            ("dataset_a", 83.9, 80.5),
-            ("dataset_b", 79.1, 76.0),
-            ("dataset_c", 88.2, 84.8),
-            ("dataset_d", 92.4, 89.0),
-        ]
-    )
-    diffs = [round(r.difference, 10) for r in table.rows]
-    ok = diffs == [3.4, 3.1, 3.4, 3.4] and abs(table.mean_difference - 3.325) < 1e-12
+def test_criterion_9_point_value_arithmetic(sweep_records):
+    settings = AnalysisSettings(treat=16, control=256)
+    bundle = analyze_records(sweep_records, settings)
+    lines = render_report_body(
+        {"accuracy": [], "sharpness": [], "timing": []}, settings, bundle, None
+    ).splitlines()
+    checks = []
+    for mode, results in bundle.interventions.items():
+        expected = {res.b: res.expected for res in results}
+        difference = expected[16] - expected[256]
+        printed = f"  mode={mode:<11s} ATE={difference * 100:+.2f} accuracy points"
+        checks.append((mode, difference, bundle.ate[mode] == difference and printed in lines))
+    ok = sorted(bundle.ate) == sorted(STRUCTURES) and all(good for _, _, good in checks)
+    detail = ", ".join(f"{mode} {d * 100:+.2f} points" for mode, d, _ in checks)
     verdict(
         "criterion-9 point-value-arithmetic",
         ok,
-        f"differences {diffs}, mean {table.mean_difference:.3f} "
-        "(computed mean reported as-is, no reconciliation with external summaries)",
+        f"E[G|do(16)] - E[G|do(256)]: {detail} (ATE and report line are that difference as-is)",
     )
 
 

@@ -23,6 +23,7 @@ from batchlab.causal import (
     pearson_chi_square,
     validate_hypergraph,
 )
+from helpers import index_scheme
 
 
 def pairwise_hypergraph():
@@ -323,7 +324,7 @@ class TestInterventionalDistribution:
             ),
             point(VAR_GENERALIZATION, (VAR_COMPLEXITY,), (2,), 2, {(0,): 0, (1,): 1}),
         ]
-        res = interventional_distribution(default_hypergraph(), tables, 0)
+        res = interventional_distribution(default_hypergraph(), tables, 0, index_scheme(2, 2))
         np.testing.assert_allclose(res.distribution, [0.0, 1.0], atol=1e-15)
 
     def test_uniform_tables_give_uniform_outcome(self):
@@ -339,7 +340,7 @@ class TestInterventionalDistribution:
             ),
             ConditionalTable(VAR_GENERALIZATION, (VAR_COMPLEXITY,), np.full((k, k), 1 / k), 0),
         ]
-        res = interventional_distribution(default_hypergraph(), uniform, 1)
+        res = interventional_distribution(default_hypergraph(), uniform, 1, index_scheme(2, k))
         np.testing.assert_allclose(res.distribution, np.full(k, 1 / k), atol=1e-15)
 
     @pytest.mark.parametrize("mode", list(ORACLE_CASES))
@@ -351,7 +352,9 @@ class TestInterventionalDistribution:
             oracles = [joint_enumeration_oracle(structure(), tables, trial % 2)]
             if hand_oracle is not None:
                 oracles.append(hand_oracle(tables, trial % 2))
-            res = interventional_distribution(structure(), tables, trial % 2, mode=mode)
+            res = interventional_distribution(
+                structure(), tables, trial % 2, index_scheme(2, 3), mode=mode
+            )
             for oracle in oracles:
                 tv = 0.5 * np.abs(res.distribution - oracle).sum()
                 assert tv <= 1e-12
@@ -365,20 +368,20 @@ class TestInterventionalDistribution:
             random_table(rng, VAR_COMPLEXITY, (VAR_NOISE,), (3,), 3),
             random_table(rng, VAR_GENERALIZATION, (VAR_COMPLEXITY,), (3,), 3),
         ]
-        res = interventional_distribution(pairwise_hypergraph(), tables, 0)
+        res = interventional_distribution(pairwise_hypergraph(), tables, 0, index_scheme(2, 3))
         assert res.distribution.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_unknown_level_rejected(self):
         rng = np.random.default_rng(12)
         tables = random_hypergraph_tables(rng)
         with pytest.raises(ValueError, match="unknown intervention level"):
-            interventional_distribution(default_hypergraph(), tables, 7)
+            interventional_distribution(default_hypergraph(), tables, 7, index_scheme(2, 3))
 
     def test_missing_table_rejected(self):
         rng = np.random.default_rng(13)
         tables = random_hypergraph_tables(rng)[:-1]
         with pytest.raises(ValueError, match="missing table"):
-            interventional_distribution(default_hypergraph(), tables, 0)
+            interventional_distribution(default_hypergraph(), tables, 0, index_scheme(2, 3))
 
     @pytest.mark.parametrize(
         "structure,make_tables",
@@ -391,25 +394,27 @@ class TestInterventionalDistribution:
     def test_tables_of_another_structure_rejected(self, structure, make_tables):
         tables = make_tables(np.random.default_rng(16))
         with pytest.raises(ValueError, match="missing table"):
-            interventional_distribution(structure(), tables, 0)
+            interventional_distribution(structure(), tables, 0, index_scheme(2, 3))
 
     def test_level_resolution_through_scheme(self):
         rng = np.random.default_rng(14)
         tables = random_hypergraph_tables(rng)
+        by_index = index_scheme(2, 3)
         scheme = causal.DiscretizationScheme(
-            bins={VAR_BATCH: causal.DiscreteBinning(levels=(16, 512))}
+            bins=dict(by_index.bins, **{VAR_BATCH: causal.DiscreteBinning(levels=(16, 512))})
         )
-        by_index = interventional_distribution(default_hypergraph(), tables, 1)
-        by_level = interventional_distribution(default_hypergraph(), tables, 512, scheme=scheme)
-        np.testing.assert_array_equal(by_index.distribution, by_level.distribution)
+        at_index = interventional_distribution(default_hypergraph(), tables, 1, by_index)
+        at_level = interventional_distribution(default_hypergraph(), tables, 512, scheme)
+        np.testing.assert_array_equal(at_index.distribution, at_level.distribution)
+        assert at_index.expected == at_level.expected
         with pytest.raises(ValueError, match="unknown intervention level"):
-            interventional_distribution(default_hypergraph(), tables, 64, scheme=scheme)
+            interventional_distribution(default_hypergraph(), tables, 64, scheme)
 
 
-def ate(tables, b_treat, b_control, scheme=None):
+def ate(tables, b_treat, b_control, scheme):
     """E[outcome | do(b_treat)] - E[outcome | do(b_control)] on the default structure."""
     treat, control = (
-        interventional_distribution(default_hypergraph(), tables, b, scheme=scheme)
+        interventional_distribution(default_hypergraph(), tables, b, scheme)
         for b in (b_treat, b_control)
     )
     return treat.expected - control.expected
@@ -419,7 +424,7 @@ class TestAte:
     def test_identical_distributions_zero(self):
         rng = np.random.default_rng(15)
         tables = random_hypergraph_tables(rng)
-        assert ate(tables, 0, 0) == 0.0
+        assert ate(tables, 0, 0, index_scheme(2, 3)) == 0.0
 
     def test_point_mass_expectations(self):
         # do(16) concentrates on a bin representing 83.9, do(512) on 80.5
@@ -443,7 +448,7 @@ class TestAte:
                 ),
             }
         )
-        value = ate(tables, 16, 512, scheme=scheme)
+        value = ate(tables, 16, 512, scheme)
         assert value == pytest.approx(3.4, abs=1e-12)
 
     def test_matches_enumeration_expectations(self):
@@ -453,7 +458,7 @@ class TestAte:
             expected = hypergraph_oracle(tables, 0) @ np.arange(3) - hypergraph_oracle(
                 tables, 1
             ) @ np.arange(3)
-            assert ate(tables, 0, 1) == pytest.approx(expected, abs=1e-12)
+            assert ate(tables, 0, 1, index_scheme(2, 3)) == pytest.approx(expected, abs=1e-12)
 
 
 class TestBackdoorDiagnostic:
@@ -552,7 +557,7 @@ class TestScmRecovery:
         )
         fitted = fit_cpts(default_hypergraph(), binned, alpha=1.0)
         for b in (0, 1):
-            est = interventional_distribution(default_hypergraph(), fitted, b)
+            est = interventional_distribution(default_hypergraph(), fitted, b, index_scheme(2, 3))
             analytic = hypergraph_oracle(truth, b)
             tv = 0.5 * np.abs(est.distribution - analytic).sum()
             assert tv <= 0.03
@@ -592,10 +597,11 @@ class TestScmRecovery:
         fitted_hyper = fit_cpts(default_hypergraph(), binned, alpha=0.0)
         fitted_pair = fit_cpts(pairwise_hypergraph(), binned, alpha=0.0)
         errs = {"hyper": 0.0, "pair": 0.0}
+        scheme = index_scheme(2, k)
         for b in (0, 1):
             analytic = hypergraph_oracle(truth, b, k=k) @ np.arange(k)
-            e_hyper = interventional_distribution(default_hypergraph(), fitted_hyper, b).expected
-            e_pair = interventional_distribution(pairwise_hypergraph(), fitted_pair, b).expected
+            e_hyper = interventional_distribution(default_hypergraph(), fitted_hyper, b, scheme).expected
+            e_pair = interventional_distribution(pairwise_hypergraph(), fitted_pair, b, scheme).expected
             errs["hyper"] += abs(e_hyper - analytic)
             errs["pair"] += abs(e_pair - analytic)
         assert errs["hyper"] <= errs["pair"] + 1e-12

@@ -64,6 +64,16 @@ class TestCli:
                 dict(CONFIG["dataset"], n=10, fractions=[0.1, 0.45, 0.45]),
                 "invalid dataset settings: train split too small",
             ),
+            (
+                "dataset",
+                dict(CONFIG["dataset"], fractions=[0.9, 0.001, 0.099]),
+                "invalid dataset settings: val split is empty",
+            ),
+            (
+                "dataset",
+                dict(CONFIG["dataset"], fractions=[0.9, 0.099, 0.001]),
+                "invalid dataset settings: test split is empty",
+            ),
             ("train", {"lr": True}, "invalid train settings: lr must be a finite number"),
             ("train", {"lambda_causal": False}, "lambda_causal must be a finite number"),
             ("train", {"lr": float("inf")}, "lr must be a finite number"),
@@ -131,6 +141,8 @@ class TestCli:
             "fractions",
             "n_string",
             "train_one_row",
+            "val_empty",
+            "test_empty",
             "lr_bool",
             "lambda_bool",
             "lr_inf",

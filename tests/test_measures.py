@@ -175,8 +175,6 @@ class TestGeneralization:
     def test_validation(self):
         with pytest.raises(ValueError):
             measure_generalization(np.inf, 1.0, 0.5)
-        with pytest.raises(ValueError):
-            measure_generalization(0.5, 1.0, 1.5)
 
     def test_measurement_round_trip(self):
         m = measures.Measurement(0.1, 2.0, -1.0, 0.8, 0.3, 16, 9)

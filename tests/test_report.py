@@ -77,25 +77,6 @@ class TestFormatting:
         assert report.format_mean_std_percent(0.839, None) == "83.9"
 
 
-class TestPointAteTable:
-    def test_known_rows(self):
-        table = report.ate_point_table(
-            [
-                ("dataset_a", 83.9, 80.5),
-                ("dataset_b", 79.1, 76.0),
-                ("dataset_c", 88.2, 84.8),
-                ("dataset_d", 92.4, 89.0),
-            ]
-        )
-        diffs = [row.difference for row in table.rows]
-        assert diffs == pytest.approx([3.4, 3.1, 3.4, 3.4], abs=1e-12)
-        assert table.mean_difference == pytest.approx(3.325, abs=1e-12)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            report.ate_point_table([])
-
-
 class TestAnalysis:
     def test_observations_filter(self):
         records = synthetic_sweep_records()
