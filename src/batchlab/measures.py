@@ -32,51 +32,73 @@ def gradient_noise(per_sample_grads: np.ndarray, batch_size: int) -> float:
     return float(per_sample_grads.var(axis=0, ddof=1).mean() / batch_size)
 
 
-def sharpness_lambda_max(
-    hvp_oracle,
-    dim: int,
-    max_iters: int = 200,
-    tol: float = 1e-6,
-    seed: int = 0,
-) -> tuple[float, int]:
-    """Dominant Hessian eigenvalue by power iteration on an HVP oracle.
+# A Ritz pair counts as converged when its residual norm ||Hq - theta q||
+# falls to this fraction of |theta|; the Ritz value's error is then about the
+# residual squared over the gap to the next eigenvalue.
+LANCZOS_TOL = 1e-8
+# The Krylov space counts as invariant (breakdown) when the new direction is
+# this small next to ||Hq||.
+BREAKDOWN = 1e-12
 
-    Starts from a seeded point uniform on the sphere, normalizes each iterate,
-    and stops when the Rayleigh quotient changes by less than ``tol`` relative.
-    One restart from a second seeded start guards against a start vector
-    orthogonal to the top eigenspace; the larger-magnitude Rayleigh quotient
-    wins. Returns the signed quotient (negative for negative-definite
-    operators) and total iterations used. ``dim``, ``max_iters`` >= 1 and
-    ``tol`` > 0: ``train_run`` passes the parameter count and the defaults.
+
+def sharpness_lambda_max(hvp_oracle, dim: int) -> tuple[float, int]:
+    """Dominant Hessian eigenvalue by Lanczos on an HVP oracle.
+
+    Lanczos with full reorthogonalisation starts from one seeded point on the
+    sphere and stops when the top-magnitude Ritz pair of the current Krylov
+    block has a residual of at most ``LANCZOS_TOL`` times its value, or after
+    ``dim`` steps. At a breakdown the block spans an invariant subspace and
+    its Ritz values are exact eigenvalues; Lanczos then goes on from a fresh
+    seeded vector orthogonal to every basis vector so far, so a start with no
+    component along the top eigenvector still finds it. Returns the signed
+    top-magnitude Ritz value of all blocks (negative for a negative-definite
+    operator) and the oracle calls used. ``dim`` >= 1: ``train_run`` passes
+    the parameter count.
     """
-    def one_start(start_seed: int):
-        rng = np.random.default_rng(start_seed)
-        v = rng.standard_normal(dim)
-        v /= np.linalg.norm(v)
-        rayleigh = None
-        used = 0
-        for _ in range(max_iters):
-            w = np.asarray(hvp_oracle(v), dtype=np.float64)
-            used += 1
-            if not np.isfinite(w).all():
-                raise ValueError("HVP oracle returned non-finite values")
-            current = float(v @ w)
-            norm_w = float(np.linalg.norm(w))
-            if norm_w == 0.0:
-                return None, used
-            v = w / norm_w
-            if rayleigh is not None and abs(current - rayleigh) <= tol * max(1.0, abs(current)):
-                return current, used
-            rayleigh = current
-        return rayleigh, used
+    rng = np.random.default_rng(0)
 
-    first, used_a = one_start(seed)
-    second, used_b = one_start(seed + 1)
-    used = used_a + used_b
-    candidates = [c for c in (first, second) if c is not None]
-    if not candidates:
-        raise ValueError("HVP oracle returned the zero vector from every iterate")
-    return max(candidates, key=abs), used
+    def orthogonalise(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
+        for _ in range(2):  # classical Gram-Schmidt twice is enough
+            w -= basis.T @ (basis @ w)
+        return w
+
+    def fresh(basis: np.ndarray) -> np.ndarray:
+        q = orthogonalise(rng.standard_normal(dim), basis)
+        return q / np.linalg.norm(q)
+
+    basis = np.empty((0, dim))
+    q = fresh(basis)
+    best = 0.0
+    block = 0  # where the current Krylov block starts in the basis
+    diag: list[float] = []
+    off: list[float] = []
+    for step in range(dim):
+        basis = np.vstack([basis, q])
+        w = np.array(hvp_oracle(q), dtype=np.float64)  # a copy: orthogonalised in place
+        if not np.isfinite(w).all():
+            raise ValueError("HVP oracle returned non-finite values")
+        scale = float(np.linalg.norm(w))
+        diag.append(float(q @ w))
+        beta = float(np.linalg.norm(orthogonalise(w, basis)))
+        t = np.diag(diag[block:]) + np.diag(off[block:], 1) + np.diag(off[block:], -1)
+        theta, s = np.linalg.eigh(t)
+        top = int(np.argmax(np.abs(theta)))
+        if abs(theta[top]) > abs(best):
+            best = float(theta[top])
+        if step + 1 == dim:
+            break
+        if beta <= BREAKDOWN * scale:
+            q = fresh(basis)
+            off.append(0.0)
+            block = step + 1
+        elif beta * abs(s[-1, top]) <= LANCZOS_TOL * abs(theta[top]):
+            break
+        else:
+            q = w / beta
+            off.append(beta)
+    if best == 0.0:
+        raise ValueError("HVP oracle returned the zero vector on every Lanczos vector")
+    return best, len(diag)
 
 
 def complexity(sharpness: float, noise: float) -> float:

@@ -24,9 +24,9 @@ The kernels trust their inputs: data are validated once, by
 ``data.DatasetBundle`` and ``training.check_model_fits``, never per call. A
 graph_diffusion model is an mlp1 on features the training loop diffuses over
 the whole graph: every kernel takes its spec as that mlp1, and none takes an
-adjacency. Gradients are analytic (manual backprop); Hessian-vector products
-(``hvp_operator``) use central finite differences of the exact gradient,
-which is O(step^2) accurate for the smooth (tanh/softmax) losses used here.
+adjacency. Gradients are analytic (manual backprop), and so are
+Hessian-vector products: ``hvp_operator`` differentiates the backward pass
+in the direction of the vector (the R-op), with no step size.
 """
 
 from __future__ import annotations
@@ -303,10 +303,40 @@ def hidden_backward(
 
 
 def hvp_operator(spec: ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray):
-    """A pure callable v -> Hv of the mean loss on (x, y), for power iteration:
-    the central difference (g(p+sv) - g(p-sv)) / 2s of the exact gradient g."""
-    params = params.copy()
-    step = 1e-4 * (1.0 + float(np.abs(params).max()))
-    return lambda v: (
-        mean_gradient(spec, params + step * v, x, y) - mean_gradient(spec, params - step * v, x, y)
-    ) / (2.0 * step)
+    """A pure callable v -> Hv of the mean loss on (x, y): the exact R-op of
+    ``mean_gradient``'s backward pass in the direction v (Pearlmutter 1994).
+
+    The forward pass at ``params`` is done once, here; each call then takes
+    one directional-derivative forward pass and one backward pass.
+    """
+    lay = spec.layout
+    n = x.shape[0]
+    logits, act = _forward(spec, params, x)
+    prob = np.exp(_log_softmax(logits))
+    delta = prob.copy()
+    delta[np.arange(n), y] -= 1.0
+    delta /= n
+    w2 = _weights(params, lay.w2, lay.m, lay.k).copy()
+    if lay.h:
+        slope = 1.0 - act * act
+        back = delta @ w2.T
+
+    def hvp(v: np.ndarray) -> np.ndarray:
+        v2 = _weights(v, lay.w2, lay.m, lay.k)
+        r_logits = act @ v2 + v[lay.b2]
+        if lay.h:
+            r_act = (x @ _weights(v, lay.w1, lay.d, lay.h) + v[lay.b1]) * slope
+            r_logits += r_act @ w2
+        r_delta = prob * (r_logits - (prob * r_logits).sum(axis=1, keepdims=True)) / n
+        out = np.empty(lay.size)
+        r_w2 = act.T @ r_delta
+        out[lay.b2] = r_delta.sum(axis=0)
+        if lay.h:
+            r_w2 += r_act.T @ delta
+            r_delta1 = (r_delta @ w2.T + delta @ v2.T) * slope - 2.0 * act * r_act * back
+            out[lay.w1] = (x.T @ r_delta1).ravel()
+            out[lay.b1] = r_delta1.sum(axis=0)
+        out[lay.w2] = r_w2.ravel()
+        return out
+
+    return hvp

@@ -197,14 +197,18 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     def test_cli_import_leaves_scipy_stats_out(self):
-        # scipy.stats alone costs most of a cold start
-        code = "import sys, batchlab.cli; print('scipy.stats' in sys.modules)"
+        # scipy.stats alone costs most of a cold start; scipy.sparse.linalg
+        # (an eigsh route to sharpness) costs about 50 ms of it and 8 MB
+        code = (
+            "import sys, batchlab.cli; "
+            "print('scipy.stats' in sys.modules, 'scipy.sparse.linalg' in sys.modules)"
+        )
         src = str(Path(batchlab.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         out = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
         ).stdout
-        assert out.strip() == "False"
+        assert out.strip() == "False False"
 
     def test_sweep_analyze_report_pipeline(self, config_path, tmp_path, capsys):
         assert main(["sweep", str(config_path)]) == 0

@@ -113,24 +113,24 @@ class TestHvp:
         np.testing.assert_array_equal(hvp(np.zeros(params.size)), np.zeros(params.size))
 
     def test_matches_dense_hessian_oracle(self, rng):
-        # 6-parameter MLP point: assemble H column by column from finite
-        # differences of the exact gradient, then compare H v with hvp
-        spec = ModelSpec("mlp1", 1, 2, hidden_dim=1)
-        assert models.param_count(spec) == 6
-        params = rng.standard_normal(6) * 0.5
-        x, y = rng.standard_normal((8, 1)), rng.integers(0, 2, 8)
-        h = 1e-5
-        dense = np.zeros((6, 6))
-        for j in range(6):
-            up, down = params.copy(), params.copy()
-            up[j] += h
-            down[j] -= h
-            dense[:, j] = (
-                models.mean_gradient(spec, up, x, y) - models.mean_gradient(spec, down, x, y)
-            ) / (2 * h)
-        v = rng.standard_normal(6)
-        hv = models.hvp_operator(spec, params, x, y)(v)
-        np.testing.assert_allclose(hv, dense @ v, rtol=1e-3, atol=1e-8)
+        # assemble H column by column from central differences of the exact
+        # gradient, then compare H v with the exact HVP, for both model kinds
+        for spec in (ModelSpec("logistic", 2, 3), ModelSpec("mlp1", 1, 2, hidden_dim=1)):
+            size = models.param_count(spec)
+            params = rng.standard_normal(size) * 0.5
+            x, y = rng.standard_normal((8, spec.input_dim)), rng.integers(0, spec.num_classes, 8)
+            h = 1e-5
+            dense = np.zeros((size, size))
+            for j in range(size):
+                up, down = params.copy(), params.copy()
+                up[j] += h
+                down[j] -= h
+                dense[:, j] = (
+                    models.mean_gradient(spec, up, x, y) - models.mean_gradient(spec, down, x, y)
+                ) / (2 * h)
+            v = rng.standard_normal(size)
+            hv = models.hvp_operator(spec, params, x, y)(v)
+            np.testing.assert_allclose(hv, dense @ v, rtol=1e-5, atol=1e-10)
 
     def test_symmetric_bilinear_form(self, rng):
         spec = ModelSpec("mlp1", 3, 3, hidden_dim=4)
@@ -141,7 +141,17 @@ class TestHvp:
         hvp = models.hvp_operator(spec, params, x, y)
         uhv = u @ hvp(v)
         vhu = v @ hvp(u)
-        assert uhv == pytest.approx(vhu, rel=1e-6)
+        assert uhv == pytest.approx(vhu, rel=1e-12)
+
+    def test_operator_ignores_later_parameter_writes(self, rng):
+        spec = ModelSpec("mlp1", 3, 3, hidden_dim=4)
+        params = models.init_params(spec, rng)
+        x, y = make_batch(rng, n=6, d=3)
+        v = rng.standard_normal(params.size)
+        hvp = models.hvp_operator(spec, params, x, y)
+        before = hvp(v)
+        params += 1.0
+        np.testing.assert_array_equal(hvp(v), before)
 
 
 class TestPredictAccuracy:

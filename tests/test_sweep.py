@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from batchlab import sweep
+from batchlab import measures, sweep
 from batchlab.config import build_sweep_config
 
 BASE = {
@@ -78,6 +79,29 @@ class TestRunSweep:
         a = [json.dumps(r.canonical_dict(), sort_keys=True) for r in serial]
         b = [json.dumps(r.canonical_dict(), sort_keys=True) for r in parallel]
         assert set(a) == set(b) and len(a) == len(b)
+
+    def test_final_sharpness_matches_dense_eigensolver(self, tmp_path, monkeypatch):
+        # every final sharpness against dense eigvalsh of the exact Hessian,
+        # assembled from the same run's HVP oracle on the basis vectors
+        calls = []
+        solve = measures.sharpness_lambda_max
+
+        def recording(hvp_oracle, dim):
+            result = solve(hvp_oracle, dim)
+            calls.append((hvp_oracle, dim, result[0]))
+            return result
+
+        monkeypatch.setattr(measures, "sharpness_lambda_max", recording)
+        cfg = make_config(
+            tmp_path, ablations=[{"kind": "no_noise_averaging"}], train={"epochs": 6}
+        )
+        records = sweep.run_sweep(cfg, workers=1)
+        assert len(calls) == len(records) == 8
+        assert {r.final.sharpness for r in records if r.final} <= {c[2] for c in calls}
+        for hvp_oracle, dim, value in calls:
+            dense = np.stack([hvp_oracle(e) for e in np.eye(dim)], axis=1)
+            eigs = np.linalg.eigvalsh((dense + dense.T) / 2.0)
+            assert value == pytest.approx(eigs[np.argmax(np.abs(eigs))], rel=1e-8)
 
     def test_truncated_final_line_quarantined(self, tmp_path):
         cfg = make_config(tmp_path)
