@@ -220,44 +220,30 @@ def sam_perturbed_gradient(grad_fn, params: np.ndarray, rho: float) -> np.ndarra
 # -- graph-specific pieces ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EdgeOperators:
-    """The edge regularizer's gradient as two fixed sparse operators.
+def edge_laplacian(edges: np.ndarray, n: int) -> sp.csr_matrix:
+    """The edge regularizer's gradient operator: ``(2/m)(D - A)`` for a
+    nonempty [m x 2] edge array over n nodes.
 
-    For an [m x 2] edge array (e0, e1) over n nodes, ``gather`` (m x n, entries
-    +1 at e0 and -1 at e1) maps embeddings to the edge differences
-    ``emb[e0] - emb[e1]``, and ``scatter`` (n x 2m, entries +2/m in the e0
-    columns, then -2/m in the e1 columns) maps ``[diff; diff]`` to the
-    embedding gradient of the edge regularizer, the mean over edges of
-    ``|emb[e0] - emb[e1]|^2``. A CSR row sum runs in stored column order, so
-    each node adds its e0 terms in edge order, then its e1 terms in edge
-    order: the same order, and so the same floats, as scattering edge by edge.
-    ``train_run`` builds them once per cell, since the graph is fixed.
+    The regularizer is the mean over edges of ``|emb[e0] - emb[e1]|^2``, and
+    its gradient in the embeddings is ``(2/m) L emb`` with ``L = D - A`` the
+    graph Laplacian of the edge list: ``A`` counts each edge once in both
+    directions, duplicates summed, and ``D`` holds each node's degree so
+    counted. ``train_run`` builds it once per cell, since the graph is fixed.
     """
-
-    gather: sp.csr_matrix
-    scatter: sp.csr_matrix
-
-    @staticmethod
-    def from_edges(edges: np.ndarray, n: int) -> "EdgeOperators":
-        e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        m = e.shape[0]
-        gather = sp.csr_matrix(
-            (np.repeat([1.0, -1.0], m), (np.tile(np.arange(m), 2), e.T.ravel())), shape=(m, n)
-        )
-        coef = 2.0 / m
-        scatter = sp.csr_matrix(
-            (np.repeat([coef, -coef], m), (e.T.ravel(), np.arange(2 * m))), shape=(n, 2 * m)
-        )
-        return EdgeOperators(gather, scatter)
+    m = len(edges)
+    adj = sp.csr_matrix((np.ones(2 * m), (edges.ravel(), edges[:, ::-1].ravel())), shape=(n, n))
+    degree = sp.diags(np.bincount(edges.ravel(), minlength=n).astype(np.float64))
+    return (2.0 / m) * (degree - adj).tocsr()
 
 
-def _causal_regularizer_grad(embeddings: np.ndarray, ops: EdgeOperators) -> np.ndarray:
-    """The edge regularizer's gradient in the embeddings, for a nonempty edge
-    set, through the precomputed operators: one gather, one scatter,
-    bit-identical to the edge-order scatter."""
-    diff = ops.gather @ embeddings
-    return ops.scatter @ np.vstack((diff, diff))
+def _causal_regularizer_grad(embeddings: np.ndarray, laplacian: sp.csr_matrix) -> np.ndarray:
+    """The edge regularizer's gradient in the embeddings [..., n, h] (one
+    [n, h] per seed), as one product of the ``edge_laplacian`` with the
+    seeds side by side, [n, S*h]. A CSR product sums each column on its own,
+    so every seed gets the floats of its product alone."""
+    n, h = embeddings.shape[-2:]
+    cols = np.moveaxis(embeddings.reshape(-1, n, h), 0, 1).reshape(n, -1)
+    return np.moveaxis((laplacian @ cols).reshape(n, -1, h), 1, 0).reshape(embeddings.shape)
 
 
 def diffusion_update(
@@ -292,7 +278,7 @@ def gradient_with_penalties(
     y: np.ndarray,
     lambda_causal: float,
     reg_inputs: np.ndarray,
-    edges: EdgeOperators | None,
+    laplacian: sp.csr_matrix | None,
     l1: float,
     l2: float,
     out: np.ndarray | None = None,
@@ -301,21 +287,20 @@ def gradient_with_penalties(
     with the shapes of ``models.mean_gradient`` (a seed stack, minibatch
     axes), written into ``out`` when given.
 
-    ``edges`` are the ``EdgeOperators`` of a nonempty edge set, which
+    ``laplacian`` is the ``edge_laplacian`` of a nonempty edge set, which
     ``train_run`` builds once per cell, and only when ``lambda_causal`` > 0;
-    with them the gradient adds ``lambda_causal`` times that of the edge
+    with it the gradient adds ``lambda_causal`` times that of the edge
     regularizer on the hidden embeddings of ``reg_inputs``, the whole-graph
-    features the edges index ([n, d], or one [S, n, d] per seed). Its
-    gradient runs through the operators, one seed at a time, bit-identical to
-    scattering ``±2/m * diff`` edge by edge. ``l1`` and ``l2`` weight the
-    parameters' L1 norm and squared L2 norm. A penalty depends on the
-    parameters only, so every minibatch of a seed gets the same term.
+    features the edges index ([n, d], or one [S, n, d] per seed). The
+    embeddings' gradient is one product of the Laplacian with the whole seed
+    stack, each seed's floats those of its product alone. ``l1`` and ``l2``
+    weight the parameters' L1 norm and squared L2 norm. A penalty depends on
+    the parameters only, so every minibatch of a seed gets the same term.
     """
     g = models.mean_gradient(spec, params, x, y, out=out)
-    if edges is not None:
+    if laplacian is not None:
         emb = models.hidden_activations(spec, params, reg_inputs)
-        seeds = emb.reshape((-1,) + emb.shape[-2:])
-        d_emb = np.stack([_causal_regularizer_grad(e, edges) for e in seeds]).reshape(emb.shape)
+        d_emb = _causal_regularizer_grad(emb, laplacian)
         term = lambda_causal * models.hidden_backward(spec, params, reg_inputs, emb, d_emb)
         g += models.with_minibatch_axes(term, g.ndim)
     if l1 > 0.0:
@@ -460,7 +445,9 @@ def train_run(dataset: datamod.DatasetBundle, configs) -> list[RunRecord]:
     final sharpness/noise leave the complexity domain; degenerate records
     carry no final measurement. The model spec is checked against the dataset
     once, here (``check_model_fits``, ``check_train_split``); the kernels
-    called per step check nothing.
+    called per step check nothing. With ``lambda_causal`` > 0 on a graph with
+    edges, the edge regularizer's ``edge_laplacian`` is built once, here, and
+    each gradient applies it to the whole stack in one product.
     """
     t_start = perf_counter()
     configs = list(configs)
@@ -503,11 +490,11 @@ def train_run(dataset: datamod.DatasetBundle, configs) -> list[RunRecord]:
     if is_graph:
         adj_norm = models.normalized_adjacency(dataset.adjacency)
     det_features = diffused(0.0, 0.0, None) if is_graph else dataset.features
-    edge_ops = None
+    laplacian = None
     if is_graph and config.lambda_causal > 0.0:
         edges = datamod.edge_list(dataset.adjacency)
         if len(edges):
-            edge_ops = EdgeOperators.from_edges(edges, dataset.features.shape[0])
+            laplacian = edge_laplacian(edges, dataset.features.shape[0])
 
     probe_idx = train_idx[: min(256, n_train)]
     x_train, x_val, x_test, x_probe = (
@@ -533,7 +520,7 @@ def train_run(dataset: datamod.DatasetBundle, configs) -> list[RunRecord]:
             labels[idx],
             lambda_causal=config.lambda_causal,
             reg_inputs=features,
-            edges=edge_ops,
+            laplacian=laplacian,
             l1=abl.l1,
             l2=abl.l2,
             out=out,

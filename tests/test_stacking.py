@@ -60,9 +60,10 @@ class TestStackedKernels:
         # np.matmul must run the same per-matrix routine on a stack, with its
         # swapped-axis transposes, as on one matrix: checked over many shapes
         rng = np.random.default_rng(0)
+        graph_widths = set()
         for _ in range(30):
             s, m = (int(v) for v in rng.integers(1, 5, size=2))
-            choices = ([1, 2, 5, 16, 33, 100], [1, 3, 12], [1, 4, 32], [2, 3, 7])
+            choices = ([1, 2, 5, 16, 33, 100], [1, 3, 12], [1, 4, 5, 32], [2, 3, 7])
             n, d, h, k = (int(rng.choice(c)) for c in choices)
             spec = ModelSpec(kind, d, k, hidden_dim=h)
             params = rng.standard_normal((s, models.param_count(spec))) * 10.0 ** rng.uniform(-2, 1)
@@ -89,6 +90,28 @@ class TestStackedKernels:
                     assert np.array_equal(act[i], act_i)
                     expect = models.hidden_backward(spec, params[i], xi, act_i, d_hidden[i])
                     assert np.array_equal(back[i], expect)
+            if n < 2:
+                continue
+            # the edge penalty's Laplacian product over the whole stack, on a
+            # random graph with repeated endpoints
+            edges = rng.integers(0, n, size=(int(rng.integers(1, 3 * n)), 2))
+            edges = edges[edges[:, 0] != edges[:, 1]]
+            if len(edges) == 0:
+                edges = np.array([[0, 1]])
+            lap = training.edge_laplacian(edges, n)
+            graph_widths.add(h)
+            for features in (x[0, 0], x[:, 0]):
+                got = training.gradient_with_penalties(
+                    spec, params, x[:, 0], y[:, 0], 0.7, features, lap, 0.0, 0.0
+                )
+                for i in range(s):
+                    xi = features if features.ndim == 2 else features[i]
+                    alone = training.gradient_with_penalties(
+                        spec, params[i], x[i, 0], y[i, 0], 0.7, xi, lap, 0.0, 0.0
+                    )
+                    assert np.array_equal(got[i], alone)
+        if kind == "mlp1":
+            assert {1, 5} <= graph_widths  # hidden widths that are not multiples of 4
 
     def test_np_mean_sums_a_middle_axis_in_order_from_zero(self):
         # train_run sums no_noise_averaging's minibatch gradients this way, a
