@@ -157,7 +157,7 @@ class TestCausalRegularizer:
         [Ablation(), Ablation(kind="sam", rho=0.05), Ablation(kind="no_noise_averaging")],
         ids=lambda a: a.kind,
     )
-    def test_run_records_near_edge_scatter(self, monkeypatch, ablation):
+    def test_train_run_records_match_edge_scatter(self, monkeypatch, ablation):
         bundle = data.make_sbm_graph(120, 2, p_in=0.2, p_out=0.02, d=5, seed=3)
         spec = ModelSpec(
             "graph_diffusion", 5, 2, hidden_dim=6, diffusion_alpha=0.3, diffusion_beta=0.1
