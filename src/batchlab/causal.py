@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtrc
 
 VAR_BATCH = "batch_size"
 VAR_NOISE = "grad_noise"
@@ -369,6 +368,8 @@ def backdoor_diagnostic(binned: BinnedRecords) -> list[StratumDiagnostic]:
     than ``MIN_STRATUM_RECORDS`` records (or degenerate tables) are skipped
     and reported as such.
     """
+    from scipy.special import chdtrc
+
     results = []
     strata = binned.columns[VAR_COMPLEXITY]
     for s in range(binned.k[VAR_COMPLEXITY]):

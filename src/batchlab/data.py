@@ -12,11 +12,14 @@ import csv
 import hashlib
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .models import require_integers, require_reals
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 @dataclass
@@ -65,6 +68,8 @@ class DatasetBundle:
         if len(np.unique(seen)) != seen.size:
             raise ValueError("splits must be disjoint")
         if self.adjacency is not None:
+            import scipy.sparse as sp
+
             adj = sp.csr_matrix(self.adjacency, dtype=np.float64)
             if adj.shape != (n, n):
                 raise ValueError(f"adjacency must be {n} x {n}, got {adj.shape}")
@@ -171,6 +176,8 @@ def make_sbm_graph(
     Node features are the block's mean direction (norm = feature_signal) plus
     unit Gaussian noise. The adjacency is symmetric with zero diagonal.
     """
+    import scipy.sparse as sp
+
     require_integers(n=n, num_classes=num_classes, d=d, seed=seed)
     require_reals(p_in=p_in, p_out=p_out, feature_signal=feature_signal)
     if not (0.0 <= p_out < p_in <= 1.0):
@@ -226,6 +233,8 @@ def load_tabular_graph(
     symmetrized and self-loops dropped. The dataset id is a content digest of
     both files.
     """
+    import scipy.sparse as sp
+
     require_integers(seed=seed)
     nodes_path, edges_path = Path(nodes), Path(edges)
     nodes_bytes = nodes_path.read_bytes()
@@ -310,6 +319,8 @@ def save_tabular_graph(bundle: DatasetBundle, nodes_path, edges_path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["src", "dst"])
         if bundle.adjacency is not None:
+            import scipy.sparse as sp
+
             coo = sp.triu(bundle.adjacency, k=1).tocoo()
             for a, b in sorted(zip(coo.row.tolist(), coo.col.tolist())):
                 writer.writerow([a, b])
@@ -317,5 +328,7 @@ def save_tabular_graph(bundle: DatasetBundle, nodes_path, edges_path) -> None:
 
 def edge_list(adjacency: sp.csr_matrix) -> np.ndarray:
     """Upper-triangle (i, j) pairs of a symmetric adjacency, as an [m x 2] array."""
+    import scipy.sparse as sp
+
     coo = sp.triu(adjacency, k=1).tocoo()
     return np.stack([coo.row, coo.col], axis=1).astype(np.int64)

@@ -34,9 +34,12 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 MODEL_KINDS = ("logistic", "mlp1", "graph_diffusion")
 
@@ -175,6 +178,8 @@ def init_params(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
 
 def normalized_adjacency(adjacency: sp.csr_matrix) -> sp.csr_matrix:
     """Symmetric renormalization D^(-1/2) (A + I) D^(-1/2) of a sparse adjacency."""
+    import scipy.sparse as sp
+
     a = adjacency + sp.identity(adjacency.shape[0], format="csr")
     scale = sp.diags(1.0 / np.sqrt(np.asarray(a.sum(axis=1)).ravel()))
     return scale @ a @ scale

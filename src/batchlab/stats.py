@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc
 
 EXACT_WILCOXON_MAX_N = 20
 
@@ -46,6 +45,8 @@ def welch_t_test(xs, ys) -> TTestResult:
     signed infinity with p = 0 if the means differ, and t = 0 with p = 1 if
     they are equal.
     """
+    from scipy.special import betainc
+
     x = np.asarray(list(xs), dtype=np.float64)
     y = np.asarray(list(ys), dtype=np.float64)
     if x.size < 2 or y.size < 2:

@@ -22,7 +22,6 @@ import dataclasses
 import itertools
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from pathlib import Path
 
@@ -190,7 +189,12 @@ def run_sweep(
             _check_resumable(records_path, record, tc, bundle)
 
     new_records: list[training.RunRecord] = []
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=workers)
+    else:
+        pool = nullcontext()
     with pool:
         run_map = pool.map if workers > 1 else map
         # looked up per sweep, so that a wrapped train_run is the one that runs

@@ -20,12 +20,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from time import perf_counter
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import data as datamod
 from . import measures, models
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 ABLATION_KINDS = ("none", "no_noise_averaging", "sam", "l1l2", "inject_noise")
 LR_SCHEDULES = ("fixed", "halve_every_10", "scaled_inverse_B")
@@ -230,6 +233,8 @@ def edge_laplacian(edges: np.ndarray, n: int) -> sp.csr_matrix:
     directions, duplicates summed, and ``D`` holds each node's degree so
     counted. ``train_run`` builds it once per cell, since the graph is fixed.
     """
+    import scipy.sparse as sp
+
     m = len(edges)
     adj = sp.csr_matrix((np.ones(2 * m), (edges.ravel(), edges[:, ::-1].ravel())), shape=(n, n))
     degree = sp.diags(np.bincount(edges.ravel(), minlength=n).astype(np.float64))

@@ -196,19 +196,48 @@ class TestCli:
         assert capsys.readouterr().err.count("non-finite feature value in row 1") == 2
         assert not (tmp_path / "out").exists()
 
-    def test_cli_import_leaves_scipy_stats_out(self):
-        # scipy.stats alone costs most of a cold start; scipy.sparse.linalg
-        # (an eigsh route to sharpness) costs about 50 ms of it and 8 MB
-        code = (
-            "import sys, batchlab.cli; "
-            "print('scipy.stats' in sys.modules, 'scipy.sparse.linalg' in sys.modules)"
-        )
+    def test_cli_import_leaves_scipy_stats_out(self, config_path, tmp_path):
+        # A cold start loads numpy only: scipy.sparse loads with a graph
+        # dataset, scipy.special with analyze and report, and the process pool
+        # only for workers > 1. scipy.stats alone once cost most of a cold
+        # start; scipy.sparse.linalg (an eigsh route to sharpness) costs about
+        # 50 ms of it and 8 MB. Each check runs in a fresh interpreter.
         src = str(Path(batchlab.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
-        ).stdout
-        assert out.strip() == "False False"
+
+        def loaded(*argvs):
+            """scipy and process-pool modules loaded by importing the CLI and
+            running ``main`` on each argv in turn."""
+            code = (
+                "import json, sys\nfrom batchlab.cli import main\n"
+                f"for argv in {[list(map(str, a)) for a in argvs]!r}:\n"
+                "    assert main(argv) == 0, argv\n"
+                "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+                " or m == 'concurrent.futures.process')))"
+            )
+            out = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+            ).stdout
+            return set(json.loads(out.splitlines()[-1]))
+
+        imported = loaded()
+        assert "scipy.stats" not in imported
+        assert "scipy.sparse.linalg" not in imported
+        assert imported == set()
+
+        sweep_args = ["sweep", config_path, "--workers", 1]
+        assert loaded(["validate", config_path], sweep_args, sweep_args) == set()
+        records = tmp_path / "out" / "records.jsonl"
+        assert len(records.read_text().splitlines()) == 4
+
+        sbm = tmp_path / "sbm.json"
+        dataset = {"kind": "sbm", "n": 60, "num_classes": 2, "p_in": 0.2, "p_out": 0.02, "d": 3}
+        sbm.write_text(json.dumps(dict(CONFIG, dataset=dataset)))
+        assert "scipy.sparse" in loaded(["validate", sbm])
+
+        imported = loaded(["report", records, "--out", tmp_path / "report"])
+        assert "scipy.special" in imported
+        assert "scipy.sparse" not in imported
 
     def test_sweep_analyze_report_pipeline(self, config_path, tmp_path, capsys):
         assert main(["sweep", str(config_path)]) == 0
