@@ -199,7 +199,7 @@ def _equal_frequency_binning(values: np.ndarray, k: int) -> ContinuousBinning:
     return ContinuousBinning(cuts=binning.cuts, representatives=tuple(reps))
 
 
-def discretize_records(records, k: int = 3) -> tuple[DiscretizationScheme, BinnedRecords]:
+def discretize_records(records, k: int) -> tuple[DiscretizationScheme, BinnedRecords]:
     """Equal-frequency binning of the continuous variables of a nonempty
     record list into at most ``k`` bins; the batch size keeps its sorted
     unique levels. Representatives are within-bin means of the fitting
@@ -244,9 +244,7 @@ class ConditionalTable:
         }
 
 
-def fit_cpts(
-    h: CausalHypergraph, binned: BinnedRecords, alpha: float = 1.0
-) -> list[ConditionalTable]:
+def fit_cpts(h: CausalHypergraph, binned: BinnedRecords, alpha: float) -> list[ConditionalTable]:
     """One Laplace-smoothed table per hyperedge:
     P(head | tail) = (count + alpha) / (row_total + alpha * k_head),
     uniform where that denominator is 0 (a row never observed, alpha = 0).

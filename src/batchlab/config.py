@@ -3,9 +3,12 @@
 Config files are JSON. Every section is declared once, by the code that
 builds it: its parameters are the section's keys and defaults (``_check_keys``).
 Unknown keys are rejected by name at every nesting level, so typos fail loudly
-instead of silently using a default. The dataclass sections are built and
-checked here; the dataset (``data.BUILDERS``) and model (``models.ModelSpec``)
-values are checked where a sweep builds them, in ``sweep.plan_sweep``.
+instead of silently using a default. The top level, ``train.batch_schedule``,
+the ablations and ``causal`` are built and checked here. The dataset
+(``data.BUILDERS``), model (``models.ModelSpec``) and train
+(``training.TrainConfig``, less the fields a sweep sets per run) sections stay
+dicts of the given keys; their values are checked where a sweep builds them,
+in ``sweep.plan_sweep``.
 """
 
 from __future__ import annotations
@@ -25,9 +28,10 @@ class ConfigError(ValueError):
     """Invalid sweep configuration."""
 
 
-# The config key of each ModelSpec field named otherwise; None for the fields
-# the dataset fixes.
+# The config key of each field named otherwise; None for the ModelSpec fields
+# the dataset fixes and the TrainConfig fields a sweep sets per run.
 MODEL_KEY_OF_FIELD = {"hidden_dim": "hidden", "input_dim": None, "num_classes": None}
+TRAIN_KEY_OF_FIELD = dict.fromkeys(("model", "batch_size", "seed", "ablation"))
 
 
 def _check_keys(build, obj, where: str, key_of=None) -> None:
@@ -50,13 +54,17 @@ def _check_keys(build, obj, where: str, key_of=None) -> None:
             raise ConfigError(f"missing required key {key!r} in {where}")
 
 
+def _given(build, obj, where: str, key_of=None, **parsers) -> dict:
+    """The config object ``obj`` at ``where``, its keys checked against
+    ``build`` (``_check_keys``) and its nested sections parsed by ``parsers``."""
+    _check_keys(build, obj, where, key_of)
+    return {key: parsers[key](value) if key in parsers else value for key, value in obj.items()}
+
+
 def _section(cls, obj, where: str, **parsers):
     """Build dataclass ``cls``, whose constructor checks the values, from the
-    config object ``obj`` at ``where``; ``parsers`` convert the given values
-    of nested sections first."""
-    _check_keys(cls, obj, where)
-    kwargs = {key: parsers[key](value) if key in parsers else value for key, value in obj.items()}
-    return checked(where, cls, **kwargs)
+    config object ``obj`` at ``where`` (``_given``)."""
+    return checked(where, cls, **_given(cls, obj, where, **parsers))
 
 
 def checked(where: str, build, *args, **kwargs):
@@ -68,36 +76,6 @@ def checked(where: str, build, *args, **kwargs):
         raise ConfigError(f"invalid {where} settings: {exc}") from exc
 
 
-# A model the train settings are checked against before the sweep's is known.
-_PLACEHOLDER_MODEL = models.ModelSpec("logistic", 1, 2)
-
-
-@dataclass(frozen=True)
-class TrainTemplate:
-    """The ``train`` section: every run's training settings but its model,
-    batch size, seed and ablation."""
-
-    epochs: int = 50
-    lr: float = 1e-3
-    lr_schedule: str = "fixed"
-    optimizer: str = "adam"
-    lambda_causal: float = 0.0
-    early_stop_patience: int = 10
-    batch_schedule: training.BatchSchedule = field(default_factory=training.BatchSchedule)
-
-    def __post_init__(self) -> None:
-        # the template's values are checked where every run's are
-        self.train_config(_PLACEHOLDER_MODEL, batch_size=1, seed=0)
-
-    def train_config(
-        self, model: models.ModelSpec, batch_size: int, seed: int, ablation=training.Ablation()
-    ) -> training.TrainConfig:
-        """The ``TrainConfig`` of one run; ``TrainConfig`` validates the settings."""
-        return training.TrainConfig(
-            model=model, batch_size=batch_size, seed=seed, ablation=ablation, **vars(self)
-        )
-
-
 @dataclass(frozen=True)
 class SweepConfig:
     """The whole config file; a key that is absent or ``null`` takes the
@@ -107,7 +85,7 @@ class SweepConfig:
     model: dict
     batch_sizes: tuple[int, ...] = DEFAULT_BATCH_SIZES
     seeds: tuple[int, ...] = tuple(range(DEFAULT_SEED_COUNT))
-    train: TrainTemplate = field(default_factory=TrainTemplate)
+    train: dict = field(default_factory=dict)
     ablations: tuple[training.Ablation, ...] = ()
     causal: analysis.AnalysisSettings = field(default_factory=analysis.AnalysisSettings)
     out_dir: str | None = None
@@ -125,11 +103,6 @@ def _parse_dataset(obj) -> dict:
     if kind not in data.BUILDERS:
         raise ConfigError(f"dataset kind must be one of {sorted(data.BUILDERS)}, got {kind!r}")
     _check_keys(data.BUILDERS[kind], {k: v for k, v in obj.items() if k != "kind"}, "dataset")
-    return dict(obj)
-
-
-def _parse_model(obj) -> dict:
-    _check_keys(models.ModelSpec, obj, "model", MODEL_KEY_OF_FIELD)
     return dict(obj)
 
 
@@ -159,15 +132,6 @@ def _parse_seeds(value) -> tuple[int, ...]:
     return tuple(value)
 
 
-def _parse_train(obj) -> TrainTemplate:
-    return _section(
-        TrainTemplate,
-        obj,
-        "train",
-        batch_schedule=lambda v: _section(training.BatchSchedule, v, "train.batch_schedule"),
-    )
-
-
 def _parse_ablations(value) -> tuple[training.Ablation, ...]:
     if not isinstance(value, list):
         raise ConfigError("ablations must be a list")
@@ -188,10 +152,16 @@ def build_sweep_config(obj: dict) -> SweepConfig:
         {key: value for key, value in obj.items() if value is not None},
         "config",
         dataset=_parse_dataset,
-        model=_parse_model,
+        model=lambda v: _given(models.ModelSpec, v, "model", MODEL_KEY_OF_FIELD),
         batch_sizes=_parse_batch_sizes,
         seeds=_parse_seeds,
-        train=_parse_train,
+        train=lambda v: _given(
+            training.TrainConfig,
+            v,
+            "train",
+            TRAIN_KEY_OF_FIELD,
+            batch_schedule=lambda w: _section(training.BatchSchedule, w, "train.batch_schedule"),
+        ),
         ablations=_parse_ablations,
         causal=lambda v: _section(analysis.AnalysisSettings, v, "causal"),
     )

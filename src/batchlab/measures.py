@@ -42,18 +42,18 @@ BREAKDOWN = 1e-12
 
 
 def sharpness_lambda_max(hvp_oracle, dim: int) -> tuple[float, int]:
-    """Dominant Hessian eigenvalue by Lanczos on an HVP oracle.
+    """Largest Hessian eigenvalue by Lanczos on an HVP oracle.
 
     Lanczos with full reorthogonalisation starts from one seeded point on the
-    sphere and stops when the top-magnitude Ritz pair of the current Krylov
-    block has a residual of at most ``LANCZOS_TOL`` times its value, or after
+    sphere and stops when the largest Ritz pair of the current Krylov block
+    has a residual of at most ``LANCZOS_TOL`` times its value, or after
     ``dim`` steps. At a breakdown the block spans an invariant subspace and
     its Ritz values are exact eigenvalues; Lanczos then goes on from a fresh
     seeded vector orthogonal to every basis vector so far, so a start with no
-    component along the top eigenvector still finds it. Returns the signed
-    top-magnitude Ritz value of all blocks (negative for a negative-definite
-    operator) and the oracle calls used. ``dim`` >= 1: ``train_run`` passes
-    the parameter count.
+    component along the wanted eigenvector still finds it. Returns the largest
+    Ritz value of all blocks (negative for a negative-definite operator),
+    whatever the magnitude of a negative eigenvalue, and the oracle calls
+    used. ``dim`` >= 1: ``train_run`` passes the parameter count.
     """
     rng = np.random.default_rng(0)
 
@@ -68,7 +68,7 @@ def sharpness_lambda_max(hvp_oracle, dim: int) -> tuple[float, int]:
 
     basis = np.empty((0, dim))
     q = fresh(basis)
-    best = 0.0
+    best = -np.inf
     block = 0  # where the current Krylov block starts in the basis
     diag: list[float] = []
     off: list[float] = []
@@ -81,17 +81,15 @@ def sharpness_lambda_max(hvp_oracle, dim: int) -> tuple[float, int]:
         diag.append(float(q @ w))
         beta = float(np.linalg.norm(orthogonalise(w, basis)))
         t = np.diag(diag[block:]) + np.diag(off[block:], 1) + np.diag(off[block:], -1)
-        theta, s = np.linalg.eigh(t)
-        top = int(np.argmax(np.abs(theta)))
-        if abs(theta[top]) > abs(best):
-            best = float(theta[top])
+        theta, s = np.linalg.eigh(t)  # ascending, so the largest is last
+        best = max(best, float(theta[-1]))
         if step + 1 == dim:
             break
         if beta <= BREAKDOWN * scale:
             q = fresh(basis)
             off.append(0.0)
             block = step + 1
-        elif beta * abs(s[-1, top]) <= LANCZOS_TOL * abs(theta[top]):
+        elif beta * abs(s[-1, -1]) <= LANCZOS_TOL * abs(theta[-1]):
             break
         else:
             q = w / beta

@@ -6,9 +6,9 @@ line. On resume, a truncated (unparseable) final line is moved to a
 are skipped, and one whose recorded config or dataset id differs from the
 planned run's raises instead of being reused.
 
-The unit of work is a cell: the pending runs that share a batch size and an
-ablation and differ only in the seed, which ``training.train_run`` trains as
-one stack. Cells execute serially or in a process pool; when the pool has
+The unit of work is a cell: the pending runs that differ only in the seed
+(equal ``training.cell_key``), which ``training.train_run`` trains as one
+stack. Cells execute serially or in a process pool; when the pool has
 more workers than there are cells, cells are split by seed until no worker
 idles. Every run is a pure function of (dataset, train config), whatever
 its stack, so the record set is identical either way. A single writer
@@ -66,7 +66,8 @@ def plan_sweep(config: SweepConfig) -> tuple[datamod.DatasetBundle, list[trainin
     seed, ablation): all that a sweep checks before it trains.
 
     ``batchlab validate`` runs this too, so it accepts exactly the configs a
-    sweep can start. An invalid or mistyped dataset or model value raises
+    sweep can start. Each run's ``TrainConfig`` is built and checked here,
+    once. An invalid or mistyped dataset, model or train value raises
     ``ConfigError``.
     """
     bundle = checked("dataset", build_dataset, config)
@@ -74,10 +75,10 @@ def plan_sweep(config: SweepConfig) -> tuple[datamod.DatasetBundle, list[trainin
     model_spec = checked("model", build_model_spec, config, bundle)
     ablations = (training.Ablation(),) + config.ablations
     planned = [
-        config.train.train_config(model_spec, b, seed, abl)
+        checked("train", training.TrainConfig, model_spec, b, **config.train, seed=s, ablation=a)
         for b in sorted(config.batch_sizes)
-        for seed in sorted(config.seeds)
-        for abl in ablations
+        for s in sorted(config.seeds)
+        for a in ablations
     ]
     return bundle, planned
 
@@ -148,9 +149,9 @@ def work_units(
     """The pending runs grouped into cells (configs equal but for the seed),
     in plan order; while there are fewer units than ``workers``, the largest
     unit is split in two by seed."""
-    cells: dict[training.TrainConfig, list[training.TrainConfig]] = {}
+    cells: dict[tuple, list[training.TrainConfig]] = {}
     for tc in pending:
-        cells.setdefault(dataclasses.replace(tc, seed=0), []).append(tc)
+        cells.setdefault(training.cell_key(tc), []).append(tc)
     units = list(cells.values())
     while len(units) < workers and any(len(unit) > 1 for unit in units):
         i = max(range(len(units)), key=lambda j: len(units[j]))
@@ -172,10 +173,13 @@ def run_sweep(
     (batch size, seed, ablation), independent of execution order. The sweep
     is planned (``plan_sweep``) before the record file is read. Raises
     ``ValueError`` before training anything when a present record of a
-    planned run carries another config or dataset id.
+    planned run carries another config or dataset id. ``workers``, when
+    given, replaces the config's and must pass the same rule.
     """
     records_path = Path(records_path) if records_path else default_records_path(config)
-    workers = workers if workers is not None else config.workers
+    if workers is not None:
+        config = dataclasses.replace(config, workers=workers)  # SweepConfig checks it
+    workers = config.workers
 
     bundle, planned = plan_sweep(config)
     existing = load_records(records_path)

@@ -18,7 +18,7 @@ trains alone or in a stack.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from time import perf_counter
 from typing import TYPE_CHECKING
 
@@ -69,7 +69,9 @@ class Ablation:
 
 @dataclass(frozen=True)
 class BatchSchedule:
-    """Fixed batch size, or progressive growth by ``factor`` every N epochs."""
+    """Fixed batch size, or progressive growth by ``factor`` every N epochs.
+    A parameter the kind does not read must keep its default: ``start``,
+    ``factor`` and ``every_epochs`` belong to ``progressive``."""
 
     kind: str = "fixed"
     start: int | None = None
@@ -86,6 +88,11 @@ class BatchSchedule:
             raise ValueError("factor and every_epochs must be >= 1")
         if self.start is not None and self.start < 1:
             raise ValueError("start must be >= 1")
+        defaults = (BatchSchedule.start, BatchSchedule.factor, BatchSchedule.every_epochs)
+        if self.kind == "fixed" and (self.start, self.factor, self.every_epochs) != defaults:
+            raise ValueError(
+                "start, factor and every_epochs apply only to progressive, not to fixed"
+            )
 
     def effective(self, nominal_b: int, epoch: int, n_train: int) -> int:
         if self.kind == "fixed":
@@ -100,9 +107,12 @@ class BatchSchedule:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """One run's training settings. The fields a sweep does not set per run
+    (all but model, batch size, seed and ablation) are the ``train`` keys."""
+
     model: models.ModelSpec
     batch_size: int
-    epochs: int
+    epochs: int = 50
     lr: float = 1e-3
     lr_schedule: str = "fixed"
     optimizer: str = "adam"
@@ -143,6 +153,12 @@ class TrainConfig:
             "ablation": self.ablation.to_dict(),
             "batch_schedule": self.batch_schedule.to_dict(),
         }
+
+
+def cell_key(config: TrainConfig) -> tuple:
+    """Every field of ``config`` but the seed: runs with equal keys form one
+    sweep cell, which ``train_run`` trains as one stack."""
+    return tuple(value for name, value in vars(config).items() if name != "seed")
 
 
 def schedule_lr(config: TrainConfig, epoch: int) -> float:
@@ -458,9 +474,7 @@ def train_run(dataset: datamod.DatasetBundle, configs) -> list[RunRecord]:
     configs = list(configs)
     config = configs[0]
     seeds = [c.seed for c in configs]
-    if len(set(seeds)) != len(seeds) or any(
-        replace(c, seed=config.seed) != config for c in configs
-    ):
+    if len(set(seeds)) != len(seeds) or len({cell_key(c) for c in configs}) > 1:
         raise ValueError("the configs of one train_run must differ in distinct seeds only")
     spec = config.model
     abl = config.ablation

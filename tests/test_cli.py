@@ -119,6 +119,12 @@ class TestCli:
             ("ablations", [{"kind": "sam", "l2": 0.1}], "l1/l2 apply only to l1l2"),
             ("causal", {"bins": 2.5}, "bins must be an integer"),
             ("causal", {"bins": True}, "bins must be an integer"),
+            (
+                "train",
+                {"batch_schedule": {"kind": "fixed", "start": 4}},
+                "invalid train.batch_schedule settings: start, factor and every_epochs apply"
+                " only to progressive, not to fixed",
+            ),
         ],
         ids=[
             "lr",
@@ -168,6 +174,7 @@ class TestCli:
             "l2_unread",
             "bins_float",
             "bins_bool",
+            "start_unread",
         ],
     )
     def test_validate_rejects_what_sweep_rejects(self, tmp_path, capsys, section, value, message):
@@ -177,6 +184,12 @@ class TestCli:
         validate_err = capsys.readouterr().err
         assert main(["sweep", str(path)]) == 1
         assert message in validate_err and capsys.readouterr().err == validate_err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_sweep_workers_flag_obeys_the_config_rule(self, config_path, tmp_path, capsys, workers):
+        assert main(["sweep", str(config_path), "--workers", workers]) == 1
+        assert "workers must be a positive integer" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_sweep_on_non_finite_csv_feature_exit_1(self, tmp_path, capsys):

@@ -7,7 +7,9 @@ import pytest
 from batchlab import data
 from batchlab.analysis import AnalysisSettings
 from batchlab.config import ConfigError, build_sweep_config, parse_config
-from batchlab.training import Ablation, BatchSchedule
+from batchlab.models import ModelSpec
+from batchlab.sweep import plan_sweep
+from batchlab.training import Ablation, BatchSchedule, TrainConfig
 
 MINIMAL = {
     "dataset": {"kind": "blobs", "n": 100, "d": 4, "num_classes": 3},
@@ -26,10 +28,24 @@ class TestParseConfig:
         cfg = parse_config(write_config(tmp_path, MINIMAL))
         assert cfg.batch_sizes == (16, 32, 64, 128, 256, 512)
         assert cfg.seeds == tuple(range(10))
-        assert cfg.train.epochs == 50
+        assert cfg.train == {}
         assert cfg.causal.treat is None and cfg.causal.control is None
         assert cfg.ablations == ()
         assert cfg.workers == 1
+        _, planned = plan_sweep(cfg)
+        assert len(planned) == 6 * 10
+        for tc in planned:
+            assert (tc.epochs, tc.lr, tc.lr_schedule, tc.optimizer) == (50, 1e-3, "fixed", "adam")
+            assert (tc.lambda_causal, tc.early_stop_patience) == (0.0, 10)
+            assert tc.ablation == Ablation() and tc.batch_schedule == BatchSchedule()
+
+    def test_planned_run_is_the_library_default(self):
+        # the train section's defaults are TrainConfig's, so a sweep and the
+        # library cannot disagree on an unset setting
+        _, planned = plan_sweep(build_sweep_config(MINIMAL))
+        spec = ModelSpec("mlp1", input_dim=4, num_classes=3, hidden_dim=8)
+        for tc in planned:
+            assert tc == TrainConfig(model=spec, batch_size=tc.batch_size, seed=tc.seed)
 
     def test_unknown_top_level_key_named(self, tmp_path):
         bad = dict(MINIMAL, batchsizes=[16])
@@ -95,6 +111,19 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="missing required key 'kind' in model"):
             build_sweep_config(dict(MINIMAL, model={"hidden": 4}))
 
+    def test_train_keys_are_train_config_fields(self):
+        train = {"epochs": 3, "lr": 0.1, "lr_schedule": "fixed", "optimizer": "sgd",
+                 "lambda_causal": 0.0, "early_stop_patience": 2, "batch_schedule": {}}
+        # the sweep sets the model, batch size, seed and ablation of each run
+        run_fields = {"model", "batch_size", "seed", "ablation"}
+        assert set(train) == set(inspect.signature(TrainConfig).parameters) - run_fields
+        assert build_sweep_config(dict(MINIMAL, train=train)).train == dict(
+            train, batch_schedule=BatchSchedule()
+        )
+        for key in run_fields:
+            with pytest.raises(ConfigError, match=f"unknown config key '{key}' in train$"):
+                build_sweep_config(dict(MINIMAL, train=dict(train, **{key: 1})))
+
     def test_bad_dataset_kind(self, tmp_path):
         bad = dict(MINIMAL, dataset={"kind": "imagenet"})
         with pytest.raises(ConfigError, match="kind"):
@@ -140,9 +169,14 @@ class TestParseConfig:
         cfg = parse_config(write_config(tmp_path, full))
         assert cfg.dataset == full["dataset"] and cfg.model == full["model"]
         assert cfg.batch_sizes == (16, 256) and cfg.seeds == (0, 1, 2)
-        assert (cfg.train.epochs, cfg.train.lr_schedule) == (40, "halve_every_10")
-        assert cfg.train.lambda_causal == 0.0  # absent, so the declared default
-        assert cfg.train.batch_schedule == BatchSchedule("progressive", 16, 2, 10)
+        schedule = BatchSchedule("progressive", 16, 2, 10)
+        assert cfg.train == dict(full["train"], batch_schedule=schedule)
+        _, planned = plan_sweep(cfg)
+        assert len(planned) == 2 * 3 * 3
+        for tc in planned:
+            assert (tc.epochs, tc.lr_schedule) == (40, "halve_every_10")
+            assert tc.batch_schedule == schedule
+            assert tc.lambda_causal == 0.0  # absent, so TrainConfig's default
         assert cfg.ablations == (Ablation("sam", rho=0.05), Ablation("no_noise_averaging"))
         assert cfg.causal == AnalysisSettings(bins=3, alpha=1.0, treat=16, control=256)
         assert cfg.out_dir == "out" and cfg.workers == 2

@@ -97,11 +97,14 @@ class TestRunSweep:
         )
         records = sweep.run_sweep(cfg, workers=1)
         assert len(calls) == len(records) == 8
-        assert {r.final.sharpness for r in records if r.final} <= {c[2] for c in calls}
+        # at 6 epochs some Hessians have a negative eigenvalue larger in
+        # magnitude than the largest one, which must not make a run degenerate
+        assert all(r.final for r in records)
+        assert {r.final.sharpness for r in records} <= {c[2] for c in calls}
         for hvp_oracle, dim, value in calls:
             dense = np.stack([hvp_oracle(e) for e in np.eye(dim)], axis=1)
             eigs = np.linalg.eigvalsh((dense + dense.T) / 2.0)
-            assert value == pytest.approx(eigs[np.argmax(np.abs(eigs))], rel=1e-8)
+            assert value == pytest.approx(eigs[-1], rel=1e-8)
 
     def test_truncated_final_line_quarantined(self, tmp_path):
         cfg = make_config(tmp_path)

@@ -533,3 +533,9 @@ class TestConfigValidation:
             Ablation(kind="dropout")
         with pytest.raises(ValueError):
             BatchSchedule(kind="progressive", factor=0)
+
+    @pytest.mark.parametrize("unread", [{"start": 4}, {"factor": 8}, {"every_epochs": 1}])
+    def test_fixed_schedule_rejects_progressive_settings(self, unread):
+        with pytest.raises(ValueError, match="apply only to progressive, not to fixed"):
+            BatchSchedule(kind="fixed", **unread)
+        BatchSchedule(kind="progressive", **unread)
