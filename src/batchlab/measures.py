@@ -1,8 +1,9 @@
-"""Run-level measurements: gradient noise, top curvature, complexity, generalization.
+"""Run-level measurements: gradient noise, top curvature and complexity.
 
-All four quantities are defined on a model state (parameters plus a probe
+All three quantities are defined on a model state (parameters plus a probe
 batch) and are pure functions, so they can be recomputed or checked against
-independent oracles at any time.
+independent oracles at any time. ``training.train_run`` reads a run's test
+accuracy and loss gap from its epoch log into its ``Measurement``.
 """
 
 from __future__ import annotations
@@ -39,6 +40,11 @@ LANCZOS_TOL = 1e-8
 # The Krylov space counts as invariant (breakdown) when the new direction is
 # this small next to ||Hq||.
 BREAKDOWN = 1e-12
+# A largest Ritz value within dim * ROUNDOFF times the largest Ritz magnitude
+# of 0 reads as 0: each tridiagonal entry is a length-dim dot product, whose
+# rounding error is up to dim * eps * ||H|| (Higham's gamma_n), and the largest
+# Ritz magnitude is a lower bound on ||H||, so such a value is roundoff.
+ROUNDOFF = float(np.finfo(np.float64).eps)
 
 
 def sharpness_lambda_max(hvp_oracle, dim: int) -> tuple[float, int]:
@@ -53,7 +59,8 @@ def sharpness_lambda_max(hvp_oracle, dim: int) -> tuple[float, int]:
     component along the wanted eigenvector still finds it. Returns the largest
     Ritz value of all blocks (negative for a negative-definite operator),
     whatever the magnitude of a negative eigenvalue, and the oracle calls
-    used. ``dim`` >= 1: ``train_run`` passes the parameter count.
+    used; one within roundoff of 0 (``ROUNDOFF``) is 0, as for a negative
+    semidefinite operator. ``dim`` >= 1: ``train_run`` passes the parameter count.
     """
     rng = np.random.default_rng(0)
 
@@ -69,6 +76,7 @@ def sharpness_lambda_max(hvp_oracle, dim: int) -> tuple[float, int]:
     basis = np.empty((0, dim))
     q = fresh(basis)
     best = -np.inf
+    magnitude = 0.0  # the largest |Ritz value| of all blocks
     block = 0  # where the current Krylov block starts in the basis
     diag: list[float] = []
     off: list[float] = []
@@ -83,6 +91,7 @@ def sharpness_lambda_max(hvp_oracle, dim: int) -> tuple[float, int]:
         t = np.diag(diag[block:]) + np.diag(off[block:], 1) + np.diag(off[block:], -1)
         theta, s = np.linalg.eigh(t)  # ascending, so the largest is last
         best = max(best, float(theta[-1]))
+        magnitude = max(magnitude, -float(theta[0]), float(theta[-1]))
         if step + 1 == dim:
             break
         if beta <= BREAKDOWN * scale:
@@ -94,8 +103,10 @@ def sharpness_lambda_max(hvp_oracle, dim: int) -> tuple[float, int]:
         else:
             q = w / beta
             off.append(beta)
-    if best == 0.0:
+    if magnitude == 0.0:
         raise ValueError("HVP oracle returned the zero vector on every Lanczos vector")
+    if abs(best) <= dim * ROUNDOFF * magnitude:
+        best = 0.0
     return best, len(diag)
 
 
@@ -106,22 +117,6 @@ def complexity(sharpness: float, noise: float) -> float:
     if not (noise > 0.0):
         raise ComplexityDomainError(f"noise must be positive, got {noise}")
     return 1.0 / sharpness + float(np.log(noise))
-
-
-@dataclass(frozen=True)
-class GeneralizationMetrics:
-    accuracy: float
-    gap: float
-
-
-def measure_generalization(
-    train_loss: float, test_loss: float, test_accuracy: float
-) -> GeneralizationMetrics:
-    """Test accuracy plus the loss gap (test minus train)."""
-    for name, value in (("train_loss", train_loss), ("test_loss", test_loss)):
-        if not np.isfinite(value):
-            raise ValueError(f"{name} must be finite")
-    return GeneralizationMetrics(accuracy=float(test_accuracy), gap=float(test_loss - train_loss))
 
 
 @dataclass(frozen=True)

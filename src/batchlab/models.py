@@ -72,6 +72,15 @@ def require_reals(**values) -> None:
             raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
+def require_unread_defaults(obj, **readers) -> None:
+    """Raise ``ValueError`` naming the first field of the dataclass ``obj``
+    that its ``kind`` does not read but that differs from its default;
+    ``readers`` gives each such field the kinds that read it."""
+    for name, kinds in readers.items():
+        if obj.kind not in kinds and getattr(obj, name) != getattr(type(obj), name):
+            raise ValueError(f"{name} applies only to {' and '.join(kinds)}, not to {obj.kind}")
+
+
 @dataclass(frozen=True)
 class Layout:
     """Where each dense layer sits in the flat parameter vector.
@@ -91,8 +100,7 @@ class Layout:
     b2: slice
 
     @staticmethod
-    def of(kind: str, d: int, k: int, h: int) -> "Layout":
-        h = 0 if kind == "logistic" else h
+    def of(d: int, k: int, h: int) -> "Layout":
         o1 = d * h
         o2 = o1 + h
         o3 = o2 + (h or d) * k
@@ -115,8 +123,9 @@ class ModelSpec:
     neighborhood average, ``diffusion_steps`` times; ``diffusion_beta`` scales a
     multiplicative noise term in each step, so needs one. The training loop
     applies both (``training.diffusion_update``) before the features reach the
-    model; with alpha = beta = 0 the graph model is exactly an mlp1. The
-    parameter ``layout`` is not a field: it is derived from them, once.
+    model; with alpha = beta = 0 the graph model is exactly an mlp1. A field
+    the kind does not read keeps its default (``require_unread_defaults``).
+    The parameter ``layout`` is not a field: it is derived from them, once.
     """
 
     kind: str
@@ -137,6 +146,9 @@ class ModelSpec:
             diffusion_steps=self.diffusion_steps,
         )
         require_reals(diffusion_alpha=self.diffusion_alpha, diffusion_beta=self.diffusion_beta)
+        graph = ("graph_diffusion",)
+        diffusion = dict(diffusion_alpha=graph, diffusion_beta=graph, diffusion_steps=graph)
+        require_unread_defaults(self, hidden_dim=("mlp1", *graph), **diffusion)
         if self.input_dim < 1:
             raise ValueError("input_dim must be >= 1")
         if self.num_classes < 2:
@@ -147,7 +159,7 @@ class ModelSpec:
             raise ValueError("diffusion_steps must be >= 0")
         if self.diffusion_beta != 0.0 and self.diffusion_steps == 0:
             raise ValueError("diffusion_beta needs diffusion_steps >= 1")
-        layout = Layout.of(self.kind, self.input_dim, self.num_classes, self.hidden_dim)
+        layout = Layout.of(self.input_dim, self.num_classes, self.hidden_dim)
         object.__setattr__(self, "layout", layout)
 
     def to_dict(self) -> dict:

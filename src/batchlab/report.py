@@ -137,11 +137,11 @@ def _write_csv(path: Path, rows: list[dict]) -> None:
         writer.writerows(rows)
 
 
-def _fmt(value, digits=6) -> str:
+def _fmt(value) -> str:
     if value is None:
         return "-"
     if isinstance(value, float):
-        return f"{value:.{digits}g}"
+        return f"{value:.6g}"
     return str(value)
 
 

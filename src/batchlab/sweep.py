@@ -2,8 +2,8 @@
 
 The record file is append-only JSON Lines, one self-contained record per
 line. On resume, a truncated (unparseable) final line is moved to a
-``.quarantine`` sidecar; already-present (batch size, seed, ablation) runs
-are skipped, and one whose recorded config or dataset id differs from the
+``.quarantine`` sidecar; runs already present (by ``training.run_id``) are
+skipped, and one whose recorded config or dataset id differs from the
 planned run's raises instead of being reused.
 
 The unit of work is a cell: the pending runs that differ only in the seed
@@ -81,14 +81,6 @@ def plan_sweep(config: SweepConfig) -> tuple[datamod.DatasetBundle, list[trainin
         for a in ablations
     ]
     return bundle, planned
-
-
-def run_key(batch_size: int, seed: int, ablation_tag: str) -> tuple[int, int, str]:
-    return (int(batch_size), int(seed), str(ablation_tag))
-
-
-def record_key(record: training.RunRecord) -> tuple[int, int, str]:
-    return run_key(record.batch_size, record.seed, record.ablation)
 
 
 def load_records(path) -> list[training.RunRecord]:
@@ -183,10 +175,10 @@ def run_sweep(
 
     bundle, planned = plan_sweep(config)
     existing = load_records(records_path)
-    done = {record_key(r): r for r in existing}
+    done = {r.run_id: r for r in existing}
     pending = []
     for tc in planned:
-        record = done.get(run_key(tc.batch_size, tc.seed, tc.ablation.kind))
+        record = done.get(training.run_id(tc))
         if record is None:
             pending.append(tc)
         else:
@@ -208,4 +200,4 @@ def run_sweep(
                 append_record(records_path, record)
             new_records.extend(records)
 
-    return sorted(existing + new_records, key=record_key)
+    return sorted(existing + new_records, key=lambda r: (r.batch_size, r.seed, r.ablation))

@@ -9,10 +9,11 @@ large dataset). Each seed keeps its own RNG streams (initialization,
 shuffling, noise), its early stop, its best-parameters restore and its
 divergence exit; a seed that stops or diverges leaves the stack, and the
 others go on. Epoch evaluation and the final measurement of gradient
-noise, curvature, complexity and generalization on a fixed probe batch run
-per seed. A seed's ``RunRecord``, the observational unit all causal analysis
-is built on, is bit-identical outside its wall-clock fields whether the seed
-trains alone or in a stack.
+noise, curvature and complexity on a fixed probe batch run per seed. A seed's
+``RunRecord``, the observational unit of all causal analysis, is built when
+the cell starts and filled as the seed trains, its final accuracy and gap
+read from its epoch log. It is bit-identical outside its wall-clock fields
+whether the seed trains alone or in a stack.
 """
 
 from __future__ import annotations
@@ -58,10 +59,7 @@ class Ablation:
             raise ValueError("rho must be >= 0")
         if self.l1 < 0 or self.l2 < 0:
             raise ValueError("l1/l2 must be >= 0")
-        if self.kind != "sam" and self.rho != Ablation.rho:
-            raise ValueError(f"rho applies only to sam, not to {self.kind}")
-        if self.kind != "l1l2" and (self.l1 or self.l2):
-            raise ValueError(f"l1/l2 apply only to l1l2, not to {self.kind}")
+        models.require_unread_defaults(self, rho=("sam",), l1=("l1l2",), l2=("l1l2",))
 
     def to_dict(self) -> dict:
         return dict(vars(self))
@@ -88,11 +86,8 @@ class BatchSchedule:
             raise ValueError("factor and every_epochs must be >= 1")
         if self.start is not None and self.start < 1:
             raise ValueError("start must be >= 1")
-        defaults = (BatchSchedule.start, BatchSchedule.factor, BatchSchedule.every_epochs)
-        if self.kind == "fixed" and (self.start, self.factor, self.every_epochs) != defaults:
-            raise ValueError(
-                "start, factor and every_epochs apply only to progressive, not to fixed"
-            )
+        readers = dict.fromkeys(("start", "factor", "every_epochs"), ("progressive",))
+        models.require_unread_defaults(self, **readers)
 
     def effective(self, nominal_b: int, epoch: int, n_train: int) -> int:
         if self.kind == "fixed":
@@ -159,6 +154,11 @@ def cell_key(config: TrainConfig) -> tuple:
     """Every field of ``config`` but the seed: runs with equal keys form one
     sweep cell, which ``train_run`` trains as one stack."""
     return tuple(value for name, value in vars(config).items() if name != "seed")
+
+
+def run_id(config: TrainConfig) -> str:
+    """The run's record name, by which a sweep resumes it: ``b{B}-s{seed}-{ablation}``."""
+    return f"b{config.batch_size}-s{config.seed}-{config.ablation.kind}"
 
 
 def schedule_lr(config: TrainConfig, epoch: int) -> float:
@@ -338,7 +338,7 @@ RECORD_WALL_FIELDS = ("epoch_wall_seconds", "wall_seconds")
 
 @dataclass
 class RunRecord:
-    """Everything measured in one training run, JSON-serializable."""
+    """Everything measured in one training run, filled as it trains; JSON-serializable."""
 
     run_id: str
     dataset_id: str
@@ -347,14 +347,14 @@ class RunRecord:
     seed: int
     ablation: str
     config: dict
-    train_loss: list[float]
-    test_loss: list[float]
-    test_acc: list[float]
-    lr: list[float]
-    effective_batch: list[int]
-    epoch_wall_seconds: list[float]
-    final: measures.Measurement | None
-    status: str
+    train_loss: list[float] = field(default_factory=list)
+    test_loss: list[float] = field(default_factory=list)
+    test_acc: list[float] = field(default_factory=list)
+    lr: list[float] = field(default_factory=list)
+    effective_batch: list[int] = field(default_factory=list)
+    epoch_wall_seconds: list[float] = field(default_factory=list)
+    final: measures.Measurement | None = None
+    status: str = "completed"
     degenerate_reason: str | None = None
     wall_seconds: float = 0.0
     schema_version: int = 1
@@ -383,6 +383,9 @@ class RunRecord:
 
     @staticmethod
     def from_dict(d: dict) -> "RunRecord":
+        # a line lacking a field is corrupt: the constructor's defaults are for train_run
+        if d.keys() != RunRecord.__dataclass_fields__.keys():
+            raise TypeError(f"a record has the fields {list(RunRecord.__dataclass_fields__)}")
         d = dict(d)
         final = d.pop("final")
         return RunRecord(
@@ -427,21 +430,11 @@ def check_train_split(dataset: datamod.DatasetBundle) -> None:
 
 @dataclass
 class _Seed:
-    """One seed's state in a stacked cell: its streams, its logs and its
-    exit. ``params`` holds its parameters once it leaves the stack."""
+    """One seed's training state and the record it fills; ``params`` is set as it leaves."""
 
-    config: TrainConfig
+    record: RunRecord
     rng_shuffle: np.random.Generator
     rng_noise: np.random.Generator
-    series: dict = field(
-        default_factory=lambda: {
-            k: [] for k in ("train_loss", "test_loss", "test_acc", "lr", "effective_batch")
-        }
-    )
-    epoch_wall: list = field(default_factory=list)
-    wall: float = 0.0
-    status: str = "completed"
-    reason: str | None = None
     best_val: float = math.inf
     best_params: np.ndarray | None = None
     best_epoch: int = -1
@@ -493,7 +486,11 @@ def train_run(dataset: datamod.DatasetBundle, configs) -> list[RunRecord]:
             np.random.default_rng(s) for s in np.random.SeedSequence(c.seed).spawn(3)
         )
         initial.append(models.init_params(spec, rng_init))
-        active.append(_Seed(c, rng_shuffle, rng_noise))
+        record = RunRecord(
+            run_id(c), dataset.dataset_id, spec.kind, c.batch_size, c.seed, c.ablation.kind,
+            c.to_dict(),
+        )
+        active.append(_Seed(record, rng_shuffle, rng_noise))
     runs = list(active)
     params = np.stack(initial)
 
@@ -520,6 +517,14 @@ def train_run(dataset: datamod.DatasetBundle, configs) -> list[RunRecord]:
         det_features[i] for i in (train_idx, val_idx, test_idx, probe_idx)
     )
     y_train, y_val, y_test, y_probe = (labels[i] for i in (train_idx, val_idx, test_idx, probe_idx))
+
+    def evaluate(p: np.ndarray) -> tuple[float, float, float]:
+        # the train loss, test loss and test accuracy of parameters p
+        return (
+            models.forward_loss(spec, p, x_train, y_train),
+            models.forward_loss(spec, p, x_test, y_test),
+            models.predict_accuracy(spec, p, x_test, y_test),
+        )
 
     def probe_noise(p: np.ndarray, x: np.ndarray, b: int) -> float:
         # gradient noise at batch size b of parameters p on the probe rows of features x
@@ -576,64 +581,49 @@ def train_run(dataset: datamod.DatasetBundle, configs) -> list[RunRecord]:
         return g
 
     def measure(run: _Seed) -> RunRecord:
-        # the record of a seed that has left training, with its final
-        # measurement unless it diverged
+        # the seed's record, measured unless it diverged; its final losses and
+        # accuracy are the log's at final_epoch, evaluated only if no epoch ran
         t0 = perf_counter()
-        cfg = run.config
-        epochs_run = len(run.series["lr"])
-        final_epoch = run.best_epoch if run.status == "early_stopped" else epochs_run - 1
-        status, reason = run.status, run.reason
-        final = None
-        if status != "degenerate":
+        rec = run.record
+        epochs_run = len(rec.lr)
+        final_epoch = run.best_epoch if rec.status == "early_stopped" else epochs_run - 1
+        if rec.status != "degenerate":
             params = run.params
+            b = config.batch_size
             if abl.kind == "no_noise_averaging":
-                divisor_b = cfg.batch_size * math.ceil(n_train / cfg.batch_size)
-            elif cfg.batch_schedule.kind == "progressive":
-                divisor_b = cfg.batch_schedule.effective(
-                    cfg.batch_size, max(epochs_run - 1, 0), n_train
-                )
+                divisor_b = b * math.ceil(n_train / b)
+            elif config.batch_schedule.kind == "progressive":
+                divisor_b = config.batch_schedule.effective(b, max(epochs_run - 1, 0), n_train)
             else:
-                divisor_b = cfg.batch_size
+                divisor_b = b
             try:
                 noise = probe_noise(params, x_probe, divisor_b)
                 sharpness, _ = measures.sharpness_lambda_max(
                     models.hvp_operator(spec, params, x_probe, y_probe), dim=params.size
                 )
                 comp = measures.complexity(sharpness, noise)
-                gen = measures.measure_generalization(
-                    models.forward_loss(spec, params, x_train, y_train),
-                    models.forward_loss(spec, params, x_test, y_test),
-                    models.predict_accuracy(spec, params, x_test, y_test),
+                logged = (rec.train_loss, rec.test_loss, rec.test_acc)
+                train_loss, test_loss, test_acc = (
+                    [s[final_epoch] for s in logged] if final_epoch >= 0 else evaluate(params)
                 )
-                final = measures.Measurement(
+                for name, value in (("train_loss", train_loss), ("test_loss", test_loss)):
+                    if not np.isfinite(value):
+                        raise ValueError(f"{name} must be finite")
+                rec.final = measures.Measurement(
                     grad_noise=noise,
                     sharpness=sharpness,
                     complexity=comp,
-                    test_accuracy=gen.accuracy,
-                    gen_gap=gen.gap,
-                    batch_size=cfg.batch_size,
+                    test_accuracy=float(test_acc),
+                    gen_gap=float(test_loss - train_loss),
+                    batch_size=b,
                     epoch=final_epoch,
                 )
             except measures.ComplexityDomainError as exc:
-                status, reason = "degenerate", f"complexity domain: {exc}"
+                rec.status, rec.degenerate_reason = "degenerate", f"complexity domain: {exc}"
             except ValueError as exc:
-                status, reason = "degenerate", str(exc)
-
-        return RunRecord(
-            run_id=f"b{cfg.batch_size}-s{cfg.seed}-{cfg.ablation.kind}",
-            dataset_id=dataset.dataset_id,
-            model_kind=spec.kind,
-            batch_size=cfg.batch_size,
-            seed=cfg.seed,
-            ablation=cfg.ablation.kind,
-            config=cfg.to_dict(),
-            **run.series,
-            epoch_wall_seconds=run.epoch_wall,
-            final=final,
-            status=status,
-            degenerate_reason=reason,
-            wall_seconds=run.wall + perf_counter() - t0,
-        )
+                rec.status, rec.degenerate_reason = "degenerate", str(exc)
+        rec.wall_seconds += perf_counter() - t0
+        return rec
 
     adam_state = AdamState.zeros(params.shape)
     step_count = 0
@@ -648,7 +638,7 @@ def train_run(dataset: datamod.DatasetBundle, configs) -> list[RunRecord]:
             features = features[keep]
 
     for run in runs:
-        run.wall = (perf_counter() - t_start) / len(runs)
+        run.record.wall_seconds = (perf_counter() - t_start) / len(runs)
     for epoch in range(config.epochs):
         if not active:
             break
@@ -683,8 +673,8 @@ def train_run(dataset: datamod.DatasetBundle, configs) -> list[RunRecord]:
                 params -= lr * g
             finite = np.isfinite(params).all(axis=1)
             if not finite.all():
-                for run in (r for r, ok in zip(active, finite) if not ok):
-                    run.status, run.reason = "degenerate", "non-finite parameters"
+                for rec in (r.record for r, ok in zip(active, finite) if not ok):
+                    rec.status, rec.degenerate_reason = "degenerate", "non-finite parameters"
                 leave(finite)
                 if not active:
                     break
@@ -692,21 +682,17 @@ def train_run(dataset: datamod.DatasetBundle, configs) -> list[RunRecord]:
         evaluated = list(active)
         stay = np.ones(len(active), dtype=bool)
         for row, run in enumerate(active):
-            p = params[row]
-            train_loss = models.forward_loss(spec, p, x_train, y_train)
-            test_loss = models.forward_loss(spec, p, x_test, y_test)
+            p, rec = params[row], run.record
+            train_loss, test_loss, test_acc = evaluate(p)
             val_loss = models.forward_loss(spec, p, x_val, y_val)
-            for key, value in (
-                ("train_loss", train_loss),
-                ("test_loss", test_loss),
-                ("test_acc", models.predict_accuracy(spec, p, x_test, y_test)),
-                ("lr", lr),
-                ("effective_batch", eff_b),
-            ):
-                run.series[key].append(value)
+            rec.train_loss.append(train_loss)
+            rec.test_loss.append(test_loss)
+            rec.test_acc.append(test_acc)
+            rec.lr.append(lr)
+            rec.effective_batch.append(eff_b)
 
             if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
-                run.status, run.reason = "degenerate", "non-finite loss"
+                rec.status, rec.degenerate_reason = "degenerate", "non-finite loss"
                 stay[row] = False
                 continue
 
@@ -719,14 +705,14 @@ def train_run(dataset: datamod.DatasetBundle, configs) -> list[RunRecord]:
             else:
                 run.bad_epochs += 1
                 if run.bad_epochs >= config.early_stop_patience:
-                    run.status, run.params = "early_stopped", run.best_params
+                    rec.status, run.params = "early_stopped", run.best_params
                     stay[row] = False
 
         share = (perf_counter() - epoch_t0) / len(began)
         for run in began:
-            run.wall += share
+            run.record.wall_seconds += share
         for run in evaluated:
-            run.epoch_wall.append(share)
+            run.record.epoch_wall_seconds.append(share)
         if not stay.all():
             leave(stay)
 

@@ -110,20 +110,33 @@ class TestCli:
             ("model", {"kind": "logistic", "diffusion_beta": float("inf")}, "diffusion_beta"),
             (
                 "model",
-                {"kind": "mlp1", "hidden": 4, "diffusion_steps": 0, "diffusion_beta": 0.1},
+                {"kind": "graph_diffusion", "hidden": 4, "diffusion_steps": 0,
+                 "diffusion_beta": 0.1},
                 "diffusion_beta needs diffusion_steps >= 1",
             ),
             ("model", {"kind": "rnn", "hidden": 4}, "unknown model kind 'rnn'"),
             ("model", {"kind": "graph_diffusion", "hidden": 4}, "requires a graph dataset"),
+            (
+                "model",
+                {"kind": "logistic", "hidden": 32},
+                "invalid model settings: hidden_dim applies only to mlp1 and graph_diffusion,"
+                " not to logistic",
+            ),
+            (
+                "model",
+                {"kind": "mlp1", "hidden": 16, "diffusion_alpha": 0.3, "diffusion_beta": 0.5},
+                "invalid model settings: diffusion_alpha applies only to graph_diffusion,"
+                " not to mlp1",
+            ),
             ("ablations", [{"kind": "inject_noise", "rho": 0.5}], "rho applies only to sam"),
-            ("ablations", [{"kind": "sam", "l2": 0.1}], "l1/l2 apply only to l1l2"),
+            ("ablations", [{"kind": "sam", "l2": 0.1}], "l2 applies only to l1l2, not to sam"),
             ("causal", {"bins": 2.5}, "bins must be an integer"),
             ("causal", {"bins": True}, "bins must be an integer"),
             (
                 "train",
                 {"batch_schedule": {"kind": "fixed", "start": 4}},
-                "invalid train.batch_schedule settings: start, factor and every_epochs apply"
-                " only to progressive, not to fixed",
+                "invalid train.batch_schedule settings: start applies only to progressive,"
+                " not to fixed",
             ),
         ],
         ids=[
@@ -170,6 +183,8 @@ class TestCli:
             "beta_without_steps",
             "model_kind",
             "graph_model_without_graph",
+            "logistic_hidden_unread",
+            "mlp1_diffusion_unread",
             "rho_unread",
             "l2_unread",
             "bins_float",

@@ -244,7 +244,7 @@ class TestParamLayout:
         # a logistic model is the output layer alone: its hidden slices are empty
         for spec, widths in (
             (ModelSpec("mlp1", 4, 3, hidden_dim=5), [4 * 5, 5, 5 * 3, 3]),
-            (ModelSpec("logistic", 4, 3, hidden_dim=5), [0, 0, 4 * 3, 3]),
+            (ModelSpec("logistic", 4, 3), [0, 0, 4 * 3, 3]),
         ):
             slices = [spec.layout.w1, spec.layout.b1, spec.layout.w2, spec.layout.b2]
             stops = [s.stop for s in slices]
@@ -271,6 +271,23 @@ class TestParamLayout:
             ModelSpec("logistic", 4, 1)
         with pytest.raises(ValueError):
             ModelSpec("rnn", 4, 3)
+
+    @pytest.mark.parametrize(
+        "kind, unread, message",
+        [
+            ("logistic", {"hidden_dim": 32}, "hidden_dim applies only to mlp1 and graph_diffusion"),
+            ("mlp1", {"diffusion_alpha": 0.3}, "diffusion_alpha applies only to graph_diffusion"),
+            ("mlp1", {"diffusion_beta": 0.5}, "diffusion_beta applies only to graph_diffusion"),
+            ("logistic", {"diffusion_steps": 0}, "diffusion_steps applies only to graph_diffusion"),
+        ],
+        ids=["logistic_hidden", "mlp1_alpha", "mlp1_beta", "logistic_steps"],
+    )
+    def test_fields_the_kind_does_not_read_keep_their_defaults(self, kind, unread, message):
+        hidden = {"hidden_dim": 4} if kind == "mlp1" else {}
+        with pytest.raises(ValueError, match=f"{message}, not to {kind}"):
+            ModelSpec(kind, 4, 3, **hidden, **unread)
+        ModelSpec("graph_diffusion", 4, 3, **{"hidden_dim": 4, **unread})
+        ModelSpec(kind, 4, 3, **hidden, **{key: getattr(ModelSpec, key) for key in unread})
 
     def test_diffusion_noise_needs_a_step(self):
         with pytest.raises(ValueError, match="diffusion_beta needs diffusion_steps >= 1"):

@@ -65,7 +65,7 @@ class TestStackedKernels:
             s, m = (int(v) for v in rng.integers(1, 5, size=2))
             choices = ([1, 2, 5, 16, 33, 100], [1, 3, 12], [1, 4, 5, 32], [2, 3, 7])
             n, d, h, k = (int(rng.choice(c)) for c in choices)
-            spec = ModelSpec(kind, d, k, hidden_dim=h)
+            spec = ModelSpec(kind, d, k, hidden_dim=h if kind == "mlp1" else 0)
             params = rng.standard_normal((s, models.param_count(spec))) * 10.0 ** rng.uniform(-2, 1)
             x, y = rng.standard_normal((s, m, n, d)), rng.integers(0, k, (s, m, n))
 

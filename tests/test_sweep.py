@@ -25,7 +25,7 @@ class TestRunSweep:
         cfg = make_config(tmp_path)
         records = sweep.run_sweep(cfg)
         assert len(records) == 4  # 2 batch sizes x 2 seeds, no ablations
-        keys = [sweep.record_key(r) for r in records]
+        keys = [(r.batch_size, r.seed, r.ablation) for r in records]
         assert keys == sorted(keys)
 
     def test_ablation_multiplies_grid(self, tmp_path):
@@ -127,6 +127,13 @@ class TestRunSweep:
         lines.insert(1, "{broken")
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="corrupt record line"):
+            sweep.load_records(path)
+        # a line that lacks a field is corrupt too, though RunRecord defaults it
+        record = json.loads(lines[2])
+        del record["status"]
+        lines[1] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"corrupt record line \(a record has the fields"):
             sweep.load_records(path)
 
     def test_env_var_out_dir(self, tmp_path, monkeypatch):

@@ -35,6 +35,13 @@ def quick_config(**overrides):
     return TrainConfig(**base)
 
 
+def assert_final_is_logged(rec):
+    # a run's final accuracy and gap are its epoch log's at the final epoch
+    e = rec.final.epoch
+    assert rec.final.test_accuracy == rec.test_acc[e]
+    assert rec.final.gen_gap == rec.test_loss[e] - rec.train_loss[e]
+
+
 class TestAdam:
     def test_zero_gradient_no_move(self):
         params, state = np.array([1.0, -2.0]), AdamState.zeros(2)
@@ -322,11 +329,41 @@ class TestTrainRun:
             train_run(bundle, [quick_config()])
 
     def test_zero_epochs_initial_evaluation_only(self, blob_bundle):
-        rec = train_run(blob_bundle, [quick_config(epochs=0)])[0]
+        cfg = quick_config(epochs=0)
+        rec = train_run(blob_bundle, [cfg])[0]
         assert rec.train_loss == [] and rec.test_acc == []
         assert rec.status == "completed"
         assert rec.final is not None
         assert rec.final.epoch == -1
+        # with no epoch logged, the final values are the initial parameters'
+        rng_init = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(3)[0])
+        p = models.init_params(cfg.model, rng_init)
+        x, y = blob_bundle.features, blob_bundle.labels
+        train, test = blob_bundle.splits["train"], blob_bundle.splits["test"]
+        test_loss = models.forward_loss(cfg.model, p, x[test], y[test])
+        train_loss = models.forward_loss(cfg.model, p, x[train], y[train])
+        assert rec.final.test_accuracy == models.predict_accuracy(cfg.model, p, x[test], y[test])
+        assert rec.final.gen_gap == test_loss - train_loss
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_zero_epochs_infinite_test_loss_is_degenerate(self, blob_bundle, monkeypatch):
+        real = models.forward_loss
+        y_test = blob_bundle.labels[blob_bundle.splits["test"]]
+
+        def infinite_on_test(spec, params, x, y):
+            return np.inf if np.array_equal(y, y_test) else real(spec, params, x, y)
+
+        monkeypatch.setattr(models, "forward_loss", infinite_on_test)
+        rec = train_run(blob_bundle, [quick_config(epochs=0)])[0]
+        assert rec.status == "degenerate"
+        assert rec.degenerate_reason == "test_loss must be finite"
+        assert rec.final is None
+
+    def test_completed_run_final_is_last_logged_epoch(self, blob_bundle):
+        rec = train_run(blob_bundle, [quick_config(epochs=4, early_stop_patience=100)])[0]
+        assert rec.status == "completed"
+        assert rec.final.epoch == 3 == len(rec.train_loss) - 1
+        assert_final_is_logged(rec)
 
     def test_deterministic_given_seed(self, blob_bundle):
         cfg = quick_config(epochs=4, seed=3)
@@ -390,6 +427,7 @@ class TestTrainRun:
         assert rec.status == "early_stopped"
         assert len(rec.train_loss) < 200
         assert rec.final.epoch <= len(rec.train_loss) - 1
+        assert_final_is_logged(rec)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_degenerate_run_flagged(self, blob_bundle):
@@ -536,6 +574,6 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("unread", [{"start": 4}, {"factor": 8}, {"every_epochs": 1}])
     def test_fixed_schedule_rejects_progressive_settings(self, unread):
-        with pytest.raises(ValueError, match="apply only to progressive, not to fixed"):
+        with pytest.raises(ValueError, match="applies only to progressive, not to fixed"):
             BatchSchedule(kind="fixed", **unread)
         BatchSchedule(kind="progressive", **unread)
