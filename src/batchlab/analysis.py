@@ -4,7 +4,8 @@ Extracts the five observed variables from completed, unablated runs, bins
 them, fits one table set per engine mode (each mode is a factor set, given by
 its own hypergraph structure), answers interventional queries for every
 observed batch size, and bundles everything into one JSON document
-(``analysis.json``) that is written for other tools and never read back.
+(``analysis.json``, whose top-level keys are the ``AnalysisBundle`` fields)
+that is written for other tools and never read back.
 """
 
 from __future__ import annotations
@@ -77,26 +78,10 @@ class AnalysisBundle:
     backdoor: list[causal.StratumDiagnostic]
     n_observations: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "settings": self.settings.to_dict(),
-            "treat": self.treat,
-            "control": self.control,
-            "scheme": self.scheme.to_dict(),
-            "tables": {
-                mode: [t.to_dict() for t in tabs] for mode, tabs in self.tables.items()
-            },
-            "interventions": {
-                mode: [r.to_dict() for r in results]
-                for mode, results in self.interventions.items()
-            },
-            "ate": self.ate,
-            "backdoor": [row.to_dict() for row in self.backdoor],
-            "n_observations": self.n_observations,
-        }
-
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), indent=2))
+        """Write the bundle as ``analysis.json``: its fields, in order, are the
+        top-level keys, and each nested result is written by its own ``to_dict``."""
+        Path(path).write_text(json.dumps(vars(self), indent=2, default=lambda o: o.to_dict()))
 
 
 def analyze_observations(observations: list[dict], settings: AnalysisSettings) -> AnalysisBundle:

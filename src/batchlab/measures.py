@@ -130,10 +130,3 @@ class Measurement:
     gen_gap: float
     batch_size: int
     epoch: int
-
-    def to_dict(self) -> dict:
-        return dict(vars(self))
-
-    @staticmethod
-    def from_dict(d: dict) -> "Measurement":
-        return Measurement(**d)

@@ -130,7 +130,6 @@ def significance_result(records: list[RunRecord], treat: int, control: int) -> d
 def _write_csv(path: Path, rows: list[dict]) -> None:
     with path.open("w", newline="") as fh:
         if not rows:
-            fh.write("")
             return
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()

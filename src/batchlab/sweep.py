@@ -101,7 +101,7 @@ def load_records(path) -> list[training.RunRecord]:
             continue
         try:
             records.append(training.RunRecord.from_dict(json.loads(line)))
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (json.JSONDecodeError, TypeError) as exc:
             if i == len(raw_lines) - 1:
                 quarantine = path.with_suffix(path.suffix + ".quarantine")
                 with quarantine.open("a") as fh:

@@ -164,7 +164,7 @@ def run_id(config: TrainConfig) -> str:
 def schedule_lr(config: TrainConfig, epoch: int) -> float:
     """Effective learning rate at an epoch under the configured schedule."""
     if config.lr_schedule == "fixed":
-        return config.lr
+        return float(config.lr)
     if config.lr_schedule == "halve_every_10":
         return config.lr * 2.0 ** (-(epoch // 10))
     return config.lr * SCALED_LR_REFERENCE_B / config.batch_size
@@ -338,7 +338,9 @@ RECORD_WALL_FIELDS = ("epoch_wall_seconds", "wall_seconds")
 
 @dataclass
 class RunRecord:
-    """Everything measured in one training run, filled as it trains; JSON-serializable."""
+    """Everything measured in one training run, filled as it trains. Its
+    record line is ``schema_version``, then the other fields in declaration
+    order, with ``final`` written as the ``Measurement``'s fields in theirs."""
 
     run_id: str
     dataset_id: str
@@ -360,37 +362,19 @@ class RunRecord:
     schema_version: int = 1
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "run_id": self.run_id,
-            "dataset_id": self.dataset_id,
-            "model_kind": self.model_kind,
-            "batch_size": int(self.batch_size),
-            "seed": int(self.seed),
-            "ablation": self.ablation,
-            "config": self.config,
-            "train_loss": [float(x) for x in self.train_loss],
-            "test_loss": [float(x) for x in self.test_loss],
-            "test_acc": [float(x) for x in self.test_acc],
-            "lr": [float(x) for x in self.lr],
-            "effective_batch": [int(x) for x in self.effective_batch],
-            "epoch_wall_seconds": [float(x) for x in self.epoch_wall_seconds],
-            "final": self.final.to_dict() if self.final is not None else None,
-            "status": self.status,
-            "degenerate_reason": self.degenerate_reason,
-            "wall_seconds": float(self.wall_seconds),
-        }
+        # a dict keeps its first insertion's place, so schema_version leads the line
+        final = dict(vars(self.final)) if self.final is not None else None
+        return {"schema_version": self.schema_version, **vars(self), "final": final}
 
     @staticmethod
-    def from_dict(d: dict) -> "RunRecord":
+    def from_dict(d) -> "RunRecord":
         # a line lacking a field is corrupt: the constructor's defaults are for train_run
-        if d.keys() != RunRecord.__dataclass_fields__.keys():
-            raise TypeError(f"a record has the fields {list(RunRecord.__dataclass_fields__)}")
+        fields = RunRecord.__dataclass_fields__
+        if not isinstance(d, dict) or d.keys() != fields.keys():
+            raise TypeError(f"a record has the fields {list(fields)}")
         d = dict(d)
         final = d.pop("final")
-        return RunRecord(
-            final=measures.Measurement.from_dict(final) if final is not None else None, **d
-        )
+        return RunRecord(final=measures.Measurement(**final) if final is not None else None, **d)
 
     def canonical_dict(self) -> dict:
         """Record content with wall-clock fields stripped (for equality checks)."""

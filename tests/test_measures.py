@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from batchlab import measures, models
+from batchlab import models
 from batchlab.measures import (
     ComplexityDomainError,
     complexity,
@@ -171,11 +171,3 @@ class TestComplexity:
         assert complexity(s, lo) <= complexity(s, hi)
         if hi - lo > RELATIVE_GAP * hi:
             assert complexity(s, lo) < complexity(s, hi)
-
-
-class TestGeneralization:
-    # the final accuracy and gap come from the epoch log: see
-    # tests/test_training.py::TestTrainRun
-    def test_measurement_round_trip(self):
-        m = measures.Measurement(0.1, 2.0, -1.0, 0.8, 0.3, 16, 9)
-        assert measures.Measurement.from_dict(m.to_dict()) == m

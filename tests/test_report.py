@@ -8,6 +8,7 @@ import pytest
 from batchlab import causal, report, sweep
 from batchlab.analysis import (
     STRUCTURES,
+    AnalysisBundle,
     AnalysisSettings,
     analyze_observations,
     analyze_records,
@@ -140,7 +141,22 @@ class TestAnalysis:
         bundle = analyze_records(records, AnalysisSettings(treat=16, control=256))
         path = tmp_path / "analysis.json"
         bundle.save(path)
-        assert json.loads(path.read_text()) == bundle.to_json_dict()
+        saved = json.loads(path.read_text())
+        # the file's keys are the bundle's fields, each nested result its to_dict()
+        assert list(saved) == list(AnalysisBundle.__dataclass_fields__)
+        assert saved == {
+            "settings": bundle.settings.to_dict(),
+            "treat": bundle.treat,
+            "control": bundle.control,
+            "scheme": bundle.scheme.to_dict(),
+            "tables": {m: [t.to_dict() for t in ts] for m, ts in bundle.tables.items()},
+            "interventions": {
+                m: [r.to_dict() for r in rs] for m, rs in bundle.interventions.items()
+            },
+            "ate": bundle.ate,
+            "backdoor": [row.to_dict() for row in bundle.backdoor],
+            "n_observations": bundle.n_observations,
+        }
 
     def test_empty_observations_rejected(self):
         with pytest.raises(ValueError, match="no usable"):

@@ -118,6 +118,14 @@ class TestRunSweep:
         assert quarantine.exists() and "trunc" in quarantine.read_text()
         # the file itself was healed: reloading is clean and appendable
         assert len(sweep.load_records(path)) == 4
+        # a last line that is JSON but not a record object is quarantined too
+        lines = path.read_text().splitlines()
+        final_5 = json.dumps(dict(json.loads(lines[0]), final=5))
+        for bad in ("[1, 2]", "42", final_5):
+            path.write_text("\n".join(lines + [bad]) + "\n")
+            assert len(sweep.load_records(path)) == 4
+            assert path.read_text().splitlines() == lines
+            assert quarantine.read_text().splitlines()[-1] == bad
 
     def test_corrupt_middle_line_raises(self, tmp_path):
         cfg = make_config(tmp_path)
@@ -135,6 +143,13 @@ class TestRunSweep:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=r"corrupt record line \(a record has the fields"):
             sweep.load_records(path)
+        # so is JSON that is not a record object, or whose final is not an object
+        final_5 = json.dumps(dict(json.loads(lines[2]), final=5))
+        for bad in ("[1, 2]", "42", final_5):
+            lines[1] = bad
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(ValueError, match="corrupt record line"):
+                sweep.load_records(path)
 
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv(sweep.ENV_OUT_DIR, str(tmp_path / "envout"))

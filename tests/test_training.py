@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -552,9 +553,24 @@ class TestTrainRun:
             assert rec.final is None and rec.train_loss == []
 
     def test_record_round_trip(self, blob_bundle):
-        rec = train_run(blob_bundle, [quick_config(epochs=2)])[0]
-        back = training.RunRecord.from_dict(rec.to_dict())
-        assert back.canonical_dict() == rec.canonical_dict()
+        # a measured run, and one that degenerates at its final measurement
+        for overrides in ({}, {"lr": 1e6, "optimizer": "sgd"}):
+            rec = train_run(blob_bundle, [quick_config(epochs=2, **overrides)])[0]
+            assert (rec.final is None) == bool(overrides)
+            back = training.RunRecord.from_dict(rec.to_dict())
+            assert back.canonical_dict() == rec.canonical_dict()
+            assert back.final == rec.final
+
+    def test_record_line_format(self, blob_bundle):
+        # the line's keys: schema_version, then the other RunRecord fields and final's
+        # Measurement fields, each in declaration order
+        rec = train_run(blob_bundle, [quick_config(epochs=2, lr=1)])[0]
+        line = json.loads(json.dumps(rec.to_dict()))
+        fields = [f for f in training.RunRecord.__dataclass_fields__ if f != "schema_version"]
+        assert list(line) == ["schema_version", *fields]
+        assert list(line["final"]) == list(measures.Measurement.__dataclass_fields__)
+        assert type(rec.config["lr"]) is int and line["lr"] == [1.0, 1.0]
+        assert all(type(x) is float for x in rec.lr + line["lr"])
 
 
 class TestConfigValidation:
