@@ -8,17 +8,21 @@ layout, ``ModelSpec.layout``, is worked out once when the spec is built.
 Inputs arrive as a float64 feature matrix ``x`` [n x d] and int64 labels
 ``y`` [n], and every operation is a pure function of its arguments.
 
-The training kernels (``mean_gradient``, ``hidden_activations`` and
-``hidden_backward``) are stack-aware: parameters may carry leading seed axes,
-``[S, P]``, with inputs ``[S, n, d]``; the two hidden-layer kernels also take
-shared features ``[n, d]`` (the whole graph), which broadcast over the seeds.
-``mean_gradient`` also takes extra minibatch axes after the seed axes, ``x``
-[S, M, n, d], and returns ``[S, M, P]``. Every
-stacked row is bit-identical to the call on that row alone: the kernels keep
-each seed's reductions in their own rows, and ``np.matmul`` runs the same
-per-matrix routine on a stack as on one matrix. The evaluation kernels
-(``forward_loss``, ``predict_accuracy``, ``per_sample_gradients``,
-``hvp_operator``) take one parameter vector.
+The training and evaluation kernels (``mean_gradient``,
+``hidden_activations``, ``hidden_backward``, ``forward_loss`` and
+``evaluate``) are stack-aware: parameters may carry a leading seed axis,
+``[S, P]``, with inputs ``[S, n, d]`` or shared features ``[n, d]`` (the
+whole graph, or a split's rows), which broadcast over the seeds.
+``mean_gradient`` also takes extra minibatch axes after the seed axis, ``x``
+[S, M, n, d], and returns ``[S, M, P]``. Every stacked row is bit-identical to the call on
+that row alone: the kernels keep each seed's reductions in their own rows,
+and ``np.matmul`` runs the same per-matrix routine on a stack as on one
+matrix. A row's product can depend on how many rows its matrix has (BLAS
+takes a row remainder with another kernel), so rows that a caller evaluates
+apart, such as the train, val and test splits, stay apart. The probe kernels
+(``per_sample_gradients``, ``hvp_operator``) take one parameter vector: a
+seed's per-sample gradients alone fill hundreds of kilobytes, and a stack of
+them runs slower than one call per seed.
 
 The kernels trust their inputs: data are validated once, by
 ``data.DatasetBundle`` and ``training.check_model_fits``, never per call. A
@@ -45,15 +49,21 @@ MODEL_KINDS = ("logistic", "mlp1", "graph_diffusion")
 
 
 def is_integer(value) -> bool:
-    """Whether ``value`` is an integer; a bool (JSON ``true``) is not."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    """Whether ``value`` is an integer; a bool (JSON ``true``) is not. A
+    builtin int is tested first: the ``numbers`` ABC check costs about 1 us."""
+    return type(value) is int or (
+        isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    )
 
 
 def is_real(value) -> bool:
-    """Whether ``value`` is a finite real number; a bool (JSON ``true``) is not."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        return False
-    return isinstance(value, numbers.Integral) or math.isfinite(value)
+    """Whether ``value`` is a finite real number; a bool (JSON ``true``) is not.
+    A builtin float or int is tested first, as in ``is_integer``."""
+    if type(value) is float:
+        return math.isfinite(value)
+    if is_integer(value):
+        return True
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def require_integers(**values) -> None:
@@ -224,20 +234,39 @@ def _forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray):
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=-1, keepdims=True)
+    # the class max as k - 1 np.maximum calls over the class columns, cheaper
+    # than a reduction over a short last axis and exact in any order; the
+    # normalizer keeps numpy's pairwise sum, which a column loop matches only
+    # below 8 classes
+    top = z[..., 0]
+    for j in range(1, z.shape[-1]):
+        top = np.maximum(top, z[..., j])
+    z = z - top[..., None]
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
-def forward_loss(spec: ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
-    """Mean cross-entropy of the rows under the model. Deterministic."""
-    logp = _log_softmax(_forward(spec, params, x)[0])
-    return float(-logp[np.arange(x.shape[0]), y].mean())
+def _mean_loss(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # each seed's picked log-probabilities as one contiguous row, summed
+    # pairwise as np.mean sums them, so a seed's loss is its call's alone
+    picked = np.ascontiguousarray(_log_softmax(logits)[..., np.arange(len(y)), y])
+    return -np.add.reduce(picked, axis=-1) / len(y)
 
 
-def predict_accuracy(spec: ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
-    """Fraction of argmax-correct labels; argmax ties go to the lowest class."""
-    pred = np.argmax(_forward(spec, params, x)[0], axis=1)
-    return float((pred == y).mean())
+def forward_loss(spec: ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray):
+    """Mean cross-entropy of the rows under the model. Deterministic.
+
+    ``params`` is [P] or a stack [S, P], ``x`` [n, d] (shared by a stack) or
+    [S, n, d], and ``y`` [n]; the result has the parameters' leading shape.
+    """
+    return _mean_loss(_forward(spec, params, x)[0], y)
+
+
+def evaluate(spec: ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray):
+    """``forward_loss`` and the fraction of argmax-correct labels (argmax
+    ties go to the lowest class) from one forward pass, with its shapes."""
+    logits = _forward(spec, params, x)[0]
+    accuracy = np.count_nonzero(logits.argmax(axis=-1) == y, axis=-1) / len(y)
+    return _mean_loss(logits, y), accuracy
 
 
 def per_sample_gradients(

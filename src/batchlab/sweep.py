@@ -2,9 +2,10 @@
 
 The record file is append-only JSON Lines, one self-contained record per
 line. On resume, a truncated (unparseable) final line is moved to a
-``.quarantine`` sidecar; runs already present (by ``training.run_id``) are
-skipped, and one whose recorded config or dataset id differs from the
-planned run's raises instead of being reused.
+``.quarantine`` sidecar (elsewhere ``load_records`` only reads the file);
+runs already present (by ``training.run_id``) are skipped, and one whose
+recorded config or dataset id differs from the planned run's raises instead
+of being reused.
 
 The unit of work is a cell: the pending runs that differ only in the seed
 (equal ``training.cell_key``), which ``training.train_run`` trains as one
@@ -83,13 +84,14 @@ def plan_sweep(config: SweepConfig) -> tuple[datamod.DatasetBundle, list[trainin
     return bundle, planned
 
 
-def load_records(path) -> list[training.RunRecord]:
-    """Parse a JSONL record file, quarantining a truncated final line.
+def load_records(path, quarantine: bool = False) -> list[training.RunRecord]:
+    """Parse a JSONL record file; a malformed line raises ``ValueError``
+    naming it, and the file is only read.
 
-    A malformed line anywhere but the end means the file was edited or
-    corrupted, and raises. A malformed *final* line is assumed to be an
-    interrupted append: it is moved to ``<path>.quarantine`` and the record
-    file is rewritten without it.
+    With ``quarantine`` (a sweep's resume), a malformed *final* line is
+    assumed to be an interrupted append instead: it is moved to
+    ``<path>.quarantine`` and the record file is rewritten without it. A
+    malformed line anywhere else means the file was edited or corrupted.
     """
     path = Path(path)
     if not path.exists():
@@ -101,10 +103,10 @@ def load_records(path) -> list[training.RunRecord]:
             continue
         try:
             records.append(training.RunRecord.from_dict(json.loads(line)))
-        except (json.JSONDecodeError, TypeError) as exc:
-            if i == len(raw_lines) - 1:
-                quarantine = path.with_suffix(path.suffix + ".quarantine")
-                with quarantine.open("a") as fh:
+        except (TypeError, ValueError) as exc:  # a JSONDecodeError is a ValueError
+            if quarantine and i == len(raw_lines) - 1:
+                sidecar = path.with_suffix(path.suffix + ".quarantine")
+                with sidecar.open("a") as fh:
                     fh.write(line + "\n")
                 tmp = path.with_suffix(path.suffix + ".tmp")
                 tmp.write_text("".join(l + "\n" for l in raw_lines[:-1]))
@@ -174,7 +176,7 @@ def run_sweep(
     workers = config.workers
 
     bundle, planned = plan_sweep(config)
-    existing = load_records(records_path)
+    existing = load_records(records_path, quarantine=True)
     done = {r.run_id: r for r in existing}
     pending = []
     for tc in planned:

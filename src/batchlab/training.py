@@ -8,8 +8,10 @@ calls of at most ``MAX_STACK_ROWS`` rows under ``no_noise_averaging`` on a
 large dataset). Each seed keeps its own RNG streams (initialization,
 shuffling, noise), its early stop, its best-parameters restore and its
 divergence exit; a seed that stops or diverges leaves the stack, and the
-others go on. Epoch evaluation and the final measurement of gradient
-noise, curvature and complexity on a fixed probe batch run per seed. A seed's
+others go on. Each epoch evaluates the whole active stack in one call per
+split, and a noisy graph model diffuses the stack's features in one call per
+step; the gradient-noise probes and the final measurement of gradient noise,
+curvature and complexity on a fixed probe batch run per seed. A seed's
 ``RunRecord``, the observational unit of all causal analysis, is built when
 the cell starts and filled as the seed trains, its final accuracy and gap
 read from its epoch log. It is bit-identical outside its wall-clock fields
@@ -257,35 +259,40 @@ def edge_laplacian(edges: np.ndarray, n: int) -> sp.csr_matrix:
     return (2.0 / m) * (degree - adj).tocsr()
 
 
+def _seedwise_product(matrix, stack: np.ndarray) -> np.ndarray:
+    """``matrix`` [n, n] times each seed's [n, c] of ``stack`` [..., n, c], as
+    one product with the seeds side by side, [n, S*c]. A CSR product sums each
+    column on its own, so every seed gets the floats of its product alone."""
+    n, c = stack.shape[-2:]
+    cols = np.moveaxis(stack.reshape(-1, n, c), 0, 1).reshape(n, -1)
+    return np.moveaxis((matrix @ cols).reshape(n, -1, c), 1, 0).reshape(stack.shape)
+
+
 def _causal_regularizer_grad(embeddings: np.ndarray, laplacian: sp.csr_matrix) -> np.ndarray:
     """The edge regularizer's gradient in the embeddings [..., n, h] (one
-    [n, h] per seed), as one product of the ``edge_laplacian`` with the
-    seeds side by side, [n, S*h]. A CSR product sums each column on its own,
-    so every seed gets the floats of its product alone."""
-    n, h = embeddings.shape[-2:]
-    cols = np.moveaxis(embeddings.reshape(-1, n, h), 0, 1).reshape(n, -1)
-    return np.moveaxis((laplacian @ cols).reshape(n, -1, h), 1, 0).reshape(embeddings.shape)
+    [n, h] per seed): the ``edge_laplacian`` times each seed's, in one product."""
+    return _seedwise_product(laplacian, embeddings)
 
 
 def diffusion_update(
-    h: np.ndarray,
-    adj_norm,
-    alpha: float,
-    beta: float,
-    noise_scale: float,
-    rng: np.random.Generator | None = None,
+    h: np.ndarray, adj_norm, alpha: float, beta: float = 0.0, noise=()
 ) -> np.ndarray:
     """One embedding-diffusion step with an optional multiplicative noise term.
 
-    H' = H + alpha (A_norm H - H) + beta (xi ⊙ H), xi iid Normal(0, noise_scale).
-    No random numbers are drawn when beta = 0, so the deterministic path is
-    bit-identical regardless of the RNG passed. ``ModelSpec`` checks once that
-    alpha and beta are finite; this per-step function does not.
+    H' = H + alpha (A_norm H - H) + beta (xi ⊙ H), on features ``h`` [n, d] or
+    a seed stack [S, n, d], with one product of ``adj_norm`` for the whole
+    stack (``_seedwise_product``). Under beta != 0, ``noise`` holds each
+    seed's (scale, rng): the seed draws its xi [n, d] iid Normal(0, scale)
+    from its own rng, and the result is the stack [S, n, d], to which a shared
+    ``h`` broadcasts. No random numbers are drawn when beta = 0, so the
+    deterministic path is bit-identical whatever ``noise`` holds. ``ModelSpec``
+    checks once that alpha and beta are finite; this per-step function does not.
     """
     h = np.asarray(h, dtype=np.float64)
-    out = h + alpha * (adj_norm @ h - h)
+    out = h + alpha * (_seedwise_product(adj_norm, h) - h)
     if beta != 0.0:
-        out = out + beta * rng.normal(0.0, noise_scale, size=h.shape) * h
+        xi = np.stack([rng.normal(0.0, scale, size=h.shape[-2:]) for scale, rng in noise])
+        out = out + beta * xi * h
     return out
 
 
@@ -368,13 +375,25 @@ class RunRecord:
 
     @staticmethod
     def from_dict(d) -> "RunRecord":
-        # a line lacking a field is corrupt: the constructor's defaults are for train_run
+        # a line lacking a field is corrupt: the constructor's defaults are for
+        # train_run. The values analysis reads are type-checked here, once; the
+        # per-epoch series are not, as checking each element costs 15% of a report
         fields = RunRecord.__dataclass_fields__
         if not isinstance(d, dict) or d.keys() != fields.keys():
             raise TypeError(f"a record has the fields {list(fields)}")
         d = dict(d)
         final = d.pop("final")
-        return RunRecord(final=measures.Measurement(**final) if final is not None else None, **d)
+        for name in ("batch_size", "seed"):
+            if not models.is_integer(d[name]):
+                raise TypeError(f"{name} must be an integer, got {d[name]!r}")
+        if final is not None:
+            final = measures.Measurement(**final)
+            for name, value in vars(final).items():
+                integer = name in ("batch_size", "epoch")
+                if not (models.is_integer(value) if integer else models.is_real(value)):
+                    kind = "an integer" if integer else "a finite number"
+                    raise TypeError(f"final.{name} must be {kind}, got {value!r}")
+        return RunRecord(final=final, **d)
 
     def canonical_dict(self) -> dict:
         """Record content with wall-clock fields stripped (for equality checks)."""
@@ -446,6 +465,13 @@ def train_run(dataset: datamod.DatasetBundle, configs) -> list[RunRecord]:
     called per step check nothing. With ``lambda_causal`` > 0 on a graph with
     edges, the edge regularizer's ``edge_laplacian`` is built once, here, and
     each gradient applies it to the whole stack in one product.
+
+    Each epoch scores the active stack with one call per split: the train and
+    val losses by ``models.forward_loss``, the test loss and accuracy by
+    ``models.evaluate``, in calls of whole seeds within ``MAX_STACK_ROWS``
+    rows; a run with no epoch is scored by the same calls.
+    Under ``diffusion_beta`` the stack's noisy features come from one
+    ``diffusion_update`` per step, each seed drawing its own noise.
     """
     t_start = perf_counter()
     configs = list(configs)
@@ -478,18 +504,19 @@ def train_run(dataset: datamod.DatasetBundle, configs) -> list[RunRecord]:
     runs = list(active)
     params = np.stack(initial)
 
-    def diffused(beta: float, noise_scale: float, rng) -> np.ndarray:
-        # the features after spec.diffusion_steps diffusion steps
+    def diffused(beta: float = 0.0, noise=()) -> np.ndarray:
+        # the features after spec.diffusion_steps diffusion steps: one noisy
+        # copy per (scale, rng) of noise, [S, n, d], when beta is nonzero
         h = dataset.features
         for _ in range(spec.diffusion_steps):
-            h = diffusion_update(h, adj_norm, spec.diffusion_alpha, beta, noise_scale, rng)
+            h = diffusion_update(h, adj_norm, spec.diffusion_alpha, beta, noise)
         return h
 
     is_graph = spec.kind == "graph_diffusion"
     noisy = is_graph and spec.diffusion_beta != 0.0
     if is_graph:
         adj_norm = models.normalized_adjacency(dataset.adjacency)
-    det_features = diffused(0.0, 0.0, None) if is_graph else dataset.features
+    det_features = diffused() if is_graph else dataset.features
     laplacian = None
     if is_graph and config.lambda_causal > 0.0:
         edges = datamod.edge_list(dataset.adjacency)
@@ -502,13 +529,20 @@ def train_run(dataset: datamod.DatasetBundle, configs) -> list[RunRecord]:
     )
     y_train, y_val, y_test, y_probe = (labels[i] for i in (train_idx, val_idx, test_idx, probe_idx))
 
-    def evaluate(p: np.ndarray) -> tuple[float, float, float]:
-        # the train loss, test loss and test accuracy of parameters p
-        return (
-            models.forward_loss(spec, p, x_train, y_train),
-            models.forward_loss(spec, p, x_test, y_test),
-            models.predict_accuracy(spec, p, x_test, y_test),
-        )
+    def evaluate(p: np.ndarray) -> list[tuple[float, float, float, float]]:
+        # (train loss, val loss, test loss, test accuracy) of each seed of the
+        # stack p [S, P], one call per split; a call takes whole seeds, more
+        # than one only within MAX_STACK_ROWS train rows, since splitting a
+        # seed's rows would change its means
+        step = max(1, MAX_STACK_ROWS // n_train)
+        scores = []
+        for i in range(0, len(p), step):
+            q = p[i : i + step]
+            train = models.forward_loss(spec, q, x_train, y_train)
+            val = models.forward_loss(spec, q, x_val, y_val)
+            test, accuracy = models.evaluate(spec, q, x_test, y_test)
+            scores += zip(train.tolist(), val.tolist(), test.tolist(), accuracy.tolist())
+        return scores
 
     def probe_noise(p: np.ndarray, x: np.ndarray, b: int) -> float:
         # gradient noise at batch size b of parameters p on the probe rows of features x
@@ -586,10 +620,11 @@ def train_run(dataset: datamod.DatasetBundle, configs) -> list[RunRecord]:
                     models.hvp_operator(spec, params, x_probe, y_probe), dim=params.size
                 )
                 comp = measures.complexity(sharpness, noise)
-                logged = (rec.train_loss, rec.test_loss, rec.test_acc)
-                train_loss, test_loss, test_acc = (
-                    [s[final_epoch] for s in logged] if final_epoch >= 0 else evaluate(params)
-                )
+                if final_epoch >= 0:
+                    logged = (rec.train_loss, rec.test_loss, rec.test_acc)
+                    train_loss, test_loss, test_acc = (s[final_epoch] for s in logged)
+                else:
+                    train_loss, _, test_loss, test_acc = evaluate(params[None])[0]
                 for name, value in (("train_loss", train_loss), ("test_loss", test_loss)):
                     if not np.isfinite(value):
                         raise ValueError(f"{name} must be finite")
@@ -634,9 +669,8 @@ def train_run(dataset: datamod.DatasetBundle, configs) -> list[RunRecord]:
         features = det_features  # or one noisy copy per seed, [S, n, d]
         if noisy:
             scales = [math.sqrt(r.running_noise) if r.running_noise else 0.0 for r in active]
-            features = np.stack(
-                [diffused(spec.diffusion_beta, s, r.rng_noise) for s, r in zip(scales, active)]
-            )
+            noise = [(s, run.rng_noise) for s, run in zip(scales, active)]
+            features = diffused(spec.diffusion_beta, noise)
 
         if abl.kind == "inject_noise":
             for row, run in enumerate(active):
@@ -665,17 +699,16 @@ def train_run(dataset: datamod.DatasetBundle, configs) -> list[RunRecord]:
 
         evaluated = list(active)
         stay = np.ones(len(active), dtype=bool)
-        for row, run in enumerate(active):
+        for row, (run, scores) in enumerate(zip(active, evaluate(params))):
             p, rec = params[row], run.record
-            train_loss, test_loss, test_acc = evaluate(p)
-            val_loss = models.forward_loss(spec, p, x_val, y_val)
+            train_loss, val_loss, test_loss, test_acc = scores
             rec.train_loss.append(train_loss)
             rec.test_loss.append(test_loss)
             rec.test_acc.append(test_acc)
             rec.lr.append(lr)
             rec.effective_batch.append(eff_b)
 
-            if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
+            if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
                 rec.status, rec.degenerate_reason = "degenerate", "non-finite loss"
                 stay[row] = False
                 continue

@@ -336,3 +336,48 @@ class TestCli:
         main(["sweep", str(config_path)])
         records = tmp_path / "out" / "records.jsonl"
         assert main(["analyze", str(records), "--treat", "512", "--control", "64"]) == 1
+
+    @pytest.mark.parametrize("bad", ["[1, 2]", '{"schema_version": 1, "run_id": "b16-s0-'])
+    def test_validate_leaves_a_malformed_last_line_and_exits_1(
+        self, config_path, tmp_path, capsys, bad
+    ):
+        # only a sweep's resume quarantines a malformed last line
+        assert main(["sweep", str(config_path)]) == 0
+        swept = (tmp_path / "out" / "records.jsonl").read_text().splitlines()
+        for lines in ([bad], swept + [bad]):
+            path = tmp_path / f"{len(lines)}.jsonl"
+            path.write_text("\n".join(lines) + "\n")
+            before = path.read_bytes()
+            assert main(["validate", str(path)]) == 1
+            assert f"{path}:{len(lines)}: corrupt record line" in capsys.readouterr().err
+            assert path.read_bytes() == before
+            assert not path.with_suffix(".jsonl.quarantine").exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("batch_size", "16"),
+            ("seed", True),
+            ("final.sharpness", "x"),
+            ("final.grad_noise", None),
+            ("final.test_accuracy", float("nan")),
+            ("final.epoch", 2.5),
+            ("final.batch_size", True),
+        ],
+    )
+    def test_record_value_of_the_wrong_type_names_its_line(
+        self, config_path, tmp_path, capsys, key, value
+    ):
+        assert main(["sweep", str(config_path)]) == 0
+        path = tmp_path / "out" / "records.jsonl"
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[1])
+        *outer, name = key.split(".")
+        (record[outer[0]] if outer else record)[name] = value
+        lines[1] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        report = ["report", str(path), "--out", str(tmp_path / "report")]
+        for command in (["validate", str(path)], report):
+            assert main(command) == 1
+            err = capsys.readouterr().err
+            assert f"{path}:2: corrupt record line ({key} must be" in err

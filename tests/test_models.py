@@ -23,6 +23,36 @@ def make_batch(rng, n=5, d=4, k=3):
     return rng.standard_normal((n, d)), rng.integers(0, k, n)
 
 
+class TestNumberRules:
+    @pytest.mark.parametrize(
+        "value, integer, real",
+        [
+            (3, True, True),
+            (-7, True, True),
+            (np.int64(3), True, True),
+            (np.int32(-2), True, True),
+            (1.5, False, True),
+            (3.0, False, True),
+            (np.float64(1.5), False, True),
+            (np.float32(2.0), False, True),
+            (True, False, False),
+            (False, False, False),
+            (np.bool_(True), False, False),
+            (float("nan"), False, False),
+            (float("inf"), False, False),
+            (-float("inf"), False, False),
+            (np.float64("nan"), False, False),
+            (np.float64("-inf"), False, False),
+            ("3", False, False),
+            (None, False, False),
+        ],
+    )
+    def test_builtin_fast_path_keeps_the_rules(self, value, integer, real):
+        # a bool (JSON true) is no number, numpy scalars are, nan and inf are not real
+        assert models.is_integer(value) is integer
+        assert models.is_real(value) is real
+
+
 class TestForwardLoss:
     def test_zero_params_uniform_softmax(self, rng):
         spec = ModelSpec("logistic", 4, 2)
@@ -102,7 +132,7 @@ class TestPerSampleGradients:
         a = models.per_sample_gradients(spec, params, x, y)
         b = models.per_sample_gradients(spec, params, x, y)
         np.testing.assert_array_equal(a, b)
-        assert models.forward_loss(spec, params, x, y) == models.forward_loss(spec, params, x, y)
+        assert models.evaluate(spec, params, x, y) == models.evaluate(spec, params, x, y)
 
 
 class TestHvp:
@@ -159,20 +189,21 @@ class TestPredictAccuracy:
         spec = ModelSpec("logistic", 2, 2)
         params = np.zeros(models.param_count(spec))
         params[spec.layout.b2] = [10.0, 0.0]
-        assert models.predict_accuracy(spec, params, np.ones((5, 2)), np.zeros(5, dtype=int)) == 1.0
+        _, accuracy = models.evaluate(spec, params, np.ones((5, 2)), np.zeros(5, dtype=int))
+        assert accuracy == 1.0
 
     def test_counting(self, rng):
         spec = ModelSpec("logistic", 2, 2)
         params = np.zeros(models.param_count(spec))
         params[spec.layout.b2] = [1.0, 0.0]  # always predicts class 0
         x, y = rng.standard_normal((3, 2)), np.array([0, 0, 1])
-        assert models.predict_accuracy(spec, params, x, y) == pytest.approx(2 / 3)
+        assert models.evaluate(spec, params, x, y)[1] == pytest.approx(2 / 3)
 
     def test_tie_breaks_to_lowest_class(self, rng):
         spec = ModelSpec("logistic", 3, 4)
         x, y = rng.standard_normal((6, 3)), np.zeros(6, dtype=int)
         # all-zero params: every logit ties, argmax picks class 0
-        assert models.predict_accuracy(spec, np.zeros(models.param_count(spec)), x, y) == 1.0
+        assert models.evaluate(spec, np.zeros(models.param_count(spec)), x, y)[1] == 1.0
 
 
 class TestGraphDiffusion:
@@ -196,7 +227,7 @@ class TestGraphDiffusion:
     def test_zero_alpha_beta_reduces_to_mlp1(self, rng):
         x = rng.standard_normal((6, 3))
         a_norm = models.normalized_adjacency(self.ring_adjacency())
-        np.testing.assert_array_equal(training.diffusion_update(x, a_norm, 0.0, 0.0, 0.0), x)
+        np.testing.assert_array_equal(training.diffusion_update(x, a_norm, 0.0), x)
         graph, plain = self.run_pair(ModelSpec("graph_diffusion", 3, 2, hidden_dim=4))
         assert graph == plain
 
@@ -205,8 +236,8 @@ class TestGraphDiffusion:
         a_norm = models.normalized_adjacency(self.ring_adjacency())
         once = x + 0.5 * (a_norm @ x - x)
         expected = once + 0.5 * (a_norm @ once - once)
-        twice = training.diffusion_update(x, a_norm, 0.5, 0.0, 0.0)
-        twice = training.diffusion_update(twice, a_norm, 0.5, 0.0, 0.0)
+        twice = training.diffusion_update(x, a_norm, 0.5)
+        twice = training.diffusion_update(twice, a_norm, 0.5)
         np.testing.assert_allclose(twice, expected)
         graph, plain = self.run_pair(
             ModelSpec("graph_diffusion", 3, 2, hidden_dim=4, diffusion_alpha=0.5)
@@ -224,7 +255,7 @@ class TestGraphDiffusion:
         plain = ModelSpec("mlp1", 3, 2, hidden_dim=4)
         params = models.init_params(graph, rng)
         x, y = make_batch(rng, d=3, k=2)
-        assert models.forward_loss(graph, params, x, y) == models.forward_loss(plain, params, x, y)
+        assert models.evaluate(graph, params, x, y) == models.evaluate(plain, params, x, y)
         for kernel in (models.mean_gradient, models.per_sample_gradients):
             np.testing.assert_array_equal(kernel(graph, params, x, y), kernel(plain, params, x, y))
 

@@ -113,6 +113,77 @@ class TestStackedKernels:
         if kind == "mlp1":
             assert {1, 5} <= graph_widths  # hidden widths that are not multiples of 4
 
+    @pytest.mark.parametrize("kind", ["logistic", "mlp1"])
+    def test_evaluation_of_a_stack_bit_identical_to_each_seed_alone(self, kind):
+        rng = np.random.default_rng(3)
+        for _ in range(30):
+            s = int(rng.integers(1, 5))
+            n = int(rng.choice([1, 2, 7, 60, 129, 301]))
+            d, h, k = (int(rng.choice(c)) for c in ([1, 4, 16, 33], [1, 5, 32], [2, 3, 8, 10]))
+            spec = ModelSpec(kind, d, k, hidden_dim=h if kind == "mlp1" else 0)
+            params = rng.standard_normal((s, models.param_count(spec))) * 10.0 ** rng.uniform(-2, 1)
+            y = rng.integers(0, k, n)
+            for x in (rng.standard_normal((n, d)), rng.standard_normal((s, n, d))):
+                loss, accuracy = models.evaluate(spec, params, x, y)
+                assert loss.shape == accuracy.shape == (s,)
+                assert np.array_equal(models.forward_loss(spec, params, x, y), loss)
+                for i in range(s):
+                    alone = models.evaluate(spec, params[i], x if x.ndim == 2 else x[i], y)
+                    assert loss[i] == alone[0] and accuracy[i] == alone[1]
+
+    @pytest.mark.parametrize("k", [2, 3, 7, 8, 10, 16])
+    def test_log_softmax_equals_the_max_reduction_formula(self, k):
+        # the class max taken column by column is exact; the normalizer keeps
+        # numpy's pairwise sum, which a column loop would leave from 8 classes
+        rng = np.random.default_rng(k)
+        z = rng.standard_normal((4, 129, k)) * 10.0 ** rng.uniform(-3, 3, (4, 129, 1))
+        z[0, :3] = 0.0
+        z[0, 3, : k // 2] = -0.0
+        shifted = z - z.max(axis=-1, keepdims=True)
+        expect = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+        got = models._log_softmax(z)
+        assert np.array_equal(got.view(np.int64), expect.view(np.int64))
+
+    def test_ten_class_loss_equals_the_mean_of_picked_log_probabilities(self):
+        rng = np.random.default_rng(10)
+        spec = ModelSpec("mlp1", 5, 10, hidden_dim=7)
+        params = rng.standard_normal(models.param_count(spec))
+        x, y = rng.standard_normal((200, 5)), rng.integers(0, 10, 200)
+        z = models._forward(spec, params, x)[0]
+        shifted = z - z.max(axis=-1, keepdims=True)
+        logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+        loss, accuracy = models.evaluate(spec, params, x, y)
+        assert loss == models.forward_loss(spec, params, x, y) == -logp[np.arange(200), y].mean()
+        assert accuracy == (z.argmax(axis=1) == y).mean()
+
+    @pytest.mark.parametrize("steps", [1, 3])
+    def test_diffusion_of_a_stack_bit_identical_to_each_seed_alone(self, steps):
+        # one diffusion for the stack: a shared first step, then one product
+        # with the seeds side by side; each seed draws its own noise in order
+        rng = np.random.default_rng(4)
+        adj = data.make_sbm_graph(60, 2, p_in=0.2, p_out=0.05, d=3, seed=1).adjacency
+        a_norm = models.normalized_adjacency(adj)
+        x = rng.standard_normal((60, 3))
+        scales = [0.0, 0.3, 1.7]
+        stacked = x
+        noise = [(scale, np.random.default_rng(i)) for i, scale in enumerate(scales)]
+        for _ in range(steps):
+            stacked = training.diffusion_update(stacked, a_norm, 0.4, 0.2, noise)
+        assert stacked.shape == (3, 60, 3)
+        for i, scale in enumerate(scales):
+            alone = x
+            seed_noise = [(scale, np.random.default_rng(i))]
+            for _ in range(steps):
+                alone = training.diffusion_update(alone, a_norm, 0.4, 0.2, seed_noise)
+            assert np.array_equal(stacked[i], alone[0])
+            if steps == 1:  # the step's formula, with the seed's own draw
+                xi = np.random.default_rng(i).normal(0.0, scale, size=x.shape)
+                assert np.array_equal(stacked[i], x + 0.4 * (a_norm @ x - x) + 0.2 * xi * x)
+        # without noise, a stack diffuses each seed's features as they would alone
+        plain = training.diffusion_update(stacked, a_norm, 0.4)
+        for i in range(3):
+            assert np.array_equal(plain[i], training.diffusion_update(stacked[i], a_norm, 0.4))
+
     def test_np_mean_sums_a_middle_axis_in_order_from_zero(self):
         # train_run sums no_noise_averaging's minibatch gradients this way, a
         # bounded chunk at a time, and must get np.mean's floats, signed zeros
@@ -263,6 +334,34 @@ class TestStackedTrainRun:
             ("degenerate", "non-finite parameters", 3),
             ("degenerate", "non-finite parameters", 6),
         ]
+
+    def test_noisy_graph_seed_with_a_non_finite_loss_leaves_the_stack(self, monkeypatch, sbm):
+        # seed 1's first update spreads its output biases to -+1.5e308: its
+        # parameters stay finite, but a logit difference overflows, so its
+        # first train loss is inf; the poisoned update is found by the seed's
+        # initial parameters, the same alone and in a stack
+        spec = ModelSpec(
+            "graph_diffusion", 4, 2, hidden_dim=5, diffusion_alpha=0.3, diffusion_beta=0.1
+        )
+        rng_init = np.random.default_rng(np.random.SeedSequence(1).spawn(3)[0])
+        target = models.init_params(spec, rng_init)
+        poison = np.zeros_like(target)
+        poison[spec.layout.b2] = [1.5e308, -1.5e308]
+        real = models.mean_gradient
+
+        def poisoned(spec, params, x, y, out=None):
+            g = real(spec, params, x, y, out=out)
+            g[(params == target).all(axis=-1)] = poison
+            return g
+
+        monkeypatch.setattr(models, "mean_gradient", poisoned)
+        settings = dict(model=spec, batch_size=16, epochs=3, lr=1.0, optimizer="sgd")
+        with np.errstate(over="ignore", invalid="ignore"):
+            records = train_alone_and_stacked(sbm, [0, 1, 2], **settings)
+        statuses = [(r.status, r.degenerate_reason, len(r.lr)) for r in records]
+        assert statuses[1] == ("degenerate", "non-finite loss", 1)
+        assert records[1].train_loss == [np.inf]
+        assert [s[0] for s in statuses[::2]] == ["completed", "completed"]
 
     def test_sam_seed_with_a_zero_gradient(self, monkeypatch, blobs):
         hits = poison_minibatches(monkeypatch, blobs, 5, 0.0)

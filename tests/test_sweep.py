@@ -112,7 +112,12 @@ class TestRunSweep:
         path = tmp_path / "out" / "records.jsonl"
         with path.open("a") as fh:
             fh.write('{"schema_version": 1, "run_id": "b64-s1-none", "trunc')
-        records = sweep.load_records(path)
+        # a plain read names the line and leaves the file as it is
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match=r"records\.jsonl:5: corrupt record line"):
+            sweep.load_records(path)
+        assert path.read_bytes() == before
+        records = sweep.load_records(path, quarantine=True)
         assert len(records) == 4
         quarantine = path.with_suffix(".jsonl.quarantine")
         assert quarantine.exists() and "trunc" in quarantine.read_text()
@@ -123,9 +128,13 @@ class TestRunSweep:
         final_5 = json.dumps(dict(json.loads(lines[0]), final=5))
         for bad in ("[1, 2]", "42", final_5):
             path.write_text("\n".join(lines + [bad]) + "\n")
-            assert len(sweep.load_records(path)) == 4
+            assert len(sweep.load_records(path, quarantine=True)) == 4
             assert path.read_text().splitlines() == lines
             assert quarantine.read_text().splitlines()[-1] == bad
+        # and a sweep's resume quarantines it
+        path.write_text("\n".join(lines + ["[1, 2]"]) + "\n")
+        assert len(sweep.run_sweep(cfg)) == 4
+        assert path.read_text().splitlines() == lines
 
     def test_corrupt_middle_line_raises(self, tmp_path):
         cfg = make_config(tmp_path)

@@ -214,26 +214,27 @@ def assert_records_close(got, ref, rel):
 class TestDiffusionUpdate:
     def test_identity_when_alpha_beta_zero(self):
         h = np.arange(6.0).reshape(3, 2)
-        out = diffusion_update(h, np.eye(3), 0.0, 0.0, 0.0)
+        out = diffusion_update(h, np.eye(3), 0.0)
         np.testing.assert_array_equal(out, h)
 
     def test_identity_adjacency_fixed_point(self):
         h = np.arange(6.0).reshape(3, 2)
-        out = diffusion_update(h, np.eye(3), 0.7, 0.0, 0.0)
+        out = diffusion_update(h, np.eye(3), 0.7)
         np.testing.assert_allclose(out, h)
 
     def test_full_step_is_neighborhood_average(self):
         rng = np.random.default_rng(0)
         h = rng.standard_normal((3, 2))
         a_norm = models.normalized_adjacency(sp.csr_matrix(np.ones((3, 3)) - np.eye(3)))
-        out = diffusion_update(h, a_norm, 1.0, 0.0, 0.0)
+        out = diffusion_update(h, a_norm, 1.0)
         np.testing.assert_allclose(out, a_norm @ h)
 
     def test_noise_term_scales_with_h(self):
         rng = np.random.default_rng(1)
         h = np.full((200, 50), 2.0)
-        out = diffusion_update(h, np.eye(200) * 0.0 + np.eye(200), 0.0, 1.0, 0.3, rng)
+        out = diffusion_update(h, np.eye(200) * 0.0 + np.eye(200), 0.0, 1.0, [(0.3, rng)])
         # xi ~ N(0, 0.3), perturbation is xi * h, so std of (out - h) is 0.6
+        assert out.shape == (1, 200, 50)
         assert (out - h).std() == pytest.approx(0.6, rel=0.05)
 
 
@@ -341,20 +342,21 @@ class TestTrainRun:
         p = models.init_params(cfg.model, rng_init)
         x, y = blob_bundle.features, blob_bundle.labels
         train, test = blob_bundle.splits["train"], blob_bundle.splits["test"]
-        test_loss = models.forward_loss(cfg.model, p, x[test], y[test])
+        test_loss, test_accuracy = models.evaluate(cfg.model, p, x[test], y[test])
         train_loss = models.forward_loss(cfg.model, p, x[train], y[train])
-        assert rec.final.test_accuracy == models.predict_accuracy(cfg.model, p, x[test], y[test])
+        assert rec.final.test_accuracy == test_accuracy
         assert rec.final.gen_gap == test_loss - train_loss
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_zero_epochs_infinite_test_loss_is_degenerate(self, blob_bundle, monkeypatch):
-        real = models.forward_loss
-        y_test = blob_bundle.labels[blob_bundle.splits["test"]]
+        real = models.evaluate
 
         def infinite_on_test(spec, params, x, y):
-            return np.inf if np.array_equal(y, y_test) else real(spec, params, x, y)
+            # evaluate scores the test split only
+            loss, accuracy = real(spec, params, x, y)
+            return np.full_like(loss, np.inf), accuracy
 
-        monkeypatch.setattr(models, "forward_loss", infinite_on_test)
+        monkeypatch.setattr(models, "evaluate", infinite_on_test)
         rec = train_run(blob_bundle, [quick_config(epochs=0)])[0]
         assert rec.status == "degenerate"
         assert rec.degenerate_reason == "test_loss must be finite"
