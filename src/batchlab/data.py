@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import inspect
+import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -31,8 +33,10 @@ class DatasetBundle:
     must form a nonempty, all-finite [n x d] matrix, labels a length-n vector
     of nonnegative integers, and the splits the disjoint ``SPLITS``. An
     adjacency must be a symmetric [n x n] matrix of finite, nonnegative
-    weights; it is stored as CSR. ``dataset_id`` names the data in every
-    run record made on it.
+    weights; it is stored as CSR. ``dataset_id`` names the data readably in
+    every run record made on it; ``fingerprint``, the digest of the config
+    section it was built from (set by ``sweep.build_dataset``, else None),
+    identifies it in full.
     """
 
     SPLITS = ("train", "val", "test")
@@ -42,6 +46,7 @@ class DatasetBundle:
     adjacency: sp.csr_matrix | None
     splits: dict[str, np.ndarray]
     dataset_id: str = "unknown"
+    fingerprint: str | None = None
 
     def __post_init__(self) -> None:
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -302,6 +307,24 @@ def load_tabular_graph(
 
 # Dataset kind -> builder; the builder's parameters are the config's dataset keys.
 BUILDERS = {"blobs": make_blobs, "sbm": make_sbm_graph, "files": load_tabular_graph}
+
+
+def fingerprint(section: dict) -> str:
+    """The sha256 that identifies the data a config's dataset section
+    builds, computed without building it: a digest of the ``kind`` and every
+    builder argument, defaults bound, with each ``files`` CSV given by the
+    sha256 of its bytes instead of its path. An argument given at its
+    default digests as one left out, and ``fractions`` as a list as the same
+    tuple; another spelling of a number (``3`` for ``3.0``) digests apart."""
+    args = dict(section)
+    kind = args.pop("kind")
+    bound = inspect.signature(BUILDERS[kind]).bind(**args)
+    bound.apply_defaults()
+    identity = {"kind": kind, **bound.arguments}
+    if kind == "files":
+        for name in ("nodes", "edges"):
+            identity[name] = hashlib.sha256(Path(identity[name]).read_bytes()).hexdigest()
+    return hashlib.sha256(json.dumps(identity, sort_keys=True).encode()).hexdigest()
 
 
 def save_tabular_graph(bundle: DatasetBundle, nodes_path, edges_path) -> None:

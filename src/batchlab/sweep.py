@@ -4,8 +4,12 @@ The record file is append-only JSON Lines, one self-contained record per
 line. On resume, a truncated (unparseable) final line is moved to a
 ``.quarantine`` sidecar (elsewhere ``load_records`` only reads the file);
 runs already present (by ``training.run_id``) are skipped, and one whose
-recorded config or dataset id differs from the planned run's raises instead
-of being reused.
+recorded config or data differs from the planned run's raises instead of
+being reused. A record's data is its ``fingerprint`` (``data.fingerprint``
+of the config's dataset section), or for a version 1 record, which has
+none, its dataset id. The fingerprint needs no dataset, so a resume with
+every planned run present as a version 2 record builds none: the run
+configs are planned with the dims of a record on the same data.
 
 The unit of work is a cell: the pending runs that differ only in the seed
 (equal ``training.cell_key``), which ``training.train_run`` trains as one
@@ -44,22 +48,37 @@ def default_records_path(config: SweepConfig, out_dir=None) -> Path:
 
 
 def build_dataset(config: SweepConfig) -> datamod.DatasetBundle:
-    """The sweep's dataset, from the builder its ``kind`` names."""
+    """The sweep's dataset, from the builder its ``kind`` names, carrying its
+    ``data.fingerprint``."""
     spec = dict(config.dataset)
-    return datamod.BUILDERS[spec.pop("kind")](**spec)
+    bundle = datamod.BUILDERS[spec.pop("kind")](**spec)
+    bundle.fingerprint = datamod.fingerprint(config.dataset)
+    return bundle
+
+
+def _model_spec(config: SweepConfig, input_dim: int, num_classes: int) -> models.ModelSpec:
+    # the model keys given in the config are passed on as the fields they
+    # name, so ModelSpec holds the defaults and the rules
+    field_of_key = {key: name for name, key in MODEL_KEY_OF_FIELD.items() if key}
+    given = {field_of_key.get(k, k): v for k, v in config.model.items()}
+    return models.ModelSpec(input_dim=input_dim, num_classes=num_classes, **given)
 
 
 def build_model_spec(config: SweepConfig, bundle: datamod.DatasetBundle) -> models.ModelSpec:
-    """The sweep's ``ModelSpec``, checked to fit the dataset; the model keys
-    given in the config are passed on as the fields they name, so
-    ``ModelSpec`` holds the defaults and the rules."""
-    field_of_key = {key: name for name, key in MODEL_KEY_OF_FIELD.items() if key}
-    given = {field_of_key.get(k, k): v for k, v in config.model.items()}
-    spec = models.ModelSpec(
-        input_dim=bundle.features.shape[1], num_classes=bundle.num_classes, **given
-    )
+    """The sweep's ``ModelSpec``, checked to fit the dataset."""
+    spec = _model_spec(config, bundle.features.shape[1], bundle.num_classes)
     training.check_model_fits(spec, bundle)
     return spec
+
+
+def _plan_runs(config: SweepConfig, model_spec: models.ModelSpec) -> list[training.TrainConfig]:
+    ablations = (training.DEFAULT_ABLATION,) + config.ablations
+    return [
+        checked("train", training.TrainConfig, model_spec, b, **config.train, seed=s, ablation=a)
+        for b in sorted(config.batch_sizes)
+        for s in sorted(config.seeds)
+        for a in ablations
+    ]
 
 
 def plan_sweep(config: SweepConfig) -> tuple[datamod.DatasetBundle, list[training.TrainConfig]]:
@@ -74,14 +93,7 @@ def plan_sweep(config: SweepConfig) -> tuple[datamod.DatasetBundle, list[trainin
     bundle = checked("dataset", build_dataset, config)
     checked("dataset", training.check_train_split, bundle)
     model_spec = checked("model", build_model_spec, config, bundle)
-    ablations = (training.Ablation(),) + config.ablations
-    planned = [
-        checked("train", training.TrainConfig, model_spec, b, **config.train, seed=s, ablation=a)
-        for b in sorted(config.batch_sizes)
-        for s in sorted(config.seeds)
-        for a in ablations
-    ]
-    return bundle, planned
+    return bundle, _plan_runs(config, model_spec)
 
 
 def load_records(path, quarantine: bool = False) -> list[training.RunRecord]:
@@ -123,18 +135,28 @@ def append_record(path, record: training.RunRecord) -> None:
         fh.write(json.dumps(record.to_dict()) + "\n")
 
 
-def _check_resumable(path, record, tc, bundle) -> None:
-    """Raise unless ``record`` was made by the planned run ``tc`` on ``bundle``."""
+def _check_resumable(path, record, tc, fingerprint: str, dataset_id: str | None) -> None:
+    """Raise unless ``record`` was made by the planned run ``tc`` on the data
+    ``fingerprint`` identifies: a version 2 record by its config and
+    fingerprint, a version 1 record, which has no fingerprint, by its config
+    and ``dataset_id`` (the built dataset's; never read for a version 2 record)."""
     want = tc.to_dict()
     keys = want.keys() | record.config.keys()
     fields = sorted(k for k in keys if record.config.get(k) != want.get(k))
-    if record.dataset_id != bundle.dataset_id:
-        fields.append("dataset_id")
+    if record.schema_version == 1:
+        if record.dataset_id != dataset_id:
+            fields.append("dataset_id")
+    elif record.fingerprint != fingerprint:
+        fields.append("fingerprint")
     if fields:
         raise ValueError(
             f"{path}: record {record.run_id} was made under another config "
             f"(differs in {', '.join(fields)}); sweep into a new record file"
         )
+
+
+def _in_plan_order(records: list[training.RunRecord]) -> list[training.RunRecord]:
+    return sorted(records, key=lambda r: (r.batch_size, r.seed, r.ablation))
 
 
 def work_units(
@@ -164,27 +186,53 @@ def run_sweep(
     seeds train).
 
     Returns every record (pre-existing plus new) sorted by
-    (batch size, seed, ablation), independent of execution order. The sweep
-    is planned (``plan_sweep``) before the record file is read. Raises
+    (batch size, seed, ablation), independent of execution order. Raises
     ``ValueError`` before training anything when a present record of a
-    planned run carries another config or dataset id. ``workers``, when
-    given, replaces the config's and must pass the same rule.
+    planned run carries another config, or was made on other data (another
+    fingerprint; for a version 1 record, another dataset id). ``workers``,
+    when given, replaces the config's and must pass the same rule.
+
+    The dataset's fingerprint is computed from the config before the record
+    file is read. When a present record carries it, the runs are planned
+    with that record's model dimensions, since equal fingerprints mean equal
+    data (a record whose dims cannot be read, or an invalid model section,
+    leaves the checks to the built path); if every planned run is then present as a version 2 record, they
+    are checked and returned without building the dataset or starting a
+    pool. Otherwise the sweep is planned on the built dataset
+    (``plan_sweep``) and the pending runs train.
     """
     records_path = Path(records_path) if records_path else default_records_path(config)
     if workers is not None:
         config = dataclasses.replace(config, workers=workers)  # SweepConfig checks it
     workers = config.workers
 
-    bundle, planned = plan_sweep(config)
+    fingerprint = checked("dataset", datamod.fingerprint, config.dataset)
     existing = load_records(records_path, quarantine=True)
     done = {r.run_id: r for r in existing}
+    same_data = next((r for r in existing if r.fingerprint == fingerprint), None)
+    spec = None
+    if same_data is not None:
+        try:
+            dims = same_data.config["model"]
+            spec = _model_spec(config, dims["input_dim"], dims["num_classes"])
+        except (KeyError, TypeError, ValueError):
+            pass  # an edited record or an invalid model section: the built path names it
+    if spec is not None:
+        planned = _plan_runs(config, spec)
+        found = [done.get(training.run_id(tc)) for tc in planned]
+        if all(record is not None and record.schema_version == 2 for record in found):
+            for tc, record in zip(planned, found):
+                _check_resumable(records_path, record, tc, fingerprint, None)
+            return _in_plan_order(existing)
+
+    bundle, planned = plan_sweep(config)
     pending = []
     for tc in planned:
         record = done.get(training.run_id(tc))
         if record is None:
             pending.append(tc)
         else:
-            _check_resumable(records_path, record, tc, bundle)
+            _check_resumable(records_path, record, tc, fingerprint, bundle.dataset_id)
 
     new_records: list[training.RunRecord] = []
     if workers > 1:
@@ -202,4 +250,4 @@ def run_sweep(
                 append_record(records_path, record)
             new_records.extend(records)
 
-    return sorted(existing + new_records, key=lambda r: (r.batch_size, r.seed, r.ablation))
+    return _in_plan_order(existing + new_records)

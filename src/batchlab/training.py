@@ -67,6 +67,9 @@ class Ablation:
         return dict(vars(self))
 
 
+DEFAULT_ABLATION = Ablation()
+
+
 @dataclass(frozen=True)
 class BatchSchedule:
     """Fixed batch size, or progressive growth by ``factor`` every N epochs.
@@ -102,6 +105,9 @@ class BatchSchedule:
         return dict(vars(self))
 
 
+DEFAULT_BATCH_SCHEDULE = BatchSchedule()
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """One run's training settings. The fields a sweep does not set per run
@@ -114,8 +120,8 @@ class TrainConfig:
     lr_schedule: str = "fixed"
     optimizer: str = "adam"
     lambda_causal: float = 0.0
-    ablation: Ablation = field(default_factory=Ablation)
-    batch_schedule: BatchSchedule = field(default_factory=BatchSchedule)
+    ablation: Ablation = DEFAULT_ABLATION  # frozen, so every config shares one
+    batch_schedule: BatchSchedule = DEFAULT_BATCH_SCHEDULE
     early_stop_patience: int = 10
     seed: int = 0
 
@@ -347,10 +353,13 @@ RECORD_WALL_FIELDS = ("epoch_wall_seconds", "wall_seconds")
 class RunRecord:
     """Everything measured in one training run, filled as it trains. Its
     record line is ``schema_version``, then the other fields in declaration
-    order, with ``final`` written as the ``Measurement``'s fields in theirs."""
+    order, with ``final`` written as the ``Measurement``'s fields in theirs.
+    A version 1 line, written before ``fingerprint`` existed, has every field
+    but that one, and loads with ``fingerprint`` None."""
 
     run_id: str
     dataset_id: str
+    fingerprint: str | None
     model_kind: str
     batch_size: int
     seed: int
@@ -366,7 +375,7 @@ class RunRecord:
     status: str = "completed"
     degenerate_reason: str | None = None
     wall_seconds: float = 0.0
-    schema_version: int = 1
+    schema_version: int = 2
 
     def to_dict(self) -> dict:
         # a dict keeps its first insertion's place, so schema_version leads the line
@@ -375,13 +384,20 @@ class RunRecord:
 
     @staticmethod
     def from_dict(d) -> "RunRecord":
-        # a line lacking a field is corrupt: the constructor's defaults are for
-        # train_run. The values analysis reads are type-checked here, once; the
-        # per-epoch series are not, as checking each element costs 15% of a report
+        # a line lacking a field of its version is corrupt: the constructor's
+        # defaults are for train_run. The values analysis reads are type-checked
+        # here, once; the per-epoch series are not, as checking each element
+        # costs 15% of a report
         fields = RunRecord.__dataclass_fields__
-        if not isinstance(d, dict) or d.keys() != fields.keys():
-            raise TypeError(f"a record has the fields {list(fields)}")
+        names = d.keys() if isinstance(d, dict) else ()
+        version = 2 if "fingerprint" in names else 1
+        if names != _LINE_FIELDS[version] or d["schema_version"] != version:
+            raise TypeError(
+                f"a record has the fields {list(fields)} (schema_version 2), "
+                "or all of them but fingerprint (schema_version 1)"
+            )
         d = dict(d)
+        d.setdefault("fingerprint", None)
         final = d.pop("final")
         for name in ("batch_size", "seed"):
             if not models.is_integer(d[name]):
@@ -401,6 +417,11 @@ class RunRecord:
         for key in RECORD_WALL_FIELDS:
             out.pop(key, None)
         return out
+
+
+# the keys of a record line of each schema_version
+_LINE_FIELDS = {2: RunRecord.__dataclass_fields__.keys()}
+_LINE_FIELDS[1] = _LINE_FIELDS[2] - {"fingerprint"}
 
 
 # -- the training loop ----------------------------------------------------------
@@ -497,8 +518,8 @@ def train_run(dataset: datamod.DatasetBundle, configs) -> list[RunRecord]:
         )
         initial.append(models.init_params(spec, rng_init))
         record = RunRecord(
-            run_id(c), dataset.dataset_id, spec.kind, c.batch_size, c.seed, c.ablation.kind,
-            c.to_dict(),
+            run_id(c), dataset.dataset_id, dataset.fingerprint, spec.kind, c.batch_size, c.seed,
+            c.ablation.kind, c.to_dict(),
         )
         active.append(_Seed(record, rng_shuffle, rng_noise))
     runs = list(active)

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from helpers import DATA_CHANGES, changed_dataset
 
 import batchlab
 from batchlab.cli import main
@@ -318,6 +319,44 @@ class TestCli:
         config_path.write_text(json.dumps(stale))
         assert main(["sweep", str(config_path)]) == 1
         assert "config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change", DATA_CHANGES)
+    def test_resume_on_changed_data_exit_1(self, tmp_path, capsys, change):
+        before, edit = changed_dataset(change, tmp_path)
+        path = tmp_path / "config.json"
+        config = dict(CONFIG, batch_sizes=[16], seeds=[0], out_dir=str(tmp_path / "out"))
+        path.write_text(json.dumps(dict(config, dataset=before)))
+        assert main(["sweep", str(path)]) == 0
+        records = tmp_path / "out" / "records.jsonl"
+        recorded = records.read_bytes()
+        path.write_text(json.dumps(dict(config, dataset=edit())))
+        assert main(["sweep", str(path)]) == 1
+        assert "record b16-s0-none was made under another config (differs in fingerprint)" in (
+            capsys.readouterr().err
+        )
+        assert records.read_bytes() == recorded
+
+    def test_finished_graph_resume_loads_no_scipy(self, tmp_path):
+        # a resume with nothing pending builds no dataset, so a finished sbm
+        # sweep resumes on numpy alone
+        dataset = {"kind": "sbm", "n": 60, "num_classes": 2, "p_in": 0.2, "p_out": 0.02, "d": 3}
+        path = tmp_path / "sbm.json"
+        path.write_text(json.dumps(dict(CONFIG, dataset=dataset, out_dir=str(tmp_path / "out"))))
+        assert main(["sweep", str(path)]) == 0
+        records = tmp_path / "out" / "records.jsonl"
+        recorded = records.read_bytes()
+        src = str(Path(batchlab.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = (
+            "import sys\nfrom batchlab.cli import main\n"
+            f"assert main(['sweep', {str(path)!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        ).stdout
+        assert out.splitlines()[-1] == "[]"
+        assert records.read_bytes() == recorded
 
     def test_sweep_missing_config_exit_1(self, tmp_path, capsys):
         assert main(["sweep", str(tmp_path / "absent.json")]) == 1

@@ -298,6 +298,39 @@ class TestTabularGraphFiles:
         assert bundle.adjacency.diagonal().sum() == 0.0
 
 
+class TestFingerprint:
+    BLOBS = {"kind": "blobs", "n": 60, "d": 4, "num_classes": 2}
+
+    def test_explicit_default_digests_as_omitted(self):
+        explicit = dict(self.BLOBS, separation=3.0, label_noise=0.0, seed=0)
+        assert data.fingerprint(explicit) == data.fingerprint(self.BLOBS)
+
+    def test_fractions_list_digests_as_tuple(self):
+        as_list = dict(self.BLOBS, fractions=[0.5, 0.25, 0.25])
+        as_tuple = dict(self.BLOBS, fractions=(0.5, 0.25, 0.25))
+        assert data.fingerprint(as_list) == data.fingerprint(as_tuple)
+        assert data.fingerprint(as_list) != data.fingerprint(self.BLOBS)
+
+    @pytest.mark.parametrize("change", [{"label_noise": 0.1}, {"separation": 2.0}, {"seed": 1}])
+    def test_every_argument_counts(self, change):
+        assert data.fingerprint(dict(self.BLOBS, **change)) != data.fingerprint(self.BLOBS)
+
+    def test_csv_files_digest_by_content(self, tmp_path):
+        # the same bytes at two paths, then one edge written the other way round
+        sections = []
+        for where in ("a", "b"):
+            (tmp_path / where).mkdir()
+            nodes, edges = tmp_path / where / "nodes.csv", tmp_path / where / "edges.csv"
+            nodes.write_text("id,f1,label\n0,0.1,0\n1,0.2,1\n")
+            edges.write_text("src,dst\n0,1\n")
+            sections.append({"kind": "files", "nodes": str(nodes), "edges": str(edges)})
+        a, b = sections
+        assert data.fingerprint(a) == data.fingerprint(b)
+        assert data.fingerprint(a) != data.fingerprint(dict(a, seed=1))
+        edges.write_text("src,dst\n1,0\n")
+        assert data.fingerprint(a) != data.fingerprint(b)
+
+
 class TestEdgeList:
     def test_upper_triangle_pairs(self):
         adj = sp.csr_matrix(np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float))

@@ -35,6 +35,7 @@ def synthetic_record(batch_size, seed, accuracy, noise=None, sharp=None, ablatio
     return RunRecord(
         run_id=f"b{batch_size}-s{seed}-{ablation}",
         dataset_id="synthetic",
+        fingerprint=None,
         model_kind="mlp1",
         batch_size=batch_size,
         seed=seed,

@@ -1,9 +1,11 @@
+import concurrent.futures
 import json
 
 import numpy as np
 import pytest
+from helpers import DATA_CHANGES, as_version_1, changed_dataset
 
-from batchlab import measures, sweep
+from batchlab import measures, sweep, training
 from batchlab.config import build_sweep_config
 
 BASE = {
@@ -69,7 +71,7 @@ class TestRunSweep:
         other = make_config(
             tmp_path, dataset=dict(BASE["dataset"], seed=4), batch_sizes=[16], seeds=[0]
         )
-        with pytest.raises(ValueError, match=r"b16-s0-none.*config.*dataset_id"):
+        with pytest.raises(ValueError, match=r"b16-s0-none.*config.*fingerprint"):
             sweep.run_sweep(other)
 
     def test_parallel_equals_serial(self, tmp_path):
@@ -167,6 +169,106 @@ class TestRunSweep:
 
     def test_missing_records_file_loads_empty(self, tmp_path):
         assert sweep.load_records(tmp_path / "absent.jsonl") == []
+
+
+def counting_builds(monkeypatch) -> list:
+    """Wrap ``sweep.build_dataset`` to log each config it builds."""
+    built, build = [], sweep.build_dataset
+
+    def counting(config):
+        built.append(config)
+        return build(config)
+
+    monkeypatch.setattr(sweep, "build_dataset", counting)
+    return built
+
+
+def refuse(what: str):
+    def refused(*args, **kwargs):
+        raise AssertionError(f"{what} was called")
+
+    return refused
+
+
+class TestFingerprintedResume:
+    @pytest.mark.parametrize("change", DATA_CHANGES)
+    def test_resume_on_changed_data_rejected(self, tmp_path, monkeypatch, change):
+        # a change the dataset id leaves out: a generator argument, the split
+        # seed of CSV data, or one byte of its nodes.csv
+        before, edit = changed_dataset(change, tmp_path)
+        path = tmp_path / "records.jsonl"
+        one_run = dict(dataset=before, batch_sizes=[16], seeds=[0])
+        sweep.run_sweep(make_config(tmp_path, **one_run), records_path=path)
+        recorded = path.read_bytes()
+        changed = make_config(tmp_path, **dict(one_run, dataset=edit()))
+        monkeypatch.setattr(training, "train_run", refuse("train_run"))
+        with pytest.raises(ValueError, match=r"b16-s0-none.*\(differs in fingerprint\)"):
+            sweep.run_sweep(changed, records_path=path)
+        assert path.read_bytes() == recorded
+
+    def test_finished_resume_builds_nothing(self, tmp_path, monkeypatch):
+        cfg = make_config(tmp_path)
+        path = tmp_path / "out" / "records.jsonl"
+        first = sweep.run_sweep(cfg)
+        recorded = path.read_bytes()
+        monkeypatch.setattr(sweep, "build_dataset", refuse("build_dataset"))
+        again = sweep.run_sweep(cfg)
+        assert [r.to_dict() for r in again] == [r.to_dict() for r in first]
+        assert path.read_bytes() == recorded
+
+    def test_finished_resume_starts_no_pool(self, tmp_path, monkeypatch):
+        cfg = make_config(tmp_path)
+        first = sweep.run_sweep(cfg, workers=1)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse("the process pool"))
+        monkeypatch.setattr(sweep, "build_dataset", refuse("build_dataset"))
+        assert len(sweep.run_sweep(cfg, workers=2)) == len(first) == 4
+
+    def test_partial_resume_builds_once(self, tmp_path, monkeypatch):
+        sweep.run_sweep(make_config(tmp_path, batch_sizes=[16]))
+        built = counting_builds(monkeypatch)
+        assert len(sweep.run_sweep(make_config(tmp_path))) == 4
+        assert len(built) == 1
+
+    def test_stale_train_config_rejected_without_building(self, tmp_path, monkeypatch):
+        sweep.run_sweep(make_config(tmp_path))
+        monkeypatch.setattr(sweep, "build_dataset", refuse("build_dataset"))
+        stale = make_config(tmp_path, train=dict(BASE["train"], epochs=1))
+        with pytest.raises(ValueError, match=r"b16-s0-none.*\(differs in epochs\)"):
+            sweep.run_sweep(stale)
+
+    def test_edited_record_dims_rejected_by_the_built_check(self, tmp_path):
+        # the build-free path plans with a record's dims; a record whose dims
+        # are gone is rejected by the built check, naming the model
+        cfg = make_config(tmp_path, batch_sizes=[16], seeds=[0])
+        path = tmp_path / "out" / "records.jsonl"
+        sweep.run_sweep(cfg)
+        record = json.loads(path.read_text())
+        del record["config"]["model"]["input_dim"]
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(ValueError, match=r"b16-s0-none.*\(differs in model\)"):
+            sweep.run_sweep(cfg)
+
+    def test_version_1_records_resume_by_dataset_id(self, tmp_path, monkeypatch):
+        cfg = make_config(tmp_path)
+        path = tmp_path / "out" / "records.jsonl"
+        first = sweep.run_sweep(cfg)
+        as_version_1(path)
+        recorded = path.read_bytes()
+        built = counting_builds(monkeypatch)
+        again = sweep.run_sweep(cfg)
+        assert len(built) == 1  # a version 1 record is checked against the built data
+        assert path.read_bytes() == recorded
+        assert [(r.schema_version, r.fingerprint) for r in again] == [(1, None)] * 4
+        versioned = ("schema_version", "fingerprint")
+        content = [
+            [{k: v for k, v in r.canonical_dict().items() if k not in versioned} for r in recs]
+            for recs in (first, again)
+        ]
+        assert content[0] == content[1]
+        other = make_config(tmp_path, dataset=dict(BASE["dataset"], seed=4))
+        with pytest.raises(ValueError, match=r"b16-s0-none.*\(differs in dataset_id\)"):
+            sweep.run_sweep(other)
+        assert path.read_bytes() == recorded
 
 
 class TestBuildPieces:

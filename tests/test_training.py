@@ -563,6 +563,17 @@ class TestTrainRun:
             assert back.canonical_dict() == rec.canonical_dict()
             assert back.final == rec.final
 
+    def test_version_1_line_loads_without_fingerprint(self, blob_bundle):
+        line = train_run(blob_bundle, [quick_config(epochs=1)])[0].to_dict()
+        assert line["schema_version"] == 2 and "fingerprint" in line
+        v1 = {k: v for k, v in line.items() if k != "fingerprint"}
+        rec = training.RunRecord.from_dict(dict(v1, schema_version=1))
+        assert rec.schema_version == 1 and rec.fingerprint is None
+        # each version has its own field set
+        for bad in (v1, dict(line, schema_version=1)):
+            with pytest.raises(TypeError, match="a record has the fields"):
+                training.RunRecord.from_dict(bad)
+
     def test_record_line_format(self, blob_bundle):
         # the line's keys: schema_version, then the other RunRecord fields and final's
         # Measurement fields, each in declaration order
@@ -589,6 +600,11 @@ class TestConfigValidation:
             Ablation(kind="dropout")
         with pytest.raises(ValueError):
             BatchSchedule(kind="progressive", factor=0)
+
+    def test_default_sub_configs_shared(self):
+        a, b = quick_config(), quick_config()
+        assert a.ablation is b.ablation and a.batch_schedule is b.batch_schedule
+        assert a == b == quick_config(ablation=Ablation(), batch_schedule=BatchSchedule())
 
     @pytest.mark.parametrize("unread", [{"start": 4}, {"factor": 8}, {"every_epochs": 1}])
     def test_fixed_schedule_rejects_progressive_settings(self, unread):
