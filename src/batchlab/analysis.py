@@ -1,11 +1,11 @@
 """End-to-end causal analysis of a set of run records.
 
-Extracts the five observed variables from completed, unablated runs, bins
-them, fits one table set per engine mode (each mode is a factor set, given by
-its own hypergraph structure), answers interventional queries for every
-observed batch size, and bundles everything into one JSON document
-(``analysis.json``, whose top-level keys are the ``AnalysisBundle`` fields)
-that is written for other tools and never read back.
+Extracts the observed variables declared in ``VARIABLES`` from completed,
+unablated runs, bins them, fits one table set per engine mode (each mode is a
+factor set, given by its own hypergraph structure), answers interventional
+queries for every observed batch size, and bundles everything into one JSON
+document (``analysis.json``, whose top-level keys are the ``AnalysisBundle``
+fields) that is written for other tools and never read back.
 """
 
 from __future__ import annotations
@@ -14,8 +14,21 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import causal, models
 from .training import RunRecord
+
+# The causal variables, each declared here once: its reader of a usable run
+# record, and whether its observed values are its levels (the batch size) or
+# are binned into equal-frequency bins.
+VARIABLES = {
+    causal.VAR_BATCH: (lambda r: r.batch_size, True),
+    causal.VAR_NOISE: (lambda r: r.final.grad_noise, False),
+    causal.VAR_SHARPNESS: (lambda r: r.final.sharpness, False),
+    causal.VAR_COMPLEXITY: (lambda r: r.final.complexity, False),
+    causal.VAR_GENERALIZATION: (lambda r: r.final.test_accuracy, False),
+}
 
 # The factor set of each engine mode, as the hypergraph it is fitted and queried on.
 STRUCTURES = {
@@ -48,22 +61,14 @@ class AnalysisSettings:
         return dict(vars(self))
 
 
-def records_to_observations(records: list[RunRecord]) -> list[dict]:
-    """One observation per usable run: unablated, non-degenerate, measured."""
-    obs = []
-    for r in records:
-        if r.ablation != "none" or r.final is None:
-            continue
-        obs.append(
-            {
-                causal.VAR_BATCH: int(r.batch_size),
-                causal.VAR_NOISE: float(r.final.grad_noise),
-                causal.VAR_SHARPNESS: float(r.final.sharpness),
-                causal.VAR_COMPLEXITY: float(r.final.complexity),
-                causal.VAR_GENERALIZATION: float(r.final.test_accuracy),
-            }
-        )
-    return obs
+def records_to_observations(records: list[RunRecord]) -> dict[str, np.ndarray]:
+    """The observation table: one column per ``VARIABLES`` entry, one row per
+    usable run (unablated, non-degenerate, measured)."""
+    usable = [r for r in records if r.ablation == "none" and r.final is not None]
+    return {
+        name: np.asarray([read(r) for r in usable], dtype=None if levels else np.float64)
+        for name, (read, levels) in VARIABLES.items()
+    }
 
 
 @dataclass
@@ -84,17 +89,20 @@ class AnalysisBundle:
         Path(path).write_text(json.dumps(vars(self), indent=2, default=lambda o: o.to_dict()))
 
 
-def analyze_observations(observations: list[dict], settings: AnalysisSettings) -> AnalysisBundle:
-    """Fit both engine modes on the observations and answer every do() query;
-    a mode's ATE is the difference of its do(treat) and do(control) answers.
+def analyze_observations(observations: dict, settings: AnalysisSettings) -> AnalysisBundle:
+    """Fit both engine modes on the observation table of ``records_to_observations``
+    and answer every do() query; a mode's ATE is the difference of its
+    do(treat) and do(control) answers.
 
     Variables with fewer distinct values than the requested bin count are
     binned at their distinct-value count (a constant column becomes a single
     bin), so degenerate sweeps still analyze cleanly.
     """
-    if not observations:
+    n_observations = len(observations[causal.VAR_BATCH])
+    if not n_observations:
         raise ValueError("no usable observations (completed, unablated runs)")
-    scheme, binned = causal.discretize_records(observations, k=settings.bins)
+    discrete = {name for name, (_, levels) in VARIABLES.items() if levels}
+    scheme, binned = causal.discretize_records(observations, settings.bins, discrete)
 
     tables = {
         mode: causal.fit_cpts(graph, binned, alpha=settings.alpha)
@@ -127,7 +135,7 @@ def analyze_observations(observations: list[dict], settings: AnalysisSettings) -
         interventions=interventions,
         ate=ate_by_mode,
         backdoor=causal.backdoor_diagnostic(binned),
-        n_observations=len(observations),
+        n_observations=n_observations,
     )
 
 

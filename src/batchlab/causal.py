@@ -177,7 +177,7 @@ class BinnedRecords:
 def _equal_frequency_binning(values: np.ndarray, k: int) -> ContinuousBinning:
     """``k`` equal-frequency bins, or one per distinct value when there are
     fewer (a constant column becomes a single bin)."""
-    k = min(k, np.unique(values).size)
+    k = min(k, len(set(values.tolist())))
     if k == 1:
         return ContinuousBinning(cuts=(), representatives=(float(values.mean()),))
     cuts = np.quantile(values, [i / k for i in range(1, k)])
@@ -199,27 +199,20 @@ def _equal_frequency_binning(values: np.ndarray, k: int) -> ContinuousBinning:
     return ContinuousBinning(cuts=binning.cuts, representatives=tuple(reps))
 
 
-def discretize_records(records, k: int) -> tuple[DiscretizationScheme, BinnedRecords]:
-    """Equal-frequency binning of the continuous variables of a nonempty
-    record list into at most ``k`` bins; the batch size keeps its sorted
-    unique levels. Representatives are within-bin means of the fitting
-    records."""
-    variables = sorted(records[0].keys())
-    columns = {v: np.asarray([r[v] for r in records]) for v in variables}
+def discretize_records(columns, k: int, discrete) -> tuple[DiscretizationScheme, BinnedRecords]:
+    """Bin each column of a nonempty observation table (``columns``, one value
+    per record): a variable in ``discrete`` keeps its sorted unique values as
+    its levels, and every other one gets at most ``k`` equal-frequency bins,
+    whose representatives are within-bin means of the fitting records."""
     bins: dict[str, ContinuousBinning | DiscreteBinning] = {}
-    binned: dict[str, np.ndarray] = {}
-    k_map: dict[str, int] = {}
-    for var in variables:
-        if var == VAR_BATCH:
-            levels = tuple(sorted(set(columns[var].tolist())))
-            binning: ContinuousBinning | DiscreteBinning = DiscreteBinning(levels=levels)
+    for var in sorted(columns):
+        if var in discrete:
+            bins[var] = DiscreteBinning(levels=tuple(sorted(set(columns[var].tolist()))))
         else:
-            binning = _equal_frequency_binning(columns[var].astype(np.float64), k)
-        bins[var] = binning
-        binned[var] = binning.assign(columns[var])
-        k_map[var] = binning.k
-    scheme = DiscretizationScheme(bins=bins)
-    return scheme, BinnedRecords(columns=binned, k=k_map)
+            bins[var] = _equal_frequency_binning(columns[var], k)
+    binned = {var: binning.assign(columns[var]) for var, binning in bins.items()}
+    k_map = {var: binning.k for var, binning in bins.items()}
+    return DiscretizationScheme(bins=bins), BinnedRecords(columns=binned, k=k_map)
 
 
 # -- conditional probability tables ----------------------------------------------

@@ -70,7 +70,7 @@ class DatasetBundle:
         seen = np.concatenate([np.asarray(v) for v in self.splits.values()])
         if seen.size and (seen.min() < 0 or seen.max() >= n):
             raise ValueError("split indices out of range")
-        if len(np.unique(seen)) != seen.size:
+        if seen.size and np.bincount(seen, minlength=n).max() > 1:
             raise ValueError("splits must be disjoint")
         if self.adjacency is not None:
             import scipy.sparse as sp

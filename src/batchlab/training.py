@@ -274,12 +274,6 @@ def _seedwise_product(matrix, stack: np.ndarray) -> np.ndarray:
     return np.moveaxis((matrix @ cols).reshape(n, -1, c), 1, 0).reshape(stack.shape)
 
 
-def _causal_regularizer_grad(embeddings: np.ndarray, laplacian: sp.csr_matrix) -> np.ndarray:
-    """The edge regularizer's gradient in the embeddings [..., n, h] (one
-    [n, h] per seed): the ``edge_laplacian`` times each seed's, in one product."""
-    return _seedwise_product(laplacian, embeddings)
-
-
 def diffusion_update(
     h: np.ndarray, adj_norm, alpha: float, beta: float = 0.0, noise=()
 ) -> np.ndarray:
@@ -334,7 +328,7 @@ def gradient_with_penalties(
     g = models.mean_gradient(spec, params, x, y, out=out)
     if laplacian is not None:
         emb = models.hidden_activations(spec, params, reg_inputs)
-        d_emb = _causal_regularizer_grad(emb, laplacian)
+        d_emb = _seedwise_product(laplacian, emb)
         term = lambda_causal * models.hidden_backward(spec, params, reg_inputs, emb, d_emb)
         g += models.with_minibatch_axes(term, g.ndim)
     if l1 > 0.0:

@@ -166,64 +166,71 @@ class TestValidateHypergraph:
             CausalHypergraph.from_edges((VAR_BATCH,), [(("mystery",), VAR_BATCH)])
 
 
+def discretize(x, k, batch=16):
+    """``discretize_records`` of a continuous column ``x`` beside a batch-size
+    column (one level, or one per record), the batch size the one discrete
+    variable."""
+    x = np.asarray(x, dtype=np.float64)
+    columns = {"x": x, VAR_BATCH: np.asarray(np.broadcast_to(batch, x.shape))}
+    return discretize_records(columns, k, {VAR_BATCH})
+
+
 class TestDiscretize:
     def test_exact_tertiles(self):
-        records = [{"x": float(v), VAR_BATCH: 16} for v in range(1, 10)]
-        scheme, binned = discretize_records(records, k=3)
+        scheme, binned = discretize(range(1, 10), k=3)
         expected = [0, 0, 0, 1, 1, 1, 2, 2, 2]
         np.testing.assert_array_equal(binned.columns["x"], expected)
 
     def test_constant_column_gets_one_bin(self):
-        records = [{"x": 1.0, VAR_BATCH: 16} for _ in range(10)]
-        scheme, binned = discretize_records(records, k=3)
+        scheme, binned = discretize([1.0] * 10, k=3)
         assert scheme.bins["x"] == causal.ContinuousBinning(cuts=(), representatives=(1.0,))
         assert binned.k["x"] == 1
         np.testing.assert_array_equal(binned.columns["x"], np.zeros(10))
 
     def test_bins_clamped_to_distinct_values(self):
-        records = [{"x": float(v % 2), VAR_BATCH: 16} for v in range(12)]
-        scheme, binned = discretize_records(records, k=3)
+        scheme, binned = discretize([v % 2 for v in range(12)], k=3)
         assert binned.k["x"] == 2
         assert scheme.bins["x"].representatives == (0.0, 1.0)
 
     def test_quantile_occupancy(self):
         rng = np.random.default_rng(0)
-        records = [{"x": float(v), VAR_BATCH: 16} for v in rng.standard_normal(100)]
-        _, binned = discretize_records(records, k=4)
+        values = rng.standard_normal(100)
+        scheme, binned = discretize(values, k=4)
         counts = np.bincount(binned.columns["x"], minlength=4)
         assert all(abs(c - 25) <= 1 for c in counts)
         # independent quantile check by sorting
-        xs = np.sort([r["x"] for r in records])
-        scheme, _ = discretize_records(records, k=4)
+        xs = np.sort(values)
         cuts = scheme.bins["x"].cuts
         assert xs[24] <= cuts[0] <= xs[25]
 
     def test_tie_goes_to_lower_bin(self):
-        values = [1.0, 2.0, 3.0, 4.0]
-        records = [{"x": v, VAR_BATCH: 16} for v in values]
-        scheme, binned = discretize_records(records, k=2)
+        scheme, binned = discretize([1.0, 2.0, 3.0, 4.0], k=2)
         cut = scheme.bins["x"].cuts[0]
         # the median of 1..4 is 2.5; a record exactly at a cut goes low
-        records2 = [{"x": v, VAR_BATCH: 16} for v in [1.0, cut, 3.0, 4.0]]
-        _, binned2 = discretize_records(records2, k=2)
+        _, binned2 = discretize([1.0, cut, 3.0, 4.0], k=2)
         assert binned2.columns["x"][1] == 0
 
     def test_representatives_are_bin_means(self):
-        records = [{"x": float(v), VAR_BATCH: 16} for v in range(1, 10)]
-        scheme, _ = discretize_records(records, k=3)
+        scheme, _ = discretize(range(1, 10), k=3)
         assert scheme.bins["x"].representatives == (2.0, 5.0, 8.0)
 
     def test_batch_treated_as_discrete_levels(self):
-        records = [
-            {"x": float(i), VAR_BATCH: b} for i, b in enumerate([16, 512, 16, 512, 64, 16])
-        ]
-        scheme, binned = discretize_records(records, k=2)
+        scheme, binned = discretize(range(6), k=2, batch=[16, 512, 16, 512, 64, 16])
         assert scheme.bins[VAR_BATCH].levels == (16, 64, 512)
         np.testing.assert_array_equal(binned.columns[VAR_BATCH], [0, 2, 0, 2, 1, 0])
 
+    def test_discrete_set_alone_decides_levels(self):
+        # any variable of the discrete set keeps its levels, and a batch-size
+        # column outside it is binned like any other
+        columns = {"x": np.array([3, 1, 3, 2]), VAR_BATCH: np.array([16.0, 64.0, 256.0, 512.0])}
+        scheme, binned = discretize_records(columns, 2, {"x"})
+        assert scheme.bins["x"] == causal.DiscreteBinning(levels=(1, 2, 3))
+        np.testing.assert_array_equal(binned.columns["x"], [2, 0, 2, 1])
+        assert isinstance(scheme.bins[VAR_BATCH], causal.ContinuousBinning)
+        np.testing.assert_array_equal(binned.columns[VAR_BATCH], [0, 0, 1, 1])
+
     def test_scheme_dict_lists_cuts_and_levels(self):
-        records = [{"x": float(v), VAR_BATCH: b} for v, b in zip(range(12), [16, 512] * 6)]
-        scheme, _ = discretize_records(records, k=3)
+        scheme, _ = discretize(range(12), k=3, batch=[16, 512] * 6)
         out = scheme.to_dict()
         assert out[VAR_BATCH] == {"kind": "discrete", "levels": [16, 512]}
         assert out["x"]["kind"] == "continuous"

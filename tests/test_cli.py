@@ -268,6 +268,29 @@ class TestCli:
         assert "scipy.special" in imported
         assert "scipy.sparse" not in imported
 
+    def test_validate_and_sweep_leave_numpy_ma_out(self, config_path, tmp_path):
+        # numpy.ma costs 11-22 ms of a cold start; numpy's plain np.unique (and
+        # so np.quantile) imports it. analyze and report are not checked: the
+        # scipy.special they load for the back-door p-values imports it too.
+        src = str(Path(batchlab.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+        def loads_numpy_ma(code):
+            code += "\nprint('numpy.ma' in sys.modules)"
+            out = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+            ).stdout
+            return out.splitlines()[-1] == "True"
+
+        if loads_numpy_ma("import sys, numpy"):
+            pytest.skip("import numpy alone loads numpy.ma")
+        records = tmp_path / "out" / "records.jsonl"
+        sweep_args = ["sweep", config_path, "--workers", 1]
+        for argv in (["validate", config_path], sweep_args, ["validate", records]):
+            code = f"import sys\nfrom batchlab.cli import main\nassert main({list(map(str, argv))!r}) == 0"
+            assert not loads_numpy_ma(code), argv
+        assert len(records.read_text().splitlines()) == 4
+
     def test_sweep_analyze_report_pipeline(self, config_path, tmp_path, capsys):
         assert main(["sweep", str(config_path)]) == 0
         records = tmp_path / "out" / "records.jsonl"

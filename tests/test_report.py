@@ -1,11 +1,12 @@
 import copy
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from batchlab import causal, report, sweep
+from batchlab import analysis, causal, report, sweep
 from batchlab.analysis import (
     STRUCTURES,
     AnalysisBundle,
@@ -88,8 +89,63 @@ class TestAnalysis:
         degenerate.status = "degenerate"
         records.append(degenerate)
         obs = records_to_observations(records)
-        assert len(obs) == 12  # ablated and degenerate rows excluded
-        assert {o[VAR_BATCH] for o in obs} == {16, 256}
+        # ablated and degenerate rows excluded
+        assert [len(column) for column in obs.values()] == [12] * len(analysis.VARIABLES)
+        assert set(obs[VAR_BATCH].tolist()) == {16, 256}
+
+    def test_observations_are_one_column_per_variable_over_usable_runs(self):
+        usable = synthetic_sweep_records(n_seeds=3)
+        degenerate = synthetic_record(256, 98, 0.5)
+        degenerate.final = None
+        ablated = synthetic_record(16, 99, 0.5, ablation="sam")
+        records = usable[:2] + [ablated] + usable[2:4] + [degenerate] + usable[4:]
+        obs = records_to_observations(records)
+        assert list(obs) == list(analysis.VARIABLES)
+        expected = {
+            VAR_BATCH: [r.batch_size for r in usable],
+            causal.VAR_NOISE: [r.final.grad_noise for r in usable],
+            causal.VAR_SHARPNESS: [r.final.sharpness for r in usable],
+            causal.VAR_COMPLEXITY: [r.final.complexity for r in usable],
+            VAR_GENERALIZATION: [r.final.test_accuracy for r in usable],
+        }
+        assert {name: column.tolist() for name, column in obs.items()} == expected
+        assert obs[VAR_BATCH].dtype == np.int64
+        assert all(obs[name].dtype == np.float64 for name in expected if name != VAR_BATCH)
+
+    def test_a_sixth_variable_needs_one_table_entry_and_one_hyperedge(self, monkeypatch):
+        records = synthetic_sweep_records(np.random.default_rng(6), n_seeds=6)
+        settings = AnalysisSettings(treat=16, control=256)
+        without = analyze_records(records, settings)
+        # the generalization gap, read from each record and driven by the batch size
+        for i, r in enumerate(records):
+            r.final = dataclasses.replace(r.final, gen_gap=0.01 * i + 0.1 * (r.batch_size == 16))
+        monkeypatch.setitem(analysis.VARIABLES, "gen_gap", (lambda r: r.final.gen_gap, False))
+        structures = {
+            mode: causal.CausalHypergraph.from_edges(
+                graph.variables + ("gen_gap",),
+                [(e.tails, e.head) for e in graph.hyperedges] + [((VAR_BATCH,), "gen_gap")],
+            )
+            for mode, graph in STRUCTURES.items()
+        }
+        monkeypatch.setattr(analysis, "STRUCTURES", structures)
+        bundle = analyze_observations(records_to_observations(records), settings)
+
+        assert bundle.scheme.bins["gen_gap"].k == 3
+        gaps = np.array([r.final.gen_gap for r in records])
+        batch = np.array([r.batch_size for r in records])
+        cuts = np.quantile(gaps, [1 / 3, 2 / 3])
+        for mode, tables in bundle.tables.items():
+            (table,) = [t for t in tables if t.head == "gen_gap"]
+            assert table.tails == (VAR_BATCH,)
+            # the fitted table from counts, alpha = 1 over three gap bins
+            for row, b in enumerate((16, 256)):
+                counts = np.bincount(np.searchsorted(cuts, gaps[batch == b]), minlength=3)
+                np.testing.assert_allclose(table.probs[row], (counts + 1) / (counts.sum() + 3))
+            # the gap is no ancestor of the outcome, so every do() answer keeps its value
+            for res, old in zip(bundle.interventions[mode], without.interventions[mode]):
+                assert res.b == old.b
+                np.testing.assert_allclose(res.distribution, old.distribution, rtol=1e-12)
+            assert bundle.ate[mode] == pytest.approx(without.ate[mode], rel=1e-12, abs=1e-15)
 
     def test_ate_positive_on_separated_synthetic_sweep(self):
         records = synthetic_sweep_records(np.random.default_rng(4), n_seeds=10)
@@ -161,7 +217,7 @@ class TestAnalysis:
 
     def test_empty_observations_rejected(self):
         with pytest.raises(ValueError, match="no usable"):
-            analyze_observations([], AnalysisSettings())
+            analyze_observations(records_to_observations([]), AnalysisSettings())
 
 
 class TestSignificance:
