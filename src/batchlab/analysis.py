@@ -61,10 +61,16 @@ class AnalysisSettings:
         return dict(vars(self))
 
 
+def usable_runs(records: list[RunRecord]) -> list[RunRecord]:
+    """The runs the causal analysis and the report's sharpness and
+    significance tables read: unablated and measured (not degenerate)."""
+    return [r for r in records if r.ablation == "none" and r.final is not None]
+
+
 def records_to_observations(records: list[RunRecord]) -> dict[str, np.ndarray]:
     """The observation table: one column per ``VARIABLES`` entry, one row per
-    usable run (unablated, non-degenerate, measured)."""
-    usable = [r for r in records if r.ablation == "none" and r.final is not None]
+    ``usable_runs`` entry."""
+    usable = usable_runs(records)
     return {
         name: np.asarray([read(r) for r in usable], dtype=None if levels else np.float64)
         for name, (read, levels) in VARIABLES.items()

@@ -3,7 +3,9 @@
 Desk-scale stand-ins for citation-network-class data: Gaussian blob
 classification, a stochastic block model with class-informative features, and
 a loader for (nodes.csv, edges.csv) pairs. Every generator is a pure function
-of its arguments including the seed.
+of its arguments including the seed. A graph is stored as its edge list, each
+undirected edge once; the sparse operators built from it belong to
+``training``, so this module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -14,26 +16,24 @@ import inspect
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .models import require_integers, require_reals
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
+from .models import is_real, require_integers, require_reals
 
 
 @dataclass
 class DatasetBundle:
-    """Features, labels, optional adjacency, and named index splits.
+    """Features, labels, optional graph edges, and named index splits.
 
     The one data boundary: every dataset (generated or loaded) is validated
     here, so the model kernels can trust the arrays they are given. Features
     must form a nonempty, all-finite [n x d] matrix, labels a length-n vector
-    of nonnegative integers, and the splits the disjoint ``SPLITS``. An
-    adjacency must be a symmetric [n x n] matrix of finite, nonnegative
-    weights; it is stored as CSR. ``dataset_id`` names the data readably in
+    of nonnegative integers, and the splits the disjoint ``SPLITS``. A graph's
+    ``edges`` must be an [m x 2] integer array of node pairs i < j, each edge
+    once, rows in increasing (i, j) order; it is stored as int64. So an
+    asymmetric, self-looped or weighted graph cannot be stored at all.
+    ``dataset_id`` names the data readably in
     every run record made on it; ``fingerprint``, the digest of the config
     section it was built from (set by ``sweep.build_dataset``, else None),
     identifies it in full.
@@ -43,7 +43,7 @@ class DatasetBundle:
 
     features: np.ndarray
     labels: np.ndarray
-    adjacency: sp.csr_matrix | None
+    edges: np.ndarray | None
     splits: dict[str, np.ndarray]
     dataset_id: str = "unknown"
     fingerprint: str | None = None
@@ -72,17 +72,19 @@ class DatasetBundle:
             raise ValueError("split indices out of range")
         if seen.size and np.bincount(seen, minlength=n).max() > 1:
             raise ValueError("splits must be disjoint")
-        if self.adjacency is not None:
-            import scipy.sparse as sp
-
-            adj = sp.csr_matrix(self.adjacency, dtype=np.float64)
-            if adj.shape != (n, n):
-                raise ValueError(f"adjacency must be {n} x {n}, got {adj.shape}")
-            if not np.isfinite(adj.data).all() or (adj.data < 0).any():
-                raise ValueError("adjacency entries must be finite and nonnegative")
-            if (adj != adj.T).nnz:
-                raise ValueError("adjacency must be symmetric")
-            self.adjacency = adj
+        if self.edges is not None:
+            edges = np.asarray(self.edges)
+            if edges.ndim != 2 or edges.shape[1] != 2 or not np.issubdtype(edges.dtype, np.integer):
+                raise ValueError("edges must be an [m x 2] integer array")
+            self.edges = edges = edges.astype(np.int64, copy=False)
+            if edges.size and (edges.min() < 0 or edges.max() >= n):
+                raise ValueError(f"edge endpoint out of range for {n} nodes")
+            bad = np.flatnonzero(edges[:, 0] >= edges[:, 1])
+            if bad.size:
+                raise ValueError(f"edge row {bad[0]} is not a pair i < j")
+            bad = np.flatnonzero(np.diff(edges[:, 0] * n + edges[:, 1]) <= 0)
+            if bad.size:
+                raise ValueError(f"edge row {bad[0] + 1} repeats or precedes the row before it")
 
     @property
     def n(self) -> int:
@@ -160,7 +162,7 @@ def make_blobs(
     return DatasetBundle(
         features=features,
         labels=labels,
-        adjacency=None,
+        edges=None,
         splits=splits,
         dataset_id=f"blobs-n{n}-d{d}-k{num_classes}-seed{seed}",
     )
@@ -179,10 +181,9 @@ def make_sbm_graph(
     """Stochastic block model with equal blocks and class-informative features.
 
     Node features are the block's mean direction (norm = feature_signal) plus
-    unit Gaussian noise. The adjacency is symmetric with zero diagonal.
+    unit Gaussian noise. Each pair of nodes is an edge with probability p_in
+    within a block and p_out across blocks.
     """
-    import scipy.sparse as sp
-
     require_integers(n=n, num_classes=num_classes, d=d, seed=seed)
     require_reals(p_in=p_in, p_out=p_out, feature_signal=feature_signal)
     if not (0.0 <= p_out < p_in <= 1.0):
@@ -192,33 +193,34 @@ def make_sbm_graph(
     rng = np.random.default_rng(seed)
     sizes = [n // num_classes + (1 if c < n % num_classes else 0) for c in range(num_classes)]
     labels = np.repeat(np.arange(num_classes), sizes)
-    rows, cols = [], []
+    pairs = []
     starts = np.concatenate([[0], np.cumsum(sizes)])
     for a in range(num_classes):
         for b in range(a, num_classes):
-            p = p_in if a == b else p_out
-            ia = np.arange(starts[a], starts[a + 1])
-            ib = np.arange(starts[b], starts[b + 1])
-            mask = rng.random((ia.size, ib.size)) < p
+            mask = rng.random((sizes[a], sizes[b])) < (p_in if a == b else p_out)
             if a == b:
                 mask = np.triu(mask, k=1)
-            r, c = np.nonzero(mask)
-            rows.append(ia[r])
-            cols.append(ib[c])
-    r = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
-    c = np.concatenate(cols) if cols else np.empty(0, dtype=np.int64)
-    data = np.ones(r.size)
-    adj = sp.coo_matrix((data, (r, c)), shape=(n, n)).tocsr()
-    adj = adj + adj.T
+            pairs.append(np.argwhere(mask) + starts[[a, b]])
+    edges = _edge_array(np.concatenate(pairs), n)
     centers = _class_directions(num_classes, d, rng) * feature_signal
     features = centers[labels] + rng.standard_normal((n, d))
     return DatasetBundle(
         features=features,
         labels=labels,
-        adjacency=adj,
+        edges=edges,
         splits=split(n, fractions, seed),
         dataset_id=f"sbm-n{n}-k{num_classes}-seed{seed}",
     )
+
+
+def _edge_array(pairs: np.ndarray, n: int) -> np.ndarray:
+    """The edges of the [m x 2] node pairs as a ``DatasetBundle`` stores
+    them: each undirected pair once as i < j, rows in increasing (i, j)
+    order, with self-loops dropped."""
+    lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+    key = np.sort((lo * n + hi)[lo != hi])
+    key = key[np.diff(key, prepend=-1) > 0]
+    return np.stack(np.divmod(key, n), axis=1)
 
 
 class GraphFileError(ValueError):
@@ -234,12 +236,10 @@ def load_tabular_graph(
     """Load a graph dataset from the documented two-CSV schema.
 
     nodes.csv: header ``id,f1,...,fd,label``; ids must cover 0..n-1 exactly.
-    edges.csv: header ``src,dst``; endpoints must be valid ids. Edges are
-    symmetrized and self-loops dropped. The dataset id is a content digest of
-    both files.
+    edges.csv: header ``src,dst``; endpoints must be valid ids. A row and its
+    reverse name one undirected edge, repeated rows collapse to one, and
+    self-loops are dropped. The dataset id is a content digest of both files.
     """
-    import scipy.sparse as sp
-
     require_integers(seed=seed)
     nodes_path, edges_path = Path(nodes), Path(edges)
     nodes_bytes = nodes_path.read_bytes()
@@ -275,7 +275,7 @@ def load_tabular_graph(
     erows = list(csv.reader(edges_bytes.decode("utf-8").splitlines()))
     if not erows or erows[0][:2] != ["src", "dst"]:
         raise GraphFileError(f"{edges_path}: header must be src,dst")
-    src, dst = [], []
+    pairs = []
     for lineno, row in enumerate(erows[1:], start=2):
         if len(row) != 2:
             raise GraphFileError(f"{edges_path}:{lineno}: expected 2 fields, got {len(row)}")
@@ -288,18 +288,11 @@ def load_tabular_graph(
                 raise GraphFileError(
                     f"{edges_path}:{lineno}: dangling endpoint {endpoint} (have {n} nodes)"
                 )
-        if a != b:
-            src.extend([a, b])
-            dst.extend([b, a])
-    adj = sp.coo_matrix(
-        (np.ones(len(src)), (np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64))),
-        shape=(n, n),
-    ).tocsr()
-    adj.data[:] = 1.0  # collapse duplicate edge rows
+        pairs.append((a, b))
     return DatasetBundle(
         features=features,
         labels=labels_arr,
-        adjacency=adj,
+        edges=_edge_array(np.array(pairs, dtype=np.int64).reshape(-1, 2), n),
         splits=split(n, fractions, seed),
         dataset_id=f"files-{digest[:12]}",
     )
@@ -309,18 +302,30 @@ def load_tabular_graph(
 BUILDERS = {"blobs": make_blobs, "sbm": make_sbm_graph, "files": load_tabular_graph}
 
 
+def _by_value(value):
+    # a real number as the float it equals; anything else, which the builder
+    # rejects, as it is
+    return float(value) if is_real(value) else value
+
+
 def fingerprint(section: dict) -> str:
     """The sha256 that identifies the data a config's dataset section
     builds, computed without building it: a digest of the ``kind`` and every
     builder argument, defaults bound, with each ``files`` CSV given by the
     sha256 of its bytes instead of its path. An argument given at its
     default digests as one left out, and ``fractions`` as a list as the same
-    tuple; another spelling of a number (``3`` for ``3.0``) digests apart."""
+    tuple. A real-valued argument (annotated ``float``) and each entry of
+    ``fractions`` digest by value, so ``0`` and ``0.0`` digest alike."""
     args = dict(section)
     kind = args.pop("kind")
-    bound = inspect.signature(BUILDERS[kind]).bind(**args)
+    signature = inspect.signature(BUILDERS[kind])
+    bound = signature.bind(**args)
     bound.apply_defaults()
     identity = {"kind": kind, **bound.arguments}
+    for name, param in signature.parameters.items():
+        if param.annotation == "float":
+            identity[name] = _by_value(identity[name])
+    identity["fractions"] = [_by_value(f) for f in identity["fractions"]]
     if kind == "files":
         for name in ("nodes", "edges"):
             identity[name] = hashlib.sha256(Path(identity[name]).read_bytes()).hexdigest()
@@ -341,17 +346,5 @@ def save_tabular_graph(bundle: DatasetBundle, nodes_path, edges_path) -> None:
     with edges_path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["src", "dst"])
-        if bundle.adjacency is not None:
-            import scipy.sparse as sp
-
-            coo = sp.triu(bundle.adjacency, k=1).tocoo()
-            for a, b in sorted(zip(coo.row.tolist(), coo.col.tolist())):
-                writer.writerow([a, b])
-
-
-def edge_list(adjacency: sp.csr_matrix) -> np.ndarray:
-    """Upper-triangle (i, j) pairs of a symmetric adjacency, as an [m x 2] array."""
-    import scipy.sparse as sp
-
-    coo = sp.triu(adjacency, k=1).tocoo()
-    return np.stack([coo.row, coo.col], axis=1).astype(np.int64)
+        if bundle.edges is not None:
+            writer.writerows(bundle.edges.tolist())

@@ -27,8 +27,9 @@ them runs slower than one call per seed.
 The kernels trust their inputs: data are validated once, by
 ``data.DatasetBundle`` and ``training.check_model_fits``, never per call. A
 graph_diffusion model is an mlp1 on features the training loop diffuses over
-the whole graph: every kernel takes its spec as that mlp1, and none takes an
-adjacency. Gradients are analytic (manual backprop), and so are
+the whole graph: every kernel takes its spec as that mlp1, and none takes the
+graph, whose sparse operators ``training`` builds. This module needs numpy
+alone. Gradients are analytic (manual backprop), and so are
 Hessian-vector products: ``hvp_operator`` differentiates the backward pass
 in the direction of the vector (the R-op), with no step size.
 """
@@ -38,12 +39,8 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 MODEL_KINDS = ("logistic", "mlp1", "graph_diffusion")
 
@@ -129,12 +126,13 @@ class Layout:
 class ModelSpec:
     """Architecture description; the parameter count is fully determined by dims.
 
-    ``diffusion_alpha`` blends each feature row toward its normalized-adjacency
-    neighborhood average, ``diffusion_steps`` times; ``diffusion_beta`` scales a
-    multiplicative noise term in each step, so needs one. The training loop
-    applies both (``training.diffusion_update``) before the features reach the
-    model; with alpha = beta = 0 the graph model is exactly an mlp1. A field
-    the kind does not read keeps its default (``require_unread_defaults``).
+    ``diffusion_alpha`` blends each feature row toward its neighborhood
+    average under ``training.normalized_adjacency``, ``diffusion_steps``
+    times; ``diffusion_beta`` scales a multiplicative noise term in each
+    step, so needs one. The training loop applies both
+    (``training.diffusion_update``) before the features reach the model; with
+    alpha = beta = 0 the graph model is exactly an mlp1. A field the kind
+    does not read keeps its default (``require_unread_defaults``).
     The parameter ``layout`` is not a field: it is derived from them, once.
     """
 
@@ -193,18 +191,6 @@ def init_params(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
         params[lay.w1] = rng.standard_normal(lay.d * lay.h) / np.sqrt(lay.d)
     params[lay.w2] = rng.standard_normal(lay.m * lay.k) / np.sqrt(lay.m)
     return params
-
-
-# -- graph feature diffusion --------------------------------------------------
-
-
-def normalized_adjacency(adjacency: sp.csr_matrix) -> sp.csr_matrix:
-    """Symmetric renormalization D^(-1/2) (A + I) D^(-1/2) of a sparse adjacency."""
-    import scipy.sparse as sp
-
-    a = adjacency + sp.identity(adjacency.shape[0], format="csr")
-    scale = sp.diags(1.0 / np.sqrt(np.asarray(a.sum(axis=1)).ravel()))
-    return scale @ a @ scale
 
 
 # -- forward / gradients ------------------------------------------------------

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import stats, sweep
-from .analysis import AnalysisBundle, AnalysisSettings, analyze_records
+from .analysis import AnalysisBundle, AnalysisSettings, analyze_records, usable_runs
 from .training import RunRecord
 
 
@@ -29,15 +29,12 @@ def format_mean_std_percent(mean: float, std: float | None) -> str:
 # -- aggregation ------------------------------------------------------------------
 
 
-def _usable(records: list[RunRecord]) -> list[RunRecord]:
-    return [r for r in records if r.final is not None]
-
-
 def accuracy_rows(records: list[RunRecord]) -> list[dict]:
     rows = []
     groups: dict[tuple[int, str], list[float]] = {}
-    for r in _usable(records):
-        groups.setdefault((r.batch_size, r.ablation), []).append(r.final.test_accuracy)
+    for r in records:
+        if r.final is not None:
+            groups.setdefault((r.batch_size, r.ablation), []).append(r.final.test_accuracy)
     for (b, abl), accs in sorted(groups.items()):
         s = stats.summarize(accs)
         rows.append(
@@ -56,9 +53,8 @@ def accuracy_rows(records: list[RunRecord]) -> list[dict]:
 def sharpness_rows(records: list[RunRecord]) -> list[dict]:
     rows = []
     groups: dict[int, list[float]] = {}
-    for r in _usable(records):
-        if r.ablation == "none":
-            groups.setdefault(r.batch_size, []).append(r.final.sharpness)
+    for r in usable_runs(records):
+        groups.setdefault(r.batch_size, []).append(r.final.sharpness)
     for b, values in sorted(groups.items()):
         s = stats.summarize(values)
         rows.append(
@@ -93,8 +89,8 @@ def timing_rows(records: list[RunRecord]) -> list[dict]:
 def significance_result(records: list[RunRecord], treat: int, control: int) -> dict:
     """Welch and Wilcoxon (paired by seed) on accuracies at two batch sizes."""
     by_seed: dict[int, dict[int, float]] = {}
-    for r in _usable(records):
-        if r.ablation == "none" and r.batch_size in (treat, control):
+    for r in usable_runs(records):
+        if r.batch_size in (treat, control):
             by_seed.setdefault(r.seed, {})[r.batch_size] = r.final.test_accuracy
     xs = [v[treat] for v in by_seed.values() if treat in v]
     ys = [v[control] for v in by_seed.values() if control in v]

@@ -247,22 +247,41 @@ def sam_perturbed_gradient(grad_fn, params: np.ndarray, rho: float) -> np.ndarra
 # -- graph-specific pieces ----------------------------------------------------
 
 
+def adjacency(edges: np.ndarray, n: int) -> sp.csr_matrix:
+    """The [n x n] CSR adjacency of an [m x 2] edge array: each edge counted
+    once in both directions, duplicates summed. On a ``DatasetBundle``'s
+    edges (unique pairs i < j) it is the symmetric 0/1 matrix of the graph,
+    from which ``normalized_adjacency`` and ``edge_laplacian`` build the
+    graph's operators, once per cell."""
+    import scipy.sparse as sp
+
+    ones = np.ones(2 * len(edges))
+    return sp.csr_matrix((ones, (edges.ravel(), edges[:, ::-1].ravel())), shape=(n, n))
+
+
+def normalized_adjacency(edges: np.ndarray, n: int) -> sp.csr_matrix:
+    """Symmetric renormalization D^(-1/2) (A + I) D^(-1/2) of the graph's
+    ``adjacency``: the operator each diffusion step averages features with."""
+    import scipy.sparse as sp
+
+    a = adjacency(edges, n) + sp.identity(n, format="csr")
+    scale = sp.diags(1.0 / np.sqrt(np.asarray(a.sum(axis=1)).ravel()))
+    return scale @ a @ scale
+
+
 def edge_laplacian(edges: np.ndarray, n: int) -> sp.csr_matrix:
     """The edge regularizer's gradient operator: ``(2/m)(D - A)`` for a
     nonempty [m x 2] edge array over n nodes.
 
     The regularizer is the mean over edges of ``|emb[e0] - emb[e1]|^2``, and
     its gradient in the embeddings is ``(2/m) L emb`` with ``L = D - A`` the
-    graph Laplacian of the edge list: ``A`` counts each edge once in both
-    directions, duplicates summed, and ``D`` holds each node's degree so
-    counted. ``train_run`` builds it once per cell, since the graph is fixed.
+    graph Laplacian of the edge list: ``A`` is its ``adjacency`` and ``D``
+    holds each node's degree counted the same way.
     """
     import scipy.sparse as sp
 
-    m = len(edges)
-    adj = sp.csr_matrix((np.ones(2 * m), (edges.ravel(), edges[:, ::-1].ravel())), shape=(n, n))
     degree = sp.diags(np.bincount(edges.ravel(), minlength=n).astype(np.float64))
-    return (2.0 / m) * (degree - adj).tocsr()
+    return (2.0 / len(edges)) * (degree - adjacency(edges, n)).tocsr()
 
 
 def _seedwise_product(matrix, stack: np.ndarray) -> np.ndarray:
@@ -424,13 +443,13 @@ _LINE_FIELDS[1] = _LINE_FIELDS[2] - {"fingerprint"}
 def check_model_fits(spec: models.ModelSpec, dataset: datamod.DatasetBundle) -> None:
     """Raise ``ValueError`` unless the model can train on the dataset: its
     input width is the feature count, it has a class for every label, and a
-    graph_diffusion model has an adjacency to diffuse over."""
+    graph_diffusion model has a graph to diffuse over."""
     if spec.input_dim != dataset.features.shape[1] or spec.num_classes < dataset.num_classes:
         raise ValueError(
             f"model spec (input_dim {spec.input_dim}, num_classes {spec.num_classes}) does not "
             f"fit the dataset ({dataset.features.shape[1]} features, {dataset.num_classes} classes)"
         )
-    if spec.kind == "graph_diffusion" and dataset.adjacency is None:
+    if spec.kind == "graph_diffusion" and dataset.edges is None:
         raise ValueError("graph_diffusion model requires a graph dataset")
 
 
@@ -530,13 +549,11 @@ def train_run(dataset: datamod.DatasetBundle, configs) -> list[RunRecord]:
     is_graph = spec.kind == "graph_diffusion"
     noisy = is_graph and spec.diffusion_beta != 0.0
     if is_graph:
-        adj_norm = models.normalized_adjacency(dataset.adjacency)
+        adj_norm = normalized_adjacency(dataset.edges, dataset.n)
     det_features = diffused() if is_graph else dataset.features
     laplacian = None
-    if is_graph and config.lambda_causal > 0.0:
-        edges = datamod.edge_list(dataset.adjacency)
-        if len(edges):
-            laplacian = edge_laplacian(edges, dataset.features.shape[0])
+    if is_graph and config.lambda_causal > 0.0 and len(dataset.edges):
+        laplacian = edge_laplacian(dataset.edges, dataset.n)
 
     probe_idx = train_idx[: min(256, n_train)]
     x_train, x_val, x_test, x_probe = (

@@ -8,6 +8,7 @@ import pytest
 from helpers import DATA_CHANGES, changed_dataset
 
 import batchlab
+from batchlab import data
 from batchlab.cli import main
 
 CONFIG = {
@@ -25,6 +26,24 @@ def config_path(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(dict(CONFIG, out_dir=str(tmp_path / "out"))))
     return path
+
+
+def loaded(*argvs) -> set[str]:
+    """scipy and process-pool modules loaded in a fresh interpreter by
+    importing the CLI and running ``main`` on each argv in turn."""
+    src = str(Path(batchlab.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import json, sys\nfrom batchlab.cli import main\n"
+        f"for argv in {[list(map(str, a)) for a in argvs]!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+        " or m == 'concurrent.futures.process')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    return set(json.loads(out.splitlines()[-1]))
 
 
 class TestCli:
@@ -226,29 +245,11 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     def test_cli_import_leaves_scipy_stats_out(self, config_path, tmp_path):
-        # A cold start loads numpy only: scipy.sparse loads with a graph
-        # dataset, scipy.special with analyze and report, and the process pool
+        # A cold start loads numpy only: scipy.sparse loads when a graph
+        # model trains, scipy.special with analyze and report, and the process pool
         # only for workers > 1. scipy.stats alone once cost most of a cold
         # start; scipy.sparse.linalg (an eigsh route to sharpness) costs about
         # 50 ms of it and 8 MB. Each check runs in a fresh interpreter.
-        src = str(Path(batchlab.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-
-        def loaded(*argvs):
-            """scipy and process-pool modules loaded by importing the CLI and
-            running ``main`` on each argv in turn."""
-            code = (
-                "import json, sys\nfrom batchlab.cli import main\n"
-                f"for argv in {[list(map(str, a)) for a in argvs]!r}:\n"
-                "    assert main(argv) == 0, argv\n"
-                "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
-                " or m == 'concurrent.futures.process')))"
-            )
-            out = subprocess.run(
-                [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
-            ).stdout
-            return set(json.loads(out.splitlines()[-1]))
-
         imported = loaded()
         assert "scipy.stats" not in imported
         assert "scipy.sparse.linalg" not in imported
@@ -259,14 +260,26 @@ class TestCli:
         records = tmp_path / "out" / "records.jsonl"
         assert len(records.read_text().splitlines()) == 4
 
-        sbm = tmp_path / "sbm.json"
-        dataset = {"kind": "sbm", "n": 60, "num_classes": 2, "p_in": 0.2, "p_out": 0.02, "d": 3}
-        sbm.write_text(json.dumps(dict(CONFIG, dataset=dataset)))
-        assert "scipy.sparse" in loaded(["validate", sbm])
-
         imported = loaded(["report", records, "--out", tmp_path / "report"])
         assert "scipy.special" in imported
         assert "scipy.sparse" not in imported
+
+    def test_validate_graph_configs_load_no_scipy(self, tmp_path):
+        # a dataset stores its graph as an edge array: only training builds
+        # the sparse operators, so validating a graph model loads no scipy
+        nodes, edges = tmp_path / "nodes.csv", tmp_path / "edges.csv"
+        data.save_tabular_graph(data.make_sbm_graph(60, 2, 0.2, 0.02, 3, seed=1), nodes, edges)
+        sections = [
+            {"kind": "sbm", "n": 60, "num_classes": 2, "p_in": 0.2, "p_out": 0.02, "d": 3},
+            {"kind": "files", "nodes": str(nodes), "edges": str(edges)},
+        ]
+        model = {"kind": "graph_diffusion", "hidden": 4, "diffusion_alpha": 0.3}
+        argvs = []
+        for i, dataset in enumerate(sections):
+            path = tmp_path / f"graph{i}.json"
+            path.write_text(json.dumps(dict(CONFIG, dataset=dataset, model=model)))
+            argvs.append(["validate", path])
+        assert loaded(*argvs) == set()
 
     def test_validate_and_sweep_leave_numpy_ma_out(self, config_path, tmp_path):
         # numpy.ma costs 11-22 ms of a cold start; numpy's plain np.unique (and

@@ -2,20 +2,17 @@ import hashlib
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from batchlab import data
 
 
 def bundles_equal(a: data.DatasetBundle, b: data.DatasetBundle) -> bool:
-    """Content equality (features, labels, adjacency); dataset id ignored."""
+    """Content equality (features, labels, edges); dataset id ignored."""
     if not np.array_equal(a.features, b.features) or not np.array_equal(a.labels, b.labels):
         return False
-    if (a.adjacency is None) != (b.adjacency is None):
+    if (a.edges is None) != (b.edges is None):
         return False
-    if a.adjacency is not None:
-        return (a.adjacency != b.adjacency).nnz == 0
-    return True
+    return a.edges is None or np.array_equal(a.edges, b.edges)
 
 
 class TestSplit:
@@ -119,8 +116,8 @@ class TestBlobs:
 class TestSbm:
     def test_no_cross_block_edges_when_p_out_zero(self):
         bundle = data.make_sbm_graph(120, 3, p_in=0.2, p_out=0.0, d=4, seed=2)
-        adj = bundle.adjacency.tocoo()
-        assert all(bundle.labels[i] == bundle.labels[j] for i, j in zip(adj.row, adj.col))
+        assert len(bundle.edges)
+        assert all(bundle.labels[i] == bundle.labels[j] for i, j in bundle.edges)
 
     def test_within_block_edge_count_binomial(self):
         n, k, p_in = 900, 3, 0.05
@@ -129,19 +126,20 @@ class TestSbm:
         trials = k * per_block * (per_block - 1) // 2
         expected = trials * p_in
         sigma = np.sqrt(trials * p_in * (1 - p_in))
-        observed = bundle.adjacency.nnz / 2
+        observed = len(bundle.edges)
         assert abs(observed - expected) <= 3 * sigma
 
     def test_symmetric_zero_diagonal(self):
+        # each undirected edge once, as i < j: no self-loop, no reversed copy
         bundle = data.make_sbm_graph(80, 2, p_in=0.3, p_out=0.05, d=3, seed=6)
-        adj = bundle.adjacency
-        assert (adj != adj.T).nnz == 0
-        assert adj.diagonal().sum() == 0.0
+        i, j = bundle.edges.T
+        assert bundle.edges.dtype == np.int64 and (i < j).all()
+        assert (np.diff(i * 80 + j) > 0).all()
 
     def test_deterministic(self):
         a = data.make_sbm_graph(60, 2, p_in=0.3, p_out=0.05, d=3, seed=8)
         b = data.make_sbm_graph(60, 2, p_in=0.3, p_out=0.05, d=3, seed=8)
-        assert (a.adjacency != b.adjacency).nnz == 0
+        np.testing.assert_array_equal(a.edges, b.edges)
         np.testing.assert_array_equal(a.features, b.features)
 
     def test_invalid_probabilities(self):
@@ -207,34 +205,47 @@ class TestDatasetBundle:
             data.DatasetBundle(np.ones((3, 2)), np.array([0, 1, 0]), None, splits)
 
     @staticmethod
-    def path_graph():
-        # 0 - 1 - 2
-        return np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    def graph_bundle(edges):
+        return data.DatasetBundle(np.ones((3, 2)), np.array([0, 1, 0]), edges, all_train(3))
 
-    @staticmethod
-    def graph_bundle(adjacency):
-        return data.DatasetBundle(np.ones((3, 2)), np.array([0, 1, 0]), adjacency, all_train(3))
-
-    def test_adjacency_stored_as_csr(self):
-        b = self.graph_bundle(self.path_graph())
-        assert isinstance(b.adjacency, sp.csr_matrix)
-        np.testing.assert_array_equal(b.adjacency.toarray(), self.path_graph())
+    def test_edges_stored_as_int64_pairs(self):
+        b = self.graph_bundle(np.array([[0, 1], [1, 2]], dtype=np.int32))
+        assert b.edges.dtype == np.int64
+        np.testing.assert_array_equal(b.edges, [[0, 1], [1, 2]])
+        assert self.graph_bundle(np.empty((0, 2), dtype=np.int64)).edges.shape == (0, 2)
 
     @pytest.mark.parametrize(
-        "edit, message",
+        "edges, message",
         [
-            (lambda a: np.eye(7), "adjacency must be 3 x 3"),
-            (np.tril, "symmetric"),
-            (lambda a: -a, "finite and nonnegative"),
-            (lambda a: np.where(a > 0, np.inf, 0.0), "finite and nonnegative"),
-            (lambda a: np.where(a > 0, np.nan, 0.0), "finite and nonnegative"),
+            (np.array([0, 1, 1, 2]), r"\[m x 2\] integer array"),
+            (np.array([[0, 1, 2]]), r"\[m x 2\] integer array"),
+            (np.array([[0.0, 1.0], [1.0, 2.0]]), r"\[m x 2\] integer array"),
+            (np.array([[0, 1], [1, 3]]), "out of range for 3 nodes"),
+            (np.array([[-1, 1]]), "out of range for 3 nodes"),
+            (np.array([[0, 1], [2, 1]]), "edge row 1 is not a pair i < j"),
+            (np.array([[1, 1]]), "edge row 0 is not a pair i < j"),
+            (np.array([[0, 1], [0, 1]]), "edge row 1 repeats or precedes"),
+            (np.array([[1, 2], [0, 1]]), "edge row 1 repeats or precedes"),
+            (np.array([[0, 2], [0, 1]]), "edge row 1 repeats or precedes"),
+            (np.array([[1, 2], [0, 1]], dtype=np.uint32), "edge row 1 repeats or precedes"),
         ],
-        ids=["not-n-by-n", "lower-triangle", "negative", "infinite", "nan"],
+        ids=[
+            "1-d",
+            "three-columns",
+            "float-dtype",
+            "endpoint-too-large",
+            "negative-endpoint",
+            "reversed-pair",
+            "self-loop",
+            "repeated-row",
+            "rows-out-of-order",
+            "columns-out-of-order",
+            "unsigned-rows-out-of-order",
+        ],
     )
-    def test_adjacency_rejected(self, edit, message):
-        adjacency = sp.csr_matrix(edit(self.path_graph()))
+    def test_edges_rejected(self, edges, message):
         with pytest.raises(ValueError, match=message):
-            self.graph_bundle(adjacency)
+            self.graph_bundle(edges)
 
 
 class TestTabularGraphFiles:
@@ -245,13 +256,12 @@ class TestTabularGraphFiles:
         return np_, ep_
 
     def test_symmetrization(self, tmp_path):
+        # duplicate, reversed and self-loop rows become sorted unique pairs
         nodes = "id,f1,f2,label\n0,0.1,0.2,0\n1,0.3,0.4,1\n2,0.5,0.6,0\n"
-        edges = "src,dst\n0,1\n"
+        edges = "src,dst\n2,1\n0,1\n1,1\n1,0\n0,1\n1,2\n2,2\n"
         bundle = data.load_tabular_graph(*self.write_files(tmp_path, nodes, edges))
-        adj = bundle.adjacency.toarray()
-        expected = np.zeros((3, 3))
-        expected[0, 1] = expected[1, 0] = 1.0
-        np.testing.assert_array_equal(adj, expected)
+        assert bundle.edges.dtype == np.int64
+        np.testing.assert_array_equal(bundle.edges, [[0, 1], [1, 2]])
         digest = hashlib.sha256((nodes + edges).encode()).hexdigest()
         assert bundle.dataset_id == "files-" + digest[:12]
 
@@ -289,21 +299,46 @@ class TestTabularGraphFiles:
         np_, ep_ = tmp_path / "n.csv", tmp_path / "e.csv"
         data.save_tabular_graph(bundle, np_, ep_)
         reloaded = data.load_tabular_graph(np_, ep_)
-        assert bundles_equal(bundle, reloaded)
+        assert len(bundle.edges) and bundles_equal(bundle, reloaded)
 
     def test_self_loops_dropped(self, tmp_path):
         nodes = "id,f1,label\n0,0.1,0\n1,0.2,1\n"
-        edges = "src,dst\n0,0\n0,1\n"
+        edges = "src,dst\n0,0\n0,1\n1,1\n"
         bundle = data.load_tabular_graph(*self.write_files(tmp_path, nodes, edges))
-        assert bundle.adjacency.diagonal().sum() == 0.0
+        np.testing.assert_array_equal(bundle.edges, [[0, 1]])
+        edges = "src,dst\n1,1\n"
+        bundle = data.load_tabular_graph(*self.write_files(tmp_path, nodes, edges))
+        assert bundle.edges.shape == (0, 2) and bundle.edges.dtype == np.int64
 
 
 class TestFingerprint:
     BLOBS = {"kind": "blobs", "n": 60, "d": 4, "num_classes": 2}
+    SBM = {"kind": "sbm", "n": 60, "num_classes": 2, "p_in": 0.2, "p_out": 0.02, "d": 3}
 
     def test_explicit_default_digests_as_omitted(self):
         explicit = dict(self.BLOBS, separation=3.0, label_noise=0.0, seed=0)
         assert data.fingerprint(explicit) == data.fingerprint(self.BLOBS)
+
+    @pytest.mark.parametrize(
+        "section, as_floats",
+        [
+            (dict(BLOBS, label_noise=0), BLOBS),
+            (dict(BLOBS, separation=3, label_noise=0), BLOBS),
+            (dict(BLOBS, separation=2), dict(BLOBS, separation=2.0)),
+            (dict(SBM, p_in=1, p_out=0), dict(SBM, p_in=1.0, p_out=0.0)),
+            (dict(SBM, feature_signal=2), SBM),
+            (dict(BLOBS, fractions=[1, 0, 0]), dict(BLOBS, fractions=[1.0, 0.0, 0.0])),
+        ],
+        ids=["label_noise", "blobs-defaults", "separation", "p_in-p_out", "feature_signal",
+             "fractions"],
+    )
+    def test_integer_spelled_reals_digest_by_value(self, section, as_floats):
+        assert data.fingerprint(section) == data.fingerprint(as_floats)
+
+    def test_float_spelled_fingerprints_unchanged(self):
+        # the digests records already carry, for sections that write reals as floats
+        assert data.fingerprint(self.BLOBS).startswith("440da136565c3ec2")
+        assert data.fingerprint(self.SBM).startswith("d408f09e24e696bc")
 
     def test_fractions_list_digests_as_tuple(self):
         as_list = dict(self.BLOBS, fractions=[0.5, 0.25, 0.25])
@@ -329,13 +364,3 @@ class TestFingerprint:
         assert data.fingerprint(a) != data.fingerprint(dict(a, seed=1))
         edges.write_text("src,dst\n1,0\n")
         assert data.fingerprint(a) != data.fingerprint(b)
-
-
-class TestEdgeList:
-    def test_upper_triangle_pairs(self):
-        adj = sp.csr_matrix(np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float))
-        edges = data.edge_list(adj)
-        assert sorted(map(tuple, edges.tolist())) == [(0, 1), (1, 2)]
-
-    def test_edgeless_adjacency(self):
-        assert data.edge_list(sp.csr_matrix((3, 3))).shape == (0, 2)

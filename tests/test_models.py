@@ -2,7 +2,6 @@ import dataclasses
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from batchlab import data, models, training
 from batchlab.models import ModelSpec
@@ -207,11 +206,10 @@ class TestPredictAccuracy:
 
 
 class TestGraphDiffusion:
-    def ring_adjacency(self, n=6):
-        adj = np.zeros((n, n))
-        for i in range(n):
-            adj[i, (i + 1) % n] = adj[(i + 1) % n, i] = 1.0
-        return sp.csr_matrix(adj)
+    def ring_operator(self, n=6):
+        # the normalized adjacency of the ring 0 - 1 - ... - n-1 - 0
+        edges = np.array([[i, i + 1] for i in range(n - 1)] + [[0, n - 1]])
+        return training.normalized_adjacency(edges, n)
 
     def run_pair(self, graph_spec):
         # the same seeded run as a graph model and as the mlp1 it trains
@@ -226,14 +224,14 @@ class TestGraphDiffusion:
 
     def test_zero_alpha_beta_reduces_to_mlp1(self, rng):
         x = rng.standard_normal((6, 3))
-        a_norm = models.normalized_adjacency(self.ring_adjacency())
+        a_norm = self.ring_operator()
         np.testing.assert_array_equal(training.diffusion_update(x, a_norm, 0.0), x)
         graph, plain = self.run_pair(ModelSpec("graph_diffusion", 3, 2, hidden_dim=4))
         assert graph == plain
 
     def test_diffusion_changes_features(self, rng):
         x = rng.standard_normal((6, 3))
-        a_norm = models.normalized_adjacency(self.ring_adjacency())
+        a_norm = self.ring_operator()
         once = x + 0.5 * (a_norm @ x - x)
         expected = once + 0.5 * (a_norm @ once - once)
         twice = training.diffusion_update(x, a_norm, 0.5)
@@ -260,10 +258,14 @@ class TestGraphDiffusion:
             np.testing.assert_array_equal(kernel(graph, params, x, y), kernel(plain, params, x, y))
 
     def test_normalized_adjacency_rows(self):
-        adj = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        a_norm = models.normalized_adjacency(adj)
+        a_norm = training.normalized_adjacency(np.array([[0, 1]]), 2)
         # A + I has degree 2 everywhere; normalization gives entries 1/2
         np.testing.assert_allclose(a_norm.toarray(), np.full((2, 2), 0.5))
+        # the ring's A + I has degree 3 everywhere: 1/3 on the diagonal and
+        # at both neighbors
+        ring = self.ring_operator().toarray()
+        expected = np.eye(6) + np.eye(6, k=1) + np.eye(6, k=-1) + np.eye(6, k=5) + np.eye(6, k=-5)
+        np.testing.assert_allclose(ring, expected / 3.0)
 
 
 class TestParamLayout:

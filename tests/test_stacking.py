@@ -161,8 +161,8 @@ class TestStackedKernels:
         # one diffusion for the stack: a shared first step, then one product
         # with the seeds side by side; each seed draws its own noise in order
         rng = np.random.default_rng(4)
-        adj = data.make_sbm_graph(60, 2, p_in=0.2, p_out=0.05, d=3, seed=1).adjacency
-        a_norm = models.normalized_adjacency(adj)
+        edges = data.make_sbm_graph(60, 2, p_in=0.2, p_out=0.05, d=3, seed=1).edges
+        a_norm = training.normalized_adjacency(edges, 60)
         x = rng.standard_normal((60, 3))
         scales = [0.0, 0.3, 1.7]
         stacked = x

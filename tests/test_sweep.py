@@ -283,7 +283,7 @@ class TestBuildPieces:
             }
         )
         sbm_bundle = sweep.build_dataset(sbm_cfg)
-        assert sbm_bundle.adjacency is not None
+        assert sbm_bundle.edges is not None
         spec = sweep.build_model_spec(sbm_cfg, sbm_bundle)
         assert spec.kind == "graph_diffusion" and spec.input_dim == 3
 

@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from batchlab import data, measures, models, training
 from batchlab.models import ModelSpec
@@ -177,7 +176,7 @@ class TestCausalRegularizer:
             for s in range(3)
         ]
         got = [r.canonical_dict() for r in train_run(bundle, configs)]
-        edges = data.edge_list(bundle.adjacency)
+        edges = bundle.edges
         laplacian = training.edge_laplacian(edges, bundle.n)
         seedwise = training._seedwise_product
         calls = []
@@ -230,7 +229,8 @@ class TestDiffusionUpdate:
     def test_full_step_is_neighborhood_average(self):
         rng = np.random.default_rng(0)
         h = rng.standard_normal((3, 2))
-        a_norm = models.normalized_adjacency(sp.csr_matrix(np.ones((3, 3)) - np.eye(3)))
+        a_norm = training.normalized_adjacency(np.array([[0, 1], [0, 2], [1, 2]]), 3)
+        np.testing.assert_allclose(a_norm.toarray(), np.full((3, 3), 1 / 3))
         out = diffusion_update(h, a_norm, 1.0)
         np.testing.assert_allclose(out, a_norm @ h)
 
