@@ -2,8 +2,9 @@ import hashlib
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from batchlab import data
+from batchlab import data, training
 
 
 def bundles_equal(a: data.DatasetBundle, b: data.DatasetBundle) -> bool:
@@ -214,6 +215,12 @@ class TestDatasetBundle:
         np.testing.assert_array_equal(b.edges, [[0, 1], [1, 2]])
         assert self.graph_bundle(np.empty((0, 2), dtype=np.int64)).edges.shape == (0, 2)
 
+    def test_adjacency_stored_as_csr(self):
+        b = self.graph_bundle(np.array([[0, 1], [1, 2]]))
+        a = training.adjacency(b.edges, b.n)
+        assert isinstance(a, sp.csr_matrix)
+        np.testing.assert_array_equal(a.toarray(), [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+
     @pytest.mark.parametrize(
         "edges, message",
         [
@@ -246,6 +253,13 @@ class TestDatasetBundle:
     def test_edges_rejected(self, edges, message):
         with pytest.raises(ValueError, match=message):
             self.graph_bundle(edges)
+
+
+class TestEdgeList:
+    def test_edgeless_adjacency(self):
+        edges = TestDatasetBundle.graph_bundle(np.empty((0, 2), dtype=np.int64)).edges
+        a = training.adjacency(edges, 3)
+        assert isinstance(a, sp.csr_matrix) and a.shape == (3, 3) and a.nnz == 0
 
 
 class TestTabularGraphFiles:
