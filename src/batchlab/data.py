@@ -35,8 +35,8 @@ class DatasetBundle:
     asymmetric, self-looped or weighted graph cannot be stored at all.
     ``dataset_id`` names the data readably in
     every run record made on it; ``fingerprint``, the digest of the config
-    section it was built from (set by ``sweep.build_dataset``, else None),
-    identifies it in full.
+    section it was built from (set by ``sweep.run_sweep`` on the dataset it
+    builds, else None), identifies it in full.
     """
 
     SPLITS = ("train", "val", "test")

@@ -7,9 +7,12 @@ runs already present (by ``training.run_id``) are skipped, and one whose
 recorded config or data differs from the planned run's raises instead of
 being reused. A record's data is its ``fingerprint`` (``data.fingerprint``
 of the config's dataset section), or for a version 1 record, which has
-none, its dataset id. The fingerprint needs no dataset, so a resume with
-every planned run present as a version 2 record builds none: the run
-configs are planned with the dims of a record on the same data.
+none, its dataset id. The fingerprint needs no dataset, so a resume plans
+the run configs with the dims of a record on the same data when one is
+present, and builds the dataset only when it cannot, or when a planned run
+is missing or is a version 1 record. A resume with every planned run
+present as a version 2 record builds none, and one with nothing pending
+starts no process pool.
 
 The unit of work is a cell: the pending runs that differ only in the seed
 (equal ``training.cell_key``), which ``training.train_run`` trains as one
@@ -48,12 +51,9 @@ def default_records_path(config: SweepConfig, out_dir=None) -> Path:
 
 
 def build_dataset(config: SweepConfig) -> datamod.DatasetBundle:
-    """The sweep's dataset, from the builder its ``kind`` names, carrying its
-    ``data.fingerprint``."""
+    """The sweep's dataset, from the builder its ``kind`` names."""
     spec = dict(config.dataset)
-    bundle = datamod.BUILDERS[spec.pop("kind")](**spec)
-    bundle.fingerprint = datamod.fingerprint(config.dataset)
-    return bundle
+    return datamod.BUILDERS[spec.pop("kind")](**spec)
 
 
 def _model_spec(config: SweepConfig, input_dim: int, num_classes: int) -> models.ModelSpec:
@@ -62,13 +62,6 @@ def _model_spec(config: SweepConfig, input_dim: int, num_classes: int) -> models
     field_of_key = {key: name for name, key in MODEL_KEY_OF_FIELD.items() if key}
     given = {field_of_key.get(k, k): v for k, v in config.model.items()}
     return models.ModelSpec(input_dim=input_dim, num_classes=num_classes, **given)
-
-
-def build_model_spec(config: SweepConfig, bundle: datamod.DatasetBundle) -> models.ModelSpec:
-    """The sweep's ``ModelSpec``, checked to fit the dataset."""
-    spec = _model_spec(config, bundle.features.shape[1], bundle.num_classes)
-    training.check_model_fits(spec, bundle)
-    return spec
 
 
 def _plan_runs(config: SweepConfig, model_spec: models.ModelSpec) -> list[training.TrainConfig]:
@@ -88,11 +81,13 @@ def plan_sweep(config: SweepConfig) -> tuple[datamod.DatasetBundle, list[trainin
     ``batchlab validate`` runs this too, so it accepts exactly the configs a
     sweep can start. Each run's ``TrainConfig`` is built and checked here,
     once. An invalid or mistyped dataset, model or train value raises
-    ``ConfigError``.
+    ``ConfigError``. The bundle carries no fingerprint; ``run_sweep`` sets
+    the one it computed.
     """
     bundle = checked("dataset", build_dataset, config)
     checked("dataset", training.check_train_split, bundle)
-    model_spec = checked("model", build_model_spec, config, bundle)
+    model_spec = checked("model", _model_spec, config, bundle.features.shape[1], bundle.num_classes)
+    checked("model", training.check_model_fits, model_spec, bundle)
     return bundle, _plan_runs(config, model_spec)
 
 
@@ -192,14 +187,12 @@ def run_sweep(
     fingerprint; for a version 1 record, another dataset id). ``workers``,
     when given, replaces the config's and must pass the same rule.
 
-    The dataset's fingerprint is computed from the config before the record
-    file is read. When a present record carries it, the runs are planned
-    with that record's model dimensions, since equal fingerprints mean equal
-    data (a record whose dims cannot be read, or an invalid model section,
-    leaves the checks to the built path); if every planned run is then present as a version 2 record, they
-    are checked and returned without building the dataset or starting a
-    pool. Otherwise the sweep is planned on the built dataset
-    (``plan_sweep``) and the pending runs train.
+    The fingerprint is computed once, before the record file is read. The
+    runs are planned with the model dims of a record that carries it (equal
+    fingerprints mean equal data), else on the built dataset (``plan_sweep``),
+    which is also built when a planned run is missing or is a version 1
+    record, to check its dataset id. One loop checks every present record
+    and collects the pending runs; a process pool starts only when some are.
     """
     records_path = Path(records_path) if records_path else default_records_path(config)
     if workers is not None:
@@ -216,33 +209,32 @@ def run_sweep(
             dims = same_data.config["model"]
             spec = _model_spec(config, dims["input_dim"], dims["num_classes"])
         except (KeyError, TypeError, ValueError):
-            pass  # an edited record or an invalid model section: the built path names it
-    if spec is not None:
-        planned = _plan_runs(config, spec)
+            pass  # an edited record or an invalid model section: plan_sweep names it
+    planned = [] if spec is None else _plan_runs(config, spec)
+    found = [done.get(training.run_id(tc)) for tc in planned]
+    bundle = dataset_id = None
+    if spec is None or any(record is None or record.schema_version == 1 for record in found):
+        bundle, planned = plan_sweep(config)
+        bundle.fingerprint, dataset_id = fingerprint, bundle.dataset_id
         found = [done.get(training.run_id(tc)) for tc in planned]
-        if all(record is not None and record.schema_version == 2 for record in found):
-            for tc, record in zip(planned, found):
-                _check_resumable(records_path, record, tc, fingerprint, None)
-            return _in_plan_order(existing)
 
-    bundle, planned = plan_sweep(config)
     pending = []
-    for tc in planned:
-        record = done.get(training.run_id(tc))
+    for tc, record in zip(planned, found):
         if record is None:
             pending.append(tc)
         else:
-            _check_resumable(records_path, record, tc, fingerprint, bundle.dataset_id)
+            _check_resumable(records_path, record, tc, fingerprint, dataset_id)
 
     new_records: list[training.RunRecord] = []
-    if workers > 1:
+    parallel = workers > 1 and bool(pending)
+    if parallel:
         from concurrent.futures import ProcessPoolExecutor
 
         pool = ProcessPoolExecutor(max_workers=workers)
     else:
         pool = nullcontext()
     with pool:
-        run_map = pool.map if workers > 1 else map
+        run_map = pool.map if parallel else map
         # looked up per sweep, so that a wrapped train_run is the one that runs
         units = work_units(pending, workers)
         for records in run_map(training.train_run, itertools.repeat(bundle), units):

@@ -412,9 +412,11 @@ class RunRecord:
         d = dict(d)
         d.setdefault("fingerprint", None)
         final = d.pop("final")
-        for name in ("batch_size", "seed"):
+        for name in ("schema_version", "batch_size", "seed"):
             if not models.is_integer(d[name]):
                 raise TypeError(f"{name} must be an integer, got {d[name]!r}")
+        if not isinstance(d["config"], dict):
+            raise TypeError(f"config must be a JSON object, got {d['config']!r}")
         if final is not None:
             final = measures.Measurement(**final)
             for name, value in vars(final).items():

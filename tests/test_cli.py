@@ -372,6 +372,26 @@ class TestCli:
         )
         assert records.read_bytes() == recorded
 
+    def test_files_csvs_read_once_per_plan(self, tmp_path, monkeypatch):
+        # validate reads each CSV once, to build the dataset; a fresh sweep
+        # twice, to fingerprint and to build; a finished resume once, to
+        # fingerprint
+        section, _ = changed_dataset("files_split_seed", tmp_path)
+        path = tmp_path / "files.json"
+        one_run = dict(batch_sizes=[16], seeds=[0], out_dir=str(tmp_path / "out"))
+        path.write_text(json.dumps(dict(CONFIG, dataset=section, **one_run)))
+        reads, read_bytes = [], Path.read_bytes
+
+        def counting(self):
+            reads.append(self.name)
+            return read_bytes(self)
+
+        monkeypatch.setattr(Path, "read_bytes", counting)
+        for command, times in (("validate", 1), ("sweep", 2), ("sweep", 1)):
+            reads.clear()
+            assert main([command, str(path)]) == 0
+            assert sorted(reads) == ["edges.csv"] * times + ["nodes.csv"] * times
+
     def test_finished_graph_resume_loads_no_scipy(self, tmp_path):
         # a resume with nothing pending builds no dataset, so a finished sbm
         # sweep resumes on numpy alone
@@ -438,6 +458,7 @@ class TestCli:
             ("final.test_accuracy", float("nan")),
             ("final.epoch", 2.5),
             ("final.batch_size", True),
+            ("config", [1, 2]),
         ],
     )
     def test_record_value_of_the_wrong_type_names_its_line(
@@ -452,7 +473,9 @@ class TestCli:
         lines[1] = json.dumps(record)
         path.write_text("\n".join(lines) + "\n")
         report = ["report", str(path), "--out", str(tmp_path / "report")]
-        for command in (["validate", str(path)], report):
+        for command in (
+            ["validate", str(path)], ["analyze", str(path)], report, ["sweep", str(config_path)]
+        ):
             assert main(command) == 1
             err = capsys.readouterr().err
             assert f"{path}:2: corrupt record line ({key} must be" in err

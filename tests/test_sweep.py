@@ -6,7 +6,7 @@ import pytest
 from helpers import DATA_CHANGES, as_version_1, changed_dataset
 
 from batchlab import measures, sweep, training
-from batchlab.config import build_sweep_config
+from batchlab.config import ConfigError, build_sweep_config
 
 BASE = {
     "dataset": {"kind": "blobs", "n": 120, "d": 4, "num_classes": 2, "seed": 3},
@@ -270,21 +270,32 @@ class TestFingerprintedResume:
             sweep.run_sweep(other)
         assert path.read_bytes() == recorded
 
+    def test_finished_version_1_resume_builds_once_and_starts_no_pool(self, tmp_path, monkeypatch):
+        cfg = make_config(tmp_path)
+        path = tmp_path / "out" / "records.jsonl"
+        sweep.run_sweep(cfg, workers=1)
+        as_version_1(path)
+        recorded = path.read_bytes()
+        built = counting_builds(monkeypatch)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse("the process pool"))
+        assert len(sweep.run_sweep(cfg, workers=2)) == 4
+        assert len(built) == 1
+        assert path.read_bytes() == recorded
+
 
 class TestBuildPieces:
     def test_build_dataset_kinds(self, tmp_path):
-        cfg = make_config(tmp_path)
-        bundle = sweep.build_dataset(cfg)
-        assert bundle.n == 120
+        bundle, planned = sweep.plan_sweep(make_config(tmp_path))
+        assert bundle.n == 120 and len(planned) == 4
         sbm_cfg = build_sweep_config(
             {
                 "dataset": {"kind": "sbm", "n": 60, "num_classes": 2, "p_in": 0.2, "p_out": 0.05, "d": 3},
                 "model": {"kind": "graph_diffusion", "hidden": 4, "diffusion_alpha": 0.3},
             }
         )
-        sbm_bundle = sweep.build_dataset(sbm_cfg)
+        sbm_bundle, planned = sweep.plan_sweep(sbm_cfg)
         assert sbm_bundle.edges is not None
-        spec = sweep.build_model_spec(sbm_cfg, sbm_bundle)
+        spec = planned[0].model
         assert spec.kind == "graph_diffusion" and spec.input_dim == 3
 
     def test_graph_model_needs_graph_dataset(self, tmp_path):
@@ -294,6 +305,5 @@ class TestBuildPieces:
                 "model": {"kind": "graph_diffusion", "hidden": 4},
             }
         )
-        bundle = sweep.build_dataset(cfg)
-        with pytest.raises(Exception, match="graph"):
-            sweep.build_model_spec(cfg, bundle)
+        with pytest.raises(ConfigError, match="invalid model settings: graph_diffusion model"):
+            sweep.plan_sweep(cfg)

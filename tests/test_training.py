@@ -578,6 +578,10 @@ class TestTrainRun:
         for bad in (v1, dict(line, schema_version=1)):
             with pytest.raises(TypeError, match="a record has the fields"):
                 training.RunRecord.from_dict(bad)
+        # a version that only equals 1, as a JSON boolean or float does, is no version
+        for version in (True, 1.0):
+            with pytest.raises(TypeError, match=f"schema_version must be an integer, got {version}$"):
+                training.RunRecord.from_dict(dict(v1, schema_version=version))
 
     def test_record_line_format(self, blob_bundle):
         # the line's keys: schema_version, then the other RunRecord fields and final's
