@@ -142,7 +142,6 @@ def _fmt(value) -> str:
 
 def render_report_body(
     tables: dict[str, list[dict]],
-    settings: AnalysisSettings,
     bundle: AnalysisBundle | None,
     sig: dict | None,
 ) -> str:
@@ -173,6 +172,7 @@ def render_report_body(
         )
     add("")
     if bundle is not None:
+        settings = bundle.settings
         add(f"== interventional distributions (bins={settings.bins}, alpha={settings.alpha}) ==")
         for mode, results in bundle.interventions.items():
             for res in results:
@@ -283,7 +283,7 @@ def emit_report(records_path, settings: AnalysisSettings, out_dir) -> dict[str, 
         "n_records": len(records),
         "analysis_error": analysis_error,
     }
-    body = render_report_body(tables, settings, bundle, sig)
+    body = render_report_body(tables, bundle, sig)
     paths["report"] = out_dir / "report.txt"
     paths["report"].write_text(
         "# metadata: " + json.dumps(meta) + "\n\n" + body

@@ -164,9 +164,14 @@ def cell_key(config: TrainConfig) -> tuple:
     return tuple(value for name, value in vars(config).items() if name != "seed")
 
 
+def run_name(batch_size: int, seed: int, ablation: str) -> str:
+    """The record name of a run: ``b{B}-s{seed}-{ablation}``."""
+    return f"b{batch_size}-s{seed}-{ablation}"
+
+
 def run_id(config: TrainConfig) -> str:
-    """The run's record name, by which a sweep resumes it: ``b{B}-s{seed}-{ablation}``."""
-    return f"b{config.batch_size}-s{config.seed}-{config.ablation.kind}"
+    """The run's record name, by which a sweep resumes it."""
+    return run_name(config.batch_size, config.seed, config.ablation.kind)
 
 
 def schedule_lr(config: TrainConfig, epoch: int) -> float:
@@ -181,29 +186,20 @@ def schedule_lr(config: TrainConfig, epoch: int) -> float:
 # -- optimizer steps ----------------------------------------------------------
 
 
-@dataclass
-class AdamState:
-    m: np.ndarray
-    v: np.ndarray
-
-    @staticmethod
-    def zeros(shape) -> "AdamState":
-        return AdamState(m=np.zeros(shape), v=np.zeros(shape))
-
-
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 def adam_step(
-    params: np.ndarray, grad: np.ndarray, state: AdamState, lr: float, t: int
+    params: np.ndarray, grad: np.ndarray, moments: np.ndarray, lr: float, t: int
 ) -> None:
     """Standard bias-corrected Adam update at step ``t`` >= 1, in place on
-    ``params`` and ``state`` (a vector or a stack of them). The float
+    ``params`` (a vector or a stack of them) and ``moments``, the first and
+    second moments stacked as ``[2, *params.shape]``. The float
     operations are those of ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2)
     g g`` and ``params - lr m_hat / (sqrt(v_hat) + eps)``, in that order. A
     non-finite gradient makes the parameters non-finite, which the training
     loop's divergence check catches."""
-    m, v = state.m, state.v
+    m, v = moments
     m *= ADAM_BETA1
     m += (1.0 - ADAM_BETA1) * grad
     v *= ADAM_BETA2
@@ -417,6 +413,10 @@ class RunRecord:
                 raise TypeError(f"{name} must be an integer, got {d[name]!r}")
         if not isinstance(d["config"], dict):
             raise TypeError(f"config must be a JSON object, got {d['config']!r}")
+        # a sweep resumes a run by its run_id, so the name must be the run's
+        own = run_name(d["batch_size"], d["seed"], d["ablation"])
+        if d["run_id"] != own:
+            raise ValueError(f"run_id {d['run_id']!r} does not name the run {own}")
         if final is not None:
             final = measures.Measurement(**final)
             for name, value in vars(final).items():
@@ -496,11 +496,16 @@ def train_run(dataset: datamod.DatasetBundle, configs) -> list[RunRecord]:
     ``wall_seconds`` the seed's share of the cell's time. A run is marked
     degenerate when the parameters or the loss leave the finite range or the
     final sharpness/noise leave the complexity domain; degenerate records
-    carry no final measurement. The model spec is checked against the dataset
-    once, here (``check_model_fits``, ``check_train_split``); the kernels
-    called per step check nothing. With ``lambda_causal`` > 0 on a graph with
-    edges, the edge regularizer's ``edge_laplacian`` is built once, here, and
-    each gradient applies it to the whole stack in one product.
+    carry no final measurement. The final gradient noise is divided by the
+    batch of the measured epoch's updates: its ``effective_batch`` (epoch
+    0's if none ran), times the ``ceil(n_train / eff)`` minibatches that
+    ``no_noise_averaging`` averages per update; ``batch_size`` and the
+    scaled learning rate keep the configured B. The model spec is checked
+    against the dataset once, here (``check_model_fits``,
+    ``check_train_split``); the kernels called per step check nothing. With
+    ``lambda_causal`` > 0 on a graph with edges, the edge regularizer's
+    ``edge_laplacian`` is built once, here, and each gradient applies it to
+    the whole stack in one product.
 
     Each epoch scores the active stack with one call per split: the train and
     val losses by ``models.forward_loss``, the test loss and accuracy by
@@ -609,9 +614,6 @@ def train_run(dataset: datamod.DatasetBundle, configs) -> list[RunRecord]:
             # the mean of every minibatch gradient of the epoch, the short last
             # one included; the full ones go MAX_STACK_ROWS rows at a time
             full, short = divmod(n_train, eff_b)
-            count = full + (short > 0)
-            if count == 1:
-                return grad_at(params, group)
             full_rows = group[:, : full * eff_b].reshape(len(active), full, eff_b)
             step = max(1, MAX_STACK_ROWS // (len(active) * eff_b))
             chunks = [full_rows[:, i : i + step] for i in range(0, full, step)]
@@ -623,7 +625,7 @@ def train_run(dataset: datamod.DatasetBundle, configs) -> list[RunRecord]:
             for rows in chunks:
                 for g in grad_at(params, rows, buf[:, : rows.shape[1]]).swapaxes(0, 1):
                     total += g
-            return total / count
+            return total / (full + (short > 0))
         if abl.kind == "sam":
             return sam_perturbed_gradient(lambda p: grad_at(p, group), params, abl.rho)
         g = grad_at(params, group)
@@ -637,19 +639,16 @@ def train_run(dataset: datamod.DatasetBundle, configs) -> list[RunRecord]:
         # accuracy are the log's at final_epoch, evaluated only if no epoch ran
         t0 = perf_counter()
         rec = run.record
-        epochs_run = len(rec.lr)
-        final_epoch = run.best_epoch if rec.status == "early_stopped" else epochs_run - 1
+        final_epoch = run.best_epoch if rec.status == "early_stopped" else len(rec.lr) - 1
         if rec.status != "degenerate":
             params = run.params
-            b = config.batch_size
+            # the batch of the measured epoch's updates: under
+            # no_noise_averaging each averaged every minibatch of the epoch
+            eff = config.batch_schedule.effective(config.batch_size, max(final_epoch, 0), n_train)
             if abl.kind == "no_noise_averaging":
-                divisor_b = b * math.ceil(n_train / b)
-            elif config.batch_schedule.kind == "progressive":
-                divisor_b = config.batch_schedule.effective(b, max(epochs_run - 1, 0), n_train)
-            else:
-                divisor_b = b
+                eff *= math.ceil(n_train / eff)
             try:
-                noise = probe_noise(params, x_probe, divisor_b)
+                noise = probe_noise(params, x_probe, eff)
                 sharpness, _ = measures.sharpness_lambda_max(
                     models.hvp_operator(spec, params, x_probe, y_probe), dim=params.size
                 )
@@ -668,7 +667,7 @@ def train_run(dataset: datamod.DatasetBundle, configs) -> list[RunRecord]:
                     complexity=comp,
                     test_accuracy=float(test_acc),
                     gen_gap=float(test_loss - train_loss),
-                    batch_size=b,
+                    batch_size=config.batch_size,
                     epoch=final_epoch,
                 )
             except measures.ComplexityDomainError as exc:
@@ -678,15 +677,14 @@ def train_run(dataset: datamod.DatasetBundle, configs) -> list[RunRecord]:
         rec.wall_seconds += perf_counter() - t0
         return rec
 
-    adam_state = AdamState.zeros(params.shape)
+    moments = np.zeros((2, *params.shape))  # Adam's m and v
     step_count = 0
 
     def leave(keep: np.ndarray) -> None:
         # drop the seeds that left from every stacked array
-        nonlocal active, params, features, order
+        nonlocal active, params, moments, features, order
         active = [run for run, k in zip(active, keep) if k]
-        params, order = params[keep], order[keep]
-        adam_state.m, adam_state.v = adam_state.m[keep], adam_state.v[keep]
+        params, order, moments = params[keep], order[keep], moments[:, keep]
         if features.ndim == 3:
             features = features[keep]
 
@@ -720,7 +718,7 @@ def train_run(dataset: datamod.DatasetBundle, configs) -> list[RunRecord]:
             g = update_gradient(group)
             step_count += 1
             if config.optimizer == "adam":
-                adam_step(params, g, adam_state, lr, t=step_count)
+                adam_step(params, g, moments, lr, t=step_count)
             else:
                 params -= lr * g
             finite = np.isfinite(params).all(axis=1)

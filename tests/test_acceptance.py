@@ -326,7 +326,7 @@ def test_criterion_9_point_value_arithmetic(sweep_records):
     settings = AnalysisSettings(treat=16, control=256)
     bundle = analyze_records(sweep_records, settings)
     lines = render_report_body(
-        {"accuracy": [], "sharpness": [], "timing": []}, settings, bundle, None
+        {"accuracy": [], "sharpness": [], "timing": []}, bundle, None
     ).splitlines()
     checks = []
     for mode, results in bundle.interventions.items():

@@ -479,3 +479,18 @@ class TestCli:
             assert main(command) == 1
             err = capsys.readouterr().err
             assert f"{path}:2: corrupt record line ({key} must be" in err
+
+    def test_record_renamed_to_another_run_names_its_line(self, config_path, tmp_path, capsys):
+        assert main(["sweep", str(config_path)]) == 0
+        path = tmp_path / "out" / "records.jsonl"
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[1])
+        assert record["run_id"] == "b16-s1-none"
+        lines[1] = json.dumps(dict(record, run_id="b16-s0-none"))
+        path.write_text("\n".join(lines) + "\n")
+        before = path.read_bytes()
+        for command in (["validate", str(path)], ["sweep", str(config_path)]):
+            assert main(command) == 1
+            err = capsys.readouterr().err
+            assert f"{path}:2: corrupt record line (run_id 'b16-s0-none' does not name" in err
+        assert path.read_bytes() == before

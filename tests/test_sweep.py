@@ -108,6 +108,27 @@ class TestRunSweep:
             eigs = np.linalg.eigvalsh((dense + dense.T) / 2.0)
             assert value == pytest.approx(eigs[-1], rel=1e-8)
 
+    def test_record_renamed_to_another_run_is_corrupt(self, tmp_path):
+        # a resume finds a run by its run_id: a renamed record is not reused
+        # under its new name while its own run trains again
+        path = tmp_path / "records.jsonl"
+        cfg = make_config(tmp_path, batch_sizes=[16])
+        sweep.run_sweep(cfg, records_path=path, workers=1)
+        lines = path.read_text().splitlines()
+        first, second = (json.loads(line) for line in lines)
+        assert (first["run_id"], second["run_id"]) == ("b16-s0-none", "b16-s1-none")
+        path.write_text("\n".join([json.dumps(dict(first, run_id="renamed")), lines[1]]) + "\n")
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match=r"records\.jsonl:1: corrupt record line \(run_id "
+                           "'renamed' does not name the run b16-s0-none"):
+            sweep.run_sweep(cfg, records_path=path, workers=1)
+        assert path.read_bytes() == before
+        # as the last line it is quarantined, and its run trains once
+        path.write_text("\n".join([lines[0], json.dumps(dict(second, run_id="renamed"))]) + "\n")
+        records = sweep.run_sweep(cfg, records_path=path, workers=1)
+        assert [r.run_id for r in records] == ["b16-s0-none", "b16-s1-none"]
+        assert "renamed" in path.with_suffix(".jsonl.quarantine").read_text()
+
     def test_truncated_final_line_quarantined(self, tmp_path):
         cfg = make_config(tmp_path)
         sweep.run_sweep(cfg)

@@ -8,7 +8,6 @@ from batchlab import data, measures, models, training
 from batchlab.models import ModelSpec
 from batchlab.training import (
     Ablation,
-    AdamState,
     BatchSchedule,
     TrainConfig,
     adam_step,
@@ -44,15 +43,15 @@ def assert_final_is_logged(rec):
 
 class TestAdam:
     def test_zero_gradient_no_move(self):
-        params, state = np.array([1.0, -2.0]), AdamState.zeros(2)
-        adam_step(params, np.zeros(2), state, lr=1e-3, t=1)
+        params, moments = np.array([1.0, -2.0]), np.zeros((2, 2))
+        adam_step(params, np.zeros(2), moments, lr=1e-3, t=1)
         np.testing.assert_array_equal(params, [1.0, -2.0])
-        np.testing.assert_array_equal(state.m, np.zeros(2))
+        np.testing.assert_array_equal(moments, np.zeros((2, 2)))
 
     def test_first_step_magnitude(self):
         # bias correction cancels at t=1: delta = -lr * g / (|g| + eps)
         params = np.zeros(1)
-        adam_step(params, np.array([0.5]), AdamState.zeros(1), lr=1e-3, t=1)
+        adam_step(params, np.array([0.5]), np.zeros((2, 1)), lr=1e-3, t=1)
         assert params[0] == pytest.approx(-1e-3, rel=1e-6)
 
     def test_three_step_recursion_matches_reference(self):
@@ -66,10 +65,11 @@ class TestAdam:
             mh = m_ref / (1 - b1**t)
             vh = v_ref / (1 - b2**t)
             theta_ref -= lr * mh / (math.sqrt(vh) + eps)
-        params, state = np.array([0.2]), AdamState.zeros(1)
+        params, moments = np.array([0.2]), np.zeros((2, 1))
         for t, g in enumerate(grads, start=1):
-            adam_step(params, np.array([g]), state, lr=lr, t=t)
+            adam_step(params, np.array([g]), moments, lr=lr, t=t)
         assert params[0] == pytest.approx(theta_ref, abs=1e-12)
+        assert moments[:, 0] == pytest.approx([m_ref, v_ref], abs=1e-15)
 
 
 def causal_regularizer(embeddings, edges):
@@ -583,6 +583,14 @@ class TestTrainRun:
             with pytest.raises(TypeError, match=f"schema_version must be an integer, got {version}$"):
                 training.RunRecord.from_dict(dict(v1, schema_version=version))
 
+    @pytest.mark.parametrize("name", ["renamed", "b16-s1-none", "b16-s0-sam"])
+    def test_record_whose_run_id_names_another_run_rejected(self, blob_bundle, name):
+        # a sweep resumes a run by its run_id, so a line must carry its own run's
+        line = train_run(blob_bundle, [quick_config(epochs=1)])[0].to_dict()
+        assert line["run_id"] == training.run_name(16, 0, "none") == "b16-s0-none"
+        with pytest.raises(ValueError, match=f"run_id '{name}' does not name the run b16-s0-none"):
+            training.RunRecord.from_dict(dict(line, run_id=name))
+
     def test_record_line_format(self, blob_bundle):
         # the line's keys: schema_version, then the other RunRecord fields and final's
         # Measurement fields, each in declaration order
@@ -593,6 +601,69 @@ class TestTrainRun:
         assert list(line["final"]) == list(measures.Measurement.__dataclass_fields__)
         assert type(rec.config["lr"]) is int and line["lr"] == [1.0, 1.0]
         assert all(type(x) is float for x in rec.lr + line["lr"])
+
+
+def measured_batch(monkeypatch, bundle, cfg):
+    """The run's record, and the batch its final gradient noise is divided
+    by: the one ``gradient_noise`` call of a run that probes none in training."""
+    batches = []
+    real = measures.gradient_noise
+
+    def spy(grads, batch_size):
+        batches.append(batch_size)
+        return real(grads, batch_size)
+
+    monkeypatch.setattr(measures, "gradient_noise", spy)
+    rec = train_run(bundle, [cfg])[0]
+    assert len(batches) == 1 and rec.final is not None
+    return rec, batches[0]
+
+
+class TestMeasuredBatch:
+    """The final noise is divided by the batch of the measured epoch's
+    updates: its effective batch, times the minibatches each update averaged
+    under no_noise_averaging."""
+
+    def test_fixed_schedule_above_train_rows(self, blob_bundle, monkeypatch):
+        n_train = blob_bundle.splits["train"].size
+        rec, b = measured_batch(monkeypatch, blob_bundle, quick_config(batch_size=256, epochs=3))
+        assert b == rec.effective_batch[rec.final.epoch] == n_train == 180
+        assert rec.batch_size == rec.final.batch_size == 256
+
+    def test_progressive_early_stop_in_an_earlier_stage(self, monkeypatch):
+        # the restored epoch trained at a batch 4x smaller than the last epoch's
+        bundle = data.make_blobs(300, 6, 3, separation=2.0, label_noise=0.3, seed=4)
+        cfg = TrainConfig(
+            model=ModelSpec("mlp1", 6, 3, hidden_dim=16),
+            batch_size=4,
+            epochs=60,
+            lr=3e-3,
+            batch_schedule=BatchSchedule(kind="progressive", factor=2, every_epochs=4),
+            early_stop_patience=5,
+            seed=0,
+        )
+        rec, b = measured_batch(monkeypatch, bundle, cfg)
+        assert rec.status == "early_stopped"
+        assert b == rec.effective_batch[rec.final.epoch] == rec.effective_batch[-1] // 4
+
+    @pytest.mark.parametrize("batch_size, divisor", [(16, 192), (180, 180), (256, 180)])
+    def test_no_noise_averaging(self, blob_bundle, monkeypatch, batch_size, divisor):
+        # each update averaged ceil(n_train / eff) minibatch gradients
+        cfg = quick_config(
+            batch_size=batch_size, epochs=2, ablation=Ablation(kind="no_noise_averaging")
+        )
+        rec, b = measured_batch(monkeypatch, blob_bundle, cfg)
+        eff = rec.effective_batch[rec.final.epoch]
+        assert b == eff * math.ceil(180 / eff) == divisor
+
+    def test_batches_above_train_rows_measure_alike(self, blob_bundle):
+        # B=256 and B=512 both train on the 180 rows at once, identically
+        a, b = (
+            train_run(blob_bundle, [quick_config(batch_size=bs, epochs=3)])[0] for bs in (256, 512)
+        )
+        assert a.train_loss == b.train_loss and a.final.sharpness == b.final.sharpness
+        assert a.final.grad_noise == b.final.grad_noise
+        assert a.final.complexity == b.final.complexity
 
 
 class TestConfigValidation:
