@@ -67,6 +67,18 @@ def usable_runs(records: list[RunRecord]) -> list[RunRecord]:
     return [r for r in records if r.ablation == "none" and r.final is not None]
 
 
+def treat_control(batch_sizes, settings: AnalysisSettings) -> tuple[int, int]:
+    """The (treat, control) that the engine and the significance tests compare: the
+    settings' levels, else the smallest and largest observed ``batch_sizes``."""
+    levels = sorted(set(batch_sizes))
+    treat = settings.treat if settings.treat is not None else min(levels)
+    control = settings.control if settings.control is not None else max(levels)
+    for name, level in (("treat", treat), ("control", control)):
+        if level not in levels:
+            raise ValueError(f"unknown {name} level {level}; observed levels {levels}")
+    return treat, control
+
+
 def records_to_observations(records: list[RunRecord]) -> dict[str, np.ndarray]:
     """The observation table: one column per ``VARIABLES`` entry, one row per
     ``usable_runs`` entry."""
@@ -116,11 +128,7 @@ def analyze_observations(observations: dict, settings: AnalysisSettings) -> Anal
     }
 
     levels = scheme.bins[causal.VAR_BATCH].levels
-    treat = settings.treat if settings.treat is not None else min(levels)
-    control = settings.control if settings.control is not None else max(levels)
-    for name, level in (("treat", treat), ("control", control)):
-        if level not in levels:
-            raise ValueError(f"unknown {name} level {level}; observed levels {list(levels)}")
+    treat, control = treat_control(levels, settings)
 
     interventions: dict[str, list[causal.InterventionResult]] = {}
     ate_by_mode: dict[str, float] = {}

@@ -27,14 +27,6 @@ MODE_HYPERGRAPH = "hypergraph"
 MODE_ALGORITHM1 = "algorithm1"
 
 
-class GraphError(ValueError):
-    """Structurally invalid hypergraph."""
-
-
-class DiscretizationError(ValueError):
-    """Records cannot be binned as requested."""
-
-
 @dataclass(frozen=True)
 class Hyperedge:
     tails: tuple[str, ...]
@@ -43,7 +35,7 @@ class Hyperedge:
     def __post_init__(self) -> None:
         object.__setattr__(self, "tails", tuple(sorted(self.tails)))
         if self.head in self.tails:
-            raise GraphError(f"self-loop on {self.head!r}")
+            raise ValueError(f"self-loop on {self.head!r}")
 
 
 @dataclass(frozen=True)
@@ -100,9 +92,9 @@ def validate_hypergraph(h: CausalHypergraph) -> list[str]:
     heads_seen: set[str] = set()
     for edge in h.hyperedges:
         if edge.head not in known or any(t not in known for t in edge.tails):
-            raise GraphError(f"edge {edge} references unknown variable")
+            raise ValueError(f"edge {edge} references unknown variable")
         if edge.head in heads_seen:
-            raise GraphError(f"variable {edge.head!r} has two incoming hyperedges")
+            raise ValueError(f"variable {edge.head!r} has two incoming hyperedges")
         heads_seen.add(edge.head)
     incoming = {e.head: set(e.tails) for e in h.hyperedges}
     order: list[str] = []
@@ -112,7 +104,7 @@ def validate_hypergraph(h: CausalHypergraph) -> list[str]:
             v for v in remaining if not (incoming.get(v, set()) & remaining)
         )
         if not ready:
-            raise GraphError(f"cycle detected among {sorted(remaining)}")
+            raise ValueError(f"cycle detected among {sorted(remaining)}")
         order.extend(ready)
         remaining -= set(ready)
     return order
@@ -182,7 +174,7 @@ def _equal_frequency_binning(values: np.ndarray, k: int) -> ContinuousBinning:
         return ContinuousBinning(cuts=(), representatives=(float(values.mean()),))
     cuts = np.quantile(values, [i / k for i in range(1, k)])
     if not np.all(np.diff(cuts) > 0):
-        raise DiscretizationError("quantile cut points are not strictly increasing")
+        raise ValueError("quantile cut points are not strictly increasing")
     binning = ContinuousBinning(cuts=tuple(float(c) for c in cuts), representatives=())
     assigned = binning.assign(values)
     reps = []

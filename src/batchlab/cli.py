@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import sweep
 from .analysis import AnalysisSettings, analyze_records
-from .config import ConfigError, parse_config
+from .config import parse_config
 from .report import emit_report
 
 
@@ -69,7 +69,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    records = sweep.load_records(args.records)
+    records = sweep.read_records(args.records)
     if not records:
         raise ValueError(f"record file {args.records} is empty")
     settings = _settings_from_args(args)
@@ -98,7 +98,7 @@ def _cmd_report(args) -> int:
 def _cmd_validate(args) -> int:
     path = Path(args.path)
     if path.suffix == ".jsonl":
-        records = sweep.load_records(path)
+        records = sweep.read_records(path)
         print(f"ok: {len(records)} records")
     else:
         _, planned = sweep.plan_sweep(parse_config(path))
@@ -116,7 +116,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary

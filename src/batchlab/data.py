@@ -223,10 +223,6 @@ def _edge_array(pairs: np.ndarray, n: int) -> np.ndarray:
     return np.stack(np.divmod(key, n), axis=1)
 
 
-class GraphFileError(ValueError):
-    """Malformed nodes/edges CSV input."""
-
-
 def load_tabular_graph(
     nodes,
     edges,
@@ -248,44 +244,44 @@ def load_tabular_graph(
 
     rows = list(csv.reader(nodes_bytes.decode("utf-8").splitlines()))
     if not rows or len(rows[0]) < 3 or rows[0][0] != "id" or rows[0][-1] != "label":
-        raise GraphFileError(f"{nodes_path}: header must be id,<features...>,label")
+        raise ValueError(f"{nodes_path}: header must be id,<features...>,label")
     width = len(rows[0])
     ids, feats, labels = [], [], []
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != width:
-            raise GraphFileError(f"{nodes_path}:{lineno}: expected {width} fields, got {len(row)}")
+            raise ValueError(f"{nodes_path}:{lineno}: expected {width} fields, got {len(row)}")
         try:
             ids.append(int(row[0]))
             feats.append([float(v) for v in row[1:-1]])
             labels.append(int(row[-1]))
         except ValueError as exc:
-            raise GraphFileError(f"{nodes_path}:{lineno}: {exc}") from exc
+            raise ValueError(f"{nodes_path}:{lineno}: {exc}") from exc
     n = len(ids)
     if n == 0:
-        raise GraphFileError(f"{nodes_path}: no node rows")
+        raise ValueError(f"{nodes_path}: no node rows")
     if len(set(ids)) != n:
         dupes = sorted({i for i in ids if ids.count(i) > 1})
-        raise GraphFileError(f"{nodes_path}: duplicate node id {dupes[0]}")
+        raise ValueError(f"{nodes_path}: duplicate node id {dupes[0]}")
     if set(ids) != set(range(n)):
-        raise GraphFileError(f"{nodes_path}: node ids must cover 0..{n - 1}")
+        raise ValueError(f"{nodes_path}: node ids must cover 0..{n - 1}")
     order = np.argsort(ids)
     features = np.asarray(feats, dtype=np.float64)[order]
     labels_arr = np.asarray(labels, dtype=np.int64)[order]
 
     erows = list(csv.reader(edges_bytes.decode("utf-8").splitlines()))
     if not erows or erows[0][:2] != ["src", "dst"]:
-        raise GraphFileError(f"{edges_path}: header must be src,dst")
+        raise ValueError(f"{edges_path}: header must be src,dst")
     pairs = []
     for lineno, row in enumerate(erows[1:], start=2):
         if len(row) != 2:
-            raise GraphFileError(f"{edges_path}:{lineno}: expected 2 fields, got {len(row)}")
+            raise ValueError(f"{edges_path}:{lineno}: expected 2 fields, got {len(row)}")
         try:
             a, b = int(row[0]), int(row[1])
         except ValueError as exc:
-            raise GraphFileError(f"{edges_path}:{lineno}: {exc}") from exc
+            raise ValueError(f"{edges_path}:{lineno}: {exc}") from exc
         for endpoint in (a, b):
             if not (0 <= endpoint < n):
-                raise GraphFileError(
+                raise ValueError(
                     f"{edges_path}:{lineno}: dangling endpoint {endpoint} (have {n} nodes)"
                 )
         pairs.append((a, b))

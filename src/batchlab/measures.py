@@ -13,10 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class ComplexityDomainError(ValueError):
-    """Sharpness or noise outside the domain of the complexity index."""
-
-
 def gradient_noise(per_sample_grads: np.ndarray, batch_size: int) -> float:
     """Mini-batch gradient estimator noise at the given batch size.
 
@@ -113,9 +109,9 @@ def sharpness_lambda_max(hvp_oracle, dim: int) -> tuple[float, int]:
 def complexity(sharpness: float, noise: float) -> float:
     """Composite complexity index 1/S + ln N, defined for S > 0 and N > 0."""
     if not (sharpness > 0.0):
-        raise ComplexityDomainError(f"sharpness must be positive, got {sharpness}")
+        raise ValueError(f"complexity domain: sharpness must be positive, got {sharpness}")
     if not (noise > 0.0):
-        raise ComplexityDomainError(f"noise must be positive, got {noise}")
+        raise ValueError(f"complexity domain: noise must be positive, got {noise}")
     return 1.0 / sharpness + float(np.log(noise))
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import stats, sweep
-from .analysis import AnalysisBundle, AnalysisSettings, analyze_records, usable_runs
+from .analysis import AnalysisBundle, AnalysisSettings, analyze_records, treat_control, usable_runs
 from .training import RunRecord
 
 
@@ -111,12 +111,9 @@ def significance_result(records: list[RunRecord], treat: int, control: int) -> d
         "wilcoxon_method": None,
     }
     diffs = [v[treat] - v[control] for v in by_seed.values() if treat in v and control in v]
-    if diffs and any(d != 0 for d in diffs):
+    if diffs:
         wil = stats.wilcoxon_signed_rank(diffs)
         out.update(wilcoxon_w=wil.w, wilcoxon_p=wil.p, wilcoxon_method=wil.method)
-    elif diffs:
-        # all paired differences zero: no evidence against the null
-        out.update(wilcoxon_w=0.0, wilcoxon_p=1.0, wilcoxon_method="degenerate")
     return out
 
 
@@ -215,20 +212,24 @@ def emit_report(records_path, settings: AnalysisSettings, out_dir) -> dict[str, 
     CSVs, the analysis bundle JSON, and a plain-text report. Returns the
     paths written, keyed by artifact name.
     """
-    records = sweep.load_records(records_path)
+    records = sweep.read_records(records_path)
     if not records:
         raise ValueError(f"record file {records_path} is empty")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    bundle = None
-    sig = None
-    analysis_error = None
+    # the engine and the significance tests fail apart; the engine's error is named first
+    bundle = sig = None
+    errors = []
     try:
         bundle = analyze_records(records, settings)
-        sig = significance_result(records, bundle.treat, bundle.control)
     except ValueError as exc:
-        analysis_error = str(exc)
+        errors.append(str(exc))
+    try:
+        treat, control = treat_control([r.batch_size for r in usable_runs(records)], settings)
+        sig = significance_result(records, treat, control)
+    except ValueError as exc:
+        errors.append(str(exc))
 
     paths: dict[str, Path] = {}
 
@@ -281,7 +282,7 @@ def emit_report(records_path, settings: AnalysisSettings, out_dir) -> dict[str, 
         "generated_at": datetime.now(timezone.utc).isoformat(),
         "records": str(records_path),
         "n_records": len(records),
-        "analysis_error": analysis_error,
+        "analysis_error": errors[0] if errors else None,
     }
     body = render_report_body(tables, bundle, sig)
     paths["report"] = out_dir / "report.txt"

@@ -94,7 +94,8 @@ def _exact_signed_rank_p(ranks: np.ndarray, w: float) -> float:
 def wilcoxon_signed_rank(diffs) -> WilcoxonResult:
     """Two-sided Wilcoxon signed-rank test on paired differences.
 
-    Zero differences are dropped; tied magnitudes share average ranks. Up to
+    Zero differences are dropped; when none is left the result is W = 0,
+    p = 1, method ``degenerate``. Tied magnitudes share average ranks. Up to
     20 nonzero differences the p-value comes from the exact null distribution
     over every sign assignment; beyond that a normal approximation with tie
     and continuity corrections is used.
@@ -105,7 +106,7 @@ def wilcoxon_signed_rank(diffs) -> WilcoxonResult:
     d = d[d != 0.0]
     n = d.size
     if n == 0:
-        raise ValueError("all differences are zero")
+        return WilcoxonResult(w=0.0, p=1.0, method="degenerate", n=0)
     # average ranks of the magnitudes: a tie group of size c ending at
     # sorted position k (1-based) shares rank k - (c - 1) / 2
     _, inverse, tie_counts = np.unique(np.abs(d), return_inverse=True, return_counts=True)
@@ -115,9 +116,7 @@ def wilcoxon_signed_rank(diffs) -> WilcoxonResult:
         return WilcoxonResult(w=w, p=_exact_signed_rank_p(ranks, w), method="exact", n=n)
     mu = n * (n + 1) / 4.0
     var = n * (n + 1) * (2 * n + 1) / 24.0
-    var -= ((tie_counts**3 - tie_counts) / 48.0).sum()
-    if var <= 0:
-        raise ValueError("degenerate variance (all magnitudes tied)")
+    var -= ((tie_counts**3 - tie_counts) / 48.0).sum()  # under a quarter of var: it stays > 0
     centered = w - mu
     z = (centered - 0.5 * np.sign(centered)) / math.sqrt(var) if centered != 0 else 0.0
     p = float(math.erfc(abs(z) / math.sqrt(2.0)))

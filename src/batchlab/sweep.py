@@ -20,8 +20,9 @@ stack. Cells execute serially or in a process pool; when the pool has
 more workers than there are cells, cells are split by seed until no worker
 idles. Every run is a pure function of (dataset, train config), whatever
 its stack, so the record set is identical either way. A single writer
-appends each cell's records together as the cell completes, and the
-returned list is always sorted by (batch size, seed, ablation).
+appends each cell's records together as the cell completes. The plan lists
+each (batch size, seed)'s runs unablated first, then the config's ablations
+as listed; the returned list is sorted by (batch size, seed, ablation name).
 """
 
 from __future__ import annotations
@@ -75,8 +76,9 @@ def _plan_runs(config: SweepConfig, model_spec: models.ModelSpec) -> list[traini
 
 
 def plan_sweep(config: SweepConfig) -> tuple[datamod.DatasetBundle, list[training.TrainConfig]]:
-    """The dataset and every run's ``TrainConfig``, ordered by (batch size,
-    seed, ablation): all that a sweep checks before it trains.
+    """The dataset and every run's ``TrainConfig``, by batch size, then seed,
+    then the unablated run and the config's ablations as listed: all that a
+    sweep checks before it trains.
 
     ``batchlab validate`` runs this too, so it accepts exactly the configs a
     sweep can start. Each run's ``TrainConfig`` is built and checked here,
@@ -123,6 +125,13 @@ def load_records(path, quarantine: bool = False) -> list[training.RunRecord]:
     return records
 
 
+def read_records(path) -> list[training.RunRecord]:
+    """``load_records`` for the commands that only read: the file must exist."""
+    if not Path(path).exists():
+        raise ValueError(f"record file not found: {path}")
+    return load_records(path)
+
+
 def append_record(path, record: training.RunRecord) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -148,10 +157,6 @@ def _check_resumable(path, record, tc, fingerprint: str, dataset_id: str | None)
             f"{path}: record {record.run_id} was made under another config "
             f"(differs in {', '.join(fields)}); sweep into a new record file"
         )
-
-
-def _in_plan_order(records: list[training.RunRecord]) -> list[training.RunRecord]:
-    return sorted(records, key=lambda r: (r.batch_size, r.seed, r.ablation))
 
 
 def work_units(
@@ -181,7 +186,7 @@ def run_sweep(
     seeds train).
 
     Returns every record (pre-existing plus new) sorted by
-    (batch size, seed, ablation), independent of execution order. Raises
+    (batch size, seed, ablation name), independent of execution order. Raises
     ``ValueError`` before training anything when a present record of a
     planned run carries another config, or was made on other data (another
     fingerprint; for a version 1 record, another dataset id). ``workers``,
@@ -242,4 +247,5 @@ def run_sweep(
                 append_record(records_path, record)
             new_records.extend(records)
 
-    return _in_plan_order(existing + new_records)
+    # by ablation name, not in plan order
+    return sorted(existing + new_records, key=lambda r: (r.batch_size, r.seed, r.ablation))

@@ -135,6 +135,8 @@ class TrainConfig:
         models.require_reals(lr=self.lr, lambda_causal=self.lambda_causal)
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if self.lr <= 0:
@@ -512,7 +514,8 @@ def train_run(dataset: datamod.DatasetBundle, configs) -> list[RunRecord]:
     ``models.evaluate``, in calls of whole seeds within ``MAX_STACK_ROWS``
     rows; a run with no epoch is scored by the same calls.
     Under ``diffusion_beta`` the stack's noisy features come from one
-    ``diffusion_update`` per step, each seed drawing its own noise.
+    ``diffusion_update`` per step, each seed drawing its own noise, scaled by
+    its previous epoch's gradient noise, divided as the final noise is.
     """
     t_start = perf_counter()
     configs = list(configs)
@@ -583,6 +586,11 @@ def train_run(dataset: datamod.DatasetBundle, configs) -> list[RunRecord]:
             scores += zip(train.tolist(), val.tolist(), test.tolist(), accuracy.tolist())
         return scores
 
+    def update_batch(epoch: int) -> int:
+        # the batch one update averages: under no_noise_averaging, every minibatch of the epoch
+        eff = config.batch_schedule.effective(config.batch_size, epoch, n_train)
+        return eff * math.ceil(n_train / eff) if abl.kind == "no_noise_averaging" else eff
+
     def probe_noise(p: np.ndarray, x: np.ndarray, b: int) -> float:
         # gradient noise at batch size b of parameters p on the probe rows of features x
         return measures.gradient_noise(models.per_sample_gradients(spec, p, x, y_probe), b)
@@ -642,13 +650,8 @@ def train_run(dataset: datamod.DatasetBundle, configs) -> list[RunRecord]:
         final_epoch = run.best_epoch if rec.status == "early_stopped" else len(rec.lr) - 1
         if rec.status != "degenerate":
             params = run.params
-            # the batch of the measured epoch's updates: under
-            # no_noise_averaging each averaged every minibatch of the epoch
-            eff = config.batch_schedule.effective(config.batch_size, max(final_epoch, 0), n_train)
-            if abl.kind == "no_noise_averaging":
-                eff *= math.ceil(n_train / eff)
             try:
-                noise = probe_noise(params, x_probe, eff)
+                noise = probe_noise(params, x_probe, update_batch(max(final_epoch, 0)))
                 sharpness, _ = measures.sharpness_lambda_max(
                     models.hvp_operator(spec, params, x_probe, y_probe), dim=params.size
                 )
@@ -670,8 +673,6 @@ def train_run(dataset: datamod.DatasetBundle, configs) -> list[RunRecord]:
                     batch_size=config.batch_size,
                     epoch=final_epoch,
                 )
-            except measures.ComplexityDomainError as exc:
-                rec.status, rec.degenerate_reason = "degenerate", f"complexity domain: {exc}"
             except ValueError as exc:
                 rec.status, rec.degenerate_reason = "degenerate", str(exc)
         rec.wall_seconds += perf_counter() - t0
@@ -746,7 +747,7 @@ def train_run(dataset: datamod.DatasetBundle, configs) -> list[RunRecord]:
                 continue
 
             if noisy:
-                run.running_noise = probe_noise(p, x_probe, eff_b)
+                run.running_noise = probe_noise(p, x_probe, update_batch(epoch))
 
             if val_loss < run.best_val:
                 run.best_val, run.best_params, run.best_epoch = val_loss, p.copy(), epoch

@@ -13,7 +13,6 @@ from batchlab.causal import (
     BinnedRecords,
     CausalHypergraph,
     ConditionalTable,
-    GraphError,
     algorithm1_structure,
     backdoor_diagnostic,
     default_hypergraph,
@@ -145,13 +144,13 @@ class TestValidateHypergraph:
 
     # an invalid structure cannot be built
     def test_cycle_rejected(self):
-        with pytest.raises(GraphError, match="cycle"):
+        with pytest.raises(ValueError, match="cycle"):
             CausalHypergraph.from_edges(
                 (VAR_BATCH, VAR_NOISE), [((VAR_BATCH,), VAR_NOISE), ((VAR_NOISE,), VAR_BATCH)]
             )
 
     def test_double_head_rejected(self):
-        with pytest.raises(GraphError, match="two incoming"):
+        with pytest.raises(ValueError, match="two incoming"):
             CausalHypergraph.from_edges(
                 (VAR_BATCH, VAR_NOISE, VAR_SHARPNESS),
                 [
@@ -162,7 +161,7 @@ class TestValidateHypergraph:
             )
 
     def test_unknown_variable_rejected(self):
-        with pytest.raises(GraphError, match="unknown"):
+        with pytest.raises(ValueError, match="unknown"):
             CausalHypergraph.from_edges((VAR_BATCH,), [(("mystery",), VAR_BATCH)])
 
 

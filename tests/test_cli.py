@@ -422,6 +422,15 @@ class TestCli:
             main(["analyze", str(tmp_path / "records.jsonl"), "--mode", "hypergraph"])
         assert "--mode" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["validate", "analyze", "report"])
+    def test_read_only_command_on_missing_record_file_exit_1(self, tmp_path, capsys, command):
+        # only a sweep's resume reads a missing record file as empty
+        missing, out = tmp_path / "missing.jsonl", tmp_path / "report"
+        flags = ["--out", str(out)] if command == "report" else []
+        assert main([command, str(missing), *flags]) == 1
+        assert f"record file not found: {missing}" in capsys.readouterr().err
+        assert not missing.exists() and not out.exists()
+
     def test_analyze_empty_records_exit_1(self, tmp_path):
         empty = tmp_path / "records.jsonl"
         empty.write_text("")

@@ -282,19 +282,19 @@ class TestTabularGraphFiles:
     def test_dangling_endpoint_names_line(self, tmp_path):
         nodes = "id,f1,label\n0,0.1,0\n1,0.2,1\n2,0.3,0\n"
         edges = "src,dst\n0,1\n1,99\n"
-        with pytest.raises(data.GraphFileError, match=r"edges\.csv:3.*99"):
+        with pytest.raises(ValueError, match=r"edges\.csv:3.*99"):
             data.load_tabular_graph(*self.write_files(tmp_path, nodes, edges))
 
     def test_duplicate_node_id(self, tmp_path):
         nodes = "id,f1,label\n0,0.1,0\n0,0.2,1\n"
         edges = "src,dst\n"
-        with pytest.raises(data.GraphFileError, match="duplicate"):
+        with pytest.raises(ValueError, match="duplicate"):
             data.load_tabular_graph(*self.write_files(tmp_path, nodes, edges))
 
     def test_malformed_row_names_line(self, tmp_path):
         nodes = "id,f1,label\n0,0.1,0\n1,not_a_number,1\n"
         edges = "src,dst\n"
-        with pytest.raises(data.GraphFileError, match=r"nodes\.csv:3"):
+        with pytest.raises(ValueError, match=r"nodes\.csv:3"):
             data.load_tabular_graph(*self.write_files(tmp_path, nodes, edges))
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -16,6 +16,7 @@ from batchlab.analysis import (
     records_to_observations,
 )
 from batchlab.causal import VAR_BATCH, VAR_GENERALIZATION
+from batchlab.cli import main
 from batchlab.measures import Measurement
 from batchlab.training import RunRecord
 
@@ -330,6 +331,46 @@ class TestEmitReport:
         values = sig[1].split(",")
         assert float(values[header.index("welch_p")]) == 1.0
         assert float(values[header.index("wilcoxon_p")]) == 1.0
+
+    def test_binning_failure_keeps_the_significance_tests(self, tmp_path):
+        # the tied accuracies leave 3 equal-frequency bins two equal cut
+        # points, so the engine fails; the significance tests need no binning
+        records = []
+        for b, accuracies in {16: (0.5, 0.5, 0.5, 0.6), 256: (0.5, 0.5, 0.7, 0.45)}.items():
+            for seed, acc in enumerate(accuracies):
+                i = len(records)  # distinct noise and sharpness
+                records.append(synthetic_record(b, seed, acc, noise=0.01 * (i + 1), sharp=1.0 + i))
+        out = tmp_path / "out"
+        assert main(["report", str(self.write_records(tmp_path, records)), "--out", str(out)]) == 0
+        meta_line, body = (out / "report.txt").read_text().split("\n\n", 1)
+        meta = json.loads(meta_line.removeprefix("# metadata: "))
+        assert meta["analysis_error"] == "quantile cut points are not strictly increasing"
+        assert "== significance: B=16 vs B=256 ==" in body and "ATE" not in body
+        assert not (out / "analysis.json").exists() and not (out / "ate.csv").exists()
+        with (out / "significance.csv").open() as fh:
+            (row,) = csv.DictReader(fh)
+        expected = report.significance_result(records, 16, 256)
+        assert row["welch_p"] == str(expected["welch_p"]) and 0.0 < expected["welch_p"] < 1.0
+
+    @pytest.mark.parametrize(
+        "accuracies, error",
+        [
+            ((0.81, 0.82, 0.83, 0.84), "need at least 2 seeds at both B=16 and B=256"),
+            ((0.5, 0.5, 0.5, 0.6), "quantile cut points are not strictly increasing"),
+        ],
+        ids=["tests", "engine-and-tests"],
+    )
+    def test_analysis_error_names_the_engine_else_the_tests(self, tmp_path, accuracies, error):
+        # one seed at B=256 fails the tests; tied accuracies fail the engine too
+        records = [
+            synthetic_record(16, seed, acc, noise=0.01 * (seed + 1), sharp=1.0 + seed)
+            for seed, acc in enumerate(accuracies)
+        ]
+        records.append(synthetic_record(256, 0, 0.45, noise=0.5, sharp=10.0))
+        paths = report.emit_report(self.write_records(tmp_path, records), AnalysisSettings(), tmp_path / "out")
+        meta = json.loads(paths["report"].read_text().splitlines()[0].removeprefix("# metadata: "))
+        assert meta["analysis_error"] == error
+        assert ("analysis" in paths) == (error.startswith("need")) and "significance" not in paths
 
     def test_empty_record_file_rejected(self, tmp_path):
         path = tmp_path / "records.jsonl"

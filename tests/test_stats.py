@@ -103,9 +103,10 @@ class TestWelch:
 
 
 class TestWilcoxon:
-    def test_all_zero_diffs_error(self):
-        with pytest.raises(ValueError, match="zero"):
-            wilcoxon_signed_rank([0.0, 0.0])
+    def test_all_zero_diffs_degenerate(self):
+        # no nonzero difference: no evidence against the null
+        r = wilcoxon_signed_rank([0.0, 0.0])
+        assert (r.w, r.p, r.method, r.n) == (0.0, 1.0, "degenerate", 0)
 
     def test_three_positive_diffs(self):
         r = wilcoxon_signed_rank([1.0, 2.0, 3.0])

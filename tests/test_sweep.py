@@ -30,6 +30,20 @@ class TestRunSweep:
         keys = [(r.batch_size, r.seed, r.ablation) for r in records]
         assert keys == sorted(keys)
 
+    def test_plan_and_returned_orders(self, tmp_path):
+        # the plan lists each (B, seed)'s runs unablated first, then the
+        # config's ablations as listed; run_sweep sorts by ablation name
+        cfg = make_config(tmp_path, ablations=[{"kind": "sam"}, {"kind": "inject_noise"}])
+        cells = [(b, s) for b in (16, 64) for s in (0, 1)]
+        _, planned = sweep.plan_sweep(cfg)
+        assert [(tc.batch_size, tc.seed, tc.ablation.kind) for tc in planned] == [
+            (b, s, a) for b, s in cells for a in ("none", "sam", "inject_noise")
+        ]
+        records = sweep.run_sweep(cfg)
+        assert [(r.batch_size, r.seed, r.ablation) for r in records] == [
+            (b, s, a) for b, s in cells for a in ("inject_noise", "none", "sam")
+        ]
+
     def test_ablation_multiplies_grid(self, tmp_path):
         cfg = make_config(tmp_path, ablations=[{"kind": "no_noise_averaging"}])
         records = sweep.run_sweep(cfg)

@@ -603,9 +603,8 @@ class TestTrainRun:
         assert all(type(x) is float for x in rec.lr + line["lr"])
 
 
-def measured_batch(monkeypatch, bundle, cfg):
-    """The run's record, and the batch its final gradient noise is divided
-    by: the one ``gradient_noise`` call of a run that probes none in training."""
+def noise_batches(monkeypatch) -> list:
+    """Wrap ``measures.gradient_noise`` to log the batch of each call."""
     batches = []
     real = measures.gradient_noise
 
@@ -614,6 +613,13 @@ def measured_batch(monkeypatch, bundle, cfg):
         return real(grads, batch_size)
 
     monkeypatch.setattr(measures, "gradient_noise", spy)
+    return batches
+
+
+def measured_batch(monkeypatch, bundle, cfg):
+    """The run's record, and the batch its final gradient noise is divided
+    by: the one ``gradient_noise`` call of a run that probes none in training."""
+    batches = noise_batches(monkeypatch)
     rec = train_run(bundle, [cfg])[0]
     assert len(batches) == 1 and rec.final is not None
     return rec, batches[0]
@@ -656,6 +662,20 @@ class TestMeasuredBatch:
         eff = rec.effective_batch[rec.final.epoch]
         assert b == eff * math.ceil(180 / eff) == divisor
 
+    def test_noisy_graph_running_noise_under_no_noise_averaging(self, monkeypatch):
+        # the noise that scales each epoch's diffusion noise is divided by the
+        # final noise's batch: every minibatch of the epoch, 16 * ceil(72 / 16)
+        bundle = data.make_sbm_graph(120, 2, p_in=0.2, p_out=0.02, d=5, seed=3)
+        spec = ModelSpec(
+            "graph_diffusion", 5, 2, hidden_dim=6, diffusion_alpha=0.3, diffusion_beta=0.1
+        )
+        ablation = Ablation(kind="no_noise_averaging")
+        cfg = TrainConfig(model=spec, batch_size=16, epochs=3, ablation=ablation, seed=0)
+        batches = noise_batches(monkeypatch)
+        rec = train_run(bundle, [cfg])[0]
+        assert bundle.splits["train"].size == 72 and rec.effective_batch == [16] * 3
+        assert batches == [80] * 4  # one probe after each epoch, and the final one
+
     def test_batches_above_train_rows_measure_alike(self, blob_bundle):
         # B=256 and B=512 both train on the 180 rows at once, identically
         a, b = (
@@ -680,6 +700,12 @@ class TestConfigValidation:
             Ablation(kind="dropout")
         with pytest.raises(ValueError):
             BatchSchedule(kind="progressive", factor=0)
+
+    def test_negative_seed_rejected(self):
+        # a seed names the run and roots its random streams
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            quick_config(seed=-1)
+        assert quick_config(seed=0).seed == 0
 
     def test_default_sub_configs_shared(self):
         a, b = quick_config(), quick_config()
