@@ -70,8 +70,6 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_analyze(args) -> int:
     records = sweep.read_records(args.records)
-    if not records:
-        raise ValueError(f"record file {args.records} is empty")
     settings = _settings_from_args(args)
     bundle = analyze_records(records, settings)
     if args.out:

@@ -8,7 +8,10 @@ the ablations and ``causal`` are built and checked here. The dataset
 (``data.BUILDERS``), model (``models.ModelSpec``) and train
 (``training.TrainConfig``, less the fields a sweep sets per run) sections stay
 dicts of the given keys; their values are checked where a sweep builds them,
-in ``sweep.plan_sweep``.
+in ``sweep.plan_sweep``, as are the axes ``batch_sizes``, ``seeds`` and
+``ablations``, of which ``_axis`` only makes tuples: each batch size and seed
+by its runs' ``TrainConfig``, and the planned runs must be nonempty with
+distinct run ids (so no axis repeats a value and ``none`` is never listed).
 """
 
 from __future__ import annotations
@@ -106,42 +109,14 @@ def _parse_dataset(obj) -> dict:
     return dict(obj)
 
 
-def _parse_batch_sizes(value) -> tuple[int, ...]:
-    if not isinstance(value, list) or not value:
-        raise ConfigError("batch_sizes must be a nonempty list")
-    for b in value:
-        if not models.is_integer(b) or b < 1:
-            raise ConfigError(f"batch sizes must be positive integers, got {b!r}")
-    if len(set(value)) != len(value):
-        raise ConfigError("batch sizes must be distinct")
-    return tuple(value)
-
-
-def _parse_seeds(value) -> tuple[int, ...]:
-    if models.is_integer(value):
-        if value < 1:
-            raise ConfigError("seeds count must be >= 1")
+def _axis(value, where: str) -> tuple:
+    """The sweep axis ``where`` as a tuple: a JSON list, and for ``seeds`` also
+    a count n, meaning 0..n-1. ``sweep.plan_sweep`` checks the values."""
+    if where == "seeds" and models.is_integer(value):
         return tuple(range(value))
-    if not isinstance(value, list) or not value:
-        raise ConfigError("seeds must be a count or a nonempty list")
-    for s in value:
-        if not models.is_integer(s) or s < 0:
-            raise ConfigError(f"seeds must be nonnegative integers, got {s!r}")
-    if len(set(value)) != len(value):
-        raise ConfigError("seeds must be distinct")
-    return tuple(value)
-
-
-def _parse_ablations(value) -> tuple[training.Ablation, ...]:
     if not isinstance(value, list):
-        raise ConfigError("ablations must be a list")
-    out = tuple(_section(training.Ablation, obj, "ablations[]") for obj in value)
-    if any(abl.kind == "none" for abl in out):
-        raise ConfigError("ablation list must not contain 'none' (it always runs)")
-    kinds = [a.kind for a in out]
-    if len(set(kinds)) != len(kinds):
-        raise ConfigError("duplicate ablation kinds")
-    return out
+        raise ConfigError(f"{where} must be a {'count or a ' if where == 'seeds' else ''}list")
+    return tuple(value)
 
 
 def build_sweep_config(obj: dict) -> SweepConfig:
@@ -153,8 +128,8 @@ def build_sweep_config(obj: dict) -> SweepConfig:
         "config",
         dataset=_parse_dataset,
         model=lambda v: _given(models.ModelSpec, v, "model", MODEL_KEY_OF_FIELD),
-        batch_sizes=_parse_batch_sizes,
-        seeds=_parse_seeds,
+        batch_sizes=lambda v: _axis(v, "batch_sizes"),
+        seeds=lambda v: _axis(v, "seeds"),
         train=lambda v: _given(
             training.TrainConfig,
             v,
@@ -162,7 +137,9 @@ def build_sweep_config(obj: dict) -> SweepConfig:
             TRAIN_KEY_OF_FIELD,
             batch_schedule=lambda w: _section(training.BatchSchedule, w, "train.batch_schedule"),
         ),
-        ablations=_parse_ablations,
+        ablations=lambda v: tuple(
+            _section(training.Ablation, obj, "ablations[]") for obj in _axis(v, "ablations")
+        ),
         causal=lambda v: _section(analysis.AnalysisSettings, v, "causal"),
     )
 

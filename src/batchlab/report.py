@@ -139,11 +139,12 @@ def _fmt(value) -> str:
 
 def render_report_body(
     tables: dict[str, list[dict]],
-    bundle: AnalysisBundle | None,
+    bundle: AnalysisBundle | str,
     sig: dict | None,
 ) -> str:
     """The report text after its metadata line; ``tables`` holds the rows of
-    the accuracy, sharpness and timing CSVs, by name."""
+    the accuracy, sharpness and timing CSVs, by name, and ``bundle`` is the
+    causal engine's answer, or its error when it failed."""
     lines: list[str] = []
     add = lines.append
     add("== accuracy by batch size (percent, mean ± std over seeds) ==")
@@ -168,7 +169,11 @@ def render_report_body(
             f"mean={row['mean_epoch_seconds']:.4f}"
         )
     add("")
-    if bundle is not None:
+    if isinstance(bundle, str):
+        add("== causal analysis failed ==")
+        add(f"  {bundle}")
+        add("")
+    else:
         settings = bundle.settings
         add(f"== interventional distributions (bins={settings.bins}, alpha={settings.alpha}) ==")
         for mode, results in bundle.interventions.items():
@@ -213,23 +218,20 @@ def emit_report(records_path, settings: AnalysisSettings, out_dir) -> dict[str, 
     paths written, keyed by artifact name.
     """
     records = sweep.read_records(records_path)
-    if not records:
-        raise ValueError(f"record file {records_path} is empty")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     # the engine and the significance tests fail apart; the engine's error is named first
-    bundle = sig = None
-    errors = []
     try:
         bundle = analyze_records(records, settings)
     except ValueError as exc:
-        errors.append(str(exc))
+        bundle = str(exc)  # the body says why the causal sections are missing
+    sig = sig_error = None
     try:
         treat, control = treat_control([r.batch_size for r in usable_runs(records)], settings)
         sig = significance_result(records, treat, control)
     except ValueError as exc:
-        errors.append(str(exc))
+        sig_error = str(exc)
 
     paths: dict[str, Path] = {}
 
@@ -244,7 +246,7 @@ def emit_report(records_path, settings: AnalysisSettings, out_dir) -> dict[str, 
     }
     for name, rows in tables.items():
         emit_csv(name, rows)
-    if bundle is not None:
+    if isinstance(bundle, AnalysisBundle):
         emit_csv(
             "interventions",
             [
@@ -282,7 +284,7 @@ def emit_report(records_path, settings: AnalysisSettings, out_dir) -> dict[str, 
         "generated_at": datetime.now(timezone.utc).isoformat(),
         "records": str(records_path),
         "n_records": len(records),
-        "analysis_error": errors[0] if errors else None,
+        "analysis_error": bundle if isinstance(bundle, str) else sig_error,
     }
     body = render_report_body(tables, bundle, sig)
     paths["report"] = out_dir / "report.txt"

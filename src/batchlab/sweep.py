@@ -36,7 +36,7 @@ from pathlib import Path
 
 from . import data as datamod
 from . import models, training
-from .config import MODEL_KEY_OF_FIELD, SweepConfig, checked
+from .config import MODEL_KEY_OF_FIELD, ConfigError, SweepConfig, checked
 
 ENV_OUT_DIR = "BATCHLAB_OUT"
 DEFAULT_OUT_DIR = "batchlab_runs"
@@ -66,13 +66,28 @@ def _model_spec(config: SweepConfig, input_dim: int, num_classes: int) -> models
 
 
 def _plan_runs(config: SweepConfig, model_spec: models.ModelSpec) -> list[training.TrainConfig]:
+    # each TrainConfig checks its values before the sort reads them; the sort
+    # is stable, so a (batch size, seed) keeps its runs' ablation order
     ablations = (training.DEFAULT_ABLATION,) + config.ablations
-    return [
+    built = [
         checked("train", training.TrainConfig, model_spec, b, **config.train, seed=s, ablation=a)
-        for b in sorted(config.batch_sizes)
-        for s in sorted(config.seeds)
+        for b in config.batch_sizes
+        for s in config.seeds
         for a in ablations
     ]
+    planned = sorted(built, key=lambda tc: (tc.batch_size, tc.seed))
+    if not planned:
+        raise ConfigError("the sweep plans no runs: batch_sizes and seeds must be nonempty")
+    names = set()
+    for tc in planned:
+        name = training.run_id(tc)
+        if name in names:
+            raise ConfigError(
+                f"run {name} is planned twice: batch sizes, seeds and ablation kinds "
+                "must be distinct, and ablation 'none' always runs"
+            )
+        names.add(name)
+    return planned
 
 
 def plan_sweep(config: SweepConfig) -> tuple[datamod.DatasetBundle, list[training.TrainConfig]]:
@@ -82,8 +97,11 @@ def plan_sweep(config: SweepConfig) -> tuple[datamod.DatasetBundle, list[trainin
 
     ``batchlab validate`` runs this too, so it accepts exactly the configs a
     sweep can start. Each run's ``TrainConfig`` is built and checked here,
-    once. An invalid or mistyped dataset, model or train value raises
-    ``ConfigError``. The bundle carries no fingerprint; ``run_sweep`` sets
+    once. An invalid or mistyped dataset, model, train value, batch size or
+    seed raises ``ConfigError``, and so does a plan that is empty or names a
+    run twice (``training.run_id``): the one rule that keeps batch sizes,
+    seeds and ablation kinds distinct and ``none``, which always runs, out
+    of the ablations. The bundle carries no fingerprint; ``run_sweep`` sets
     the one it computed.
     """
     bundle = checked("dataset", build_dataset, config)
@@ -126,10 +144,14 @@ def load_records(path, quarantine: bool = False) -> list[training.RunRecord]:
 
 
 def read_records(path) -> list[training.RunRecord]:
-    """``load_records`` for the commands that only read: the file must exist."""
+    """``load_records`` for the commands that only read: the file must exist
+    and hold at least one record."""
     if not Path(path).exists():
         raise ValueError(f"record file not found: {path}")
-    return load_records(path)
+    records = load_records(path)
+    if not records:
+        raise ValueError(f"record file {path} is empty")
+    return records
 
 
 def append_record(path, record: training.RunRecord) -> None:

@@ -70,9 +70,14 @@ class TestCli:
             ("train", {"batch_schedule": {"kind": "progressive", "start": -4}}, "train"),
             ("train", {"epochs": 2.5}, "epochs must be an integer"),
             ("train", {"epochs": True}, "epochs must be an integer"),
-            ("batch_sizes", [True], "batch sizes must be positive integers"),
-            ("seeds", [True], "seeds must be nonnegative integers"),
-            ("seeds", True, "seeds must be a count or a nonempty list"),
+            ("batch_sizes", [True], "invalid train settings: batch_size must be an integer, got True"),
+            ("seeds", [True], "invalid train settings: seed must be an integer, got True"),
+            ("seeds", True, "seeds must be a count or a list"),
+            ("seeds", [0, 1, 0], "run b16-s0-none is planned twice"),
+            ("ablations", [{"kind": "sam"}, {"kind": "sam", "rho": 0.1}], "run b16-s0-sam is planned twice"),
+            ("seeds", 0, "the sweep plans no runs"),
+            ("batch_sizes", [], "the sweep plans no runs"),
+            ("batch_sizes", [16, "32"], "invalid train settings: batch_size must be an integer, got '32'"),
             ("train", {"batch_schedule": {"kind": "progressive", "factor": 1.5}}, "factor"),
             ("train", {"batch_schedule": {"kind": "progressive", "start": 16.5}}, "start"),
             ("dataset", dict(CONFIG["dataset"], separation=-1), "separation"),
@@ -173,6 +178,11 @@ class TestCli:
             "batch_size_bool",
             "seed_bool",
             "seed_count_bool",
+            "seed_twice",
+            "sam_twice",
+            "seed_count_zero",
+            "batch_sizes_empty",
+            "batch_size_string",
             "factor_float",
             "start_float",
             "separation",
@@ -430,6 +440,15 @@ class TestCli:
         assert main([command, str(missing), *flags]) == 1
         assert f"record file not found: {missing}" in capsys.readouterr().err
         assert not missing.exists() and not out.exists()
+
+    @pytest.mark.parametrize("command", ["validate", "analyze", "report"])
+    def test_read_only_command_on_empty_record_file_exit_1(self, tmp_path, capsys, command):
+        empty, out = tmp_path / "empty.jsonl", tmp_path / "report"
+        empty.write_text("\n")
+        flags = ["--out", str(out)] if command == "report" else []
+        assert main([command, str(empty), *flags]) == 1
+        assert capsys.readouterr().err == f"error: record file {empty} is empty\n"
+        assert not out.exists()
 
     def test_analyze_empty_records_exit_1(self, tmp_path):
         empty = tmp_path / "records.jsonl"

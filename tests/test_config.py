@@ -64,14 +64,15 @@ class TestParseConfig:
             parse_config(write_config(tmp_path, bad))
 
     def test_zero_batch_size_rejected(self, tmp_path):
-        bad = dict(MINIMAL, batch_sizes=[0, 16])
-        with pytest.raises(ConfigError, match="positive"):
-            parse_config(write_config(tmp_path, bad))
+        # the axes' values are checked where the sweep plans its runs
+        bad = parse_config(write_config(tmp_path, dict(MINIMAL, batch_sizes=[0, 16])))
+        with pytest.raises(ConfigError, match="invalid train settings: batch_size must be >= 1"):
+            plan_sweep(bad)
 
     def test_duplicate_batch_sizes_rejected(self, tmp_path):
-        bad = dict(MINIMAL, batch_sizes=[16, 16])
-        with pytest.raises(ConfigError, match="distinct"):
-            parse_config(write_config(tmp_path, bad))
+        bad = parse_config(write_config(tmp_path, dict(MINIMAL, batch_sizes=[16, 32, 16])))
+        with pytest.raises(ConfigError, match="run b16-s0-none is planned twice"):
+            plan_sweep(bad)
 
     def test_missing_required_keys(self, tmp_path):
         with pytest.raises(ConfigError, match="model"):
@@ -212,8 +213,10 @@ class TestParseConfig:
         assert cfg.seeds == (0, 1, 2, 3)
 
     def test_ablation_none_rejected(self):
-        with pytest.raises(ConfigError, match="none"):
-            build_sweep_config(dict(MINIMAL, ablations=[{"kind": "none"}]))
+        # the unablated run is always planned, so a listed 'none' repeats it
+        bad = build_sweep_config(dict(MINIMAL, ablations=[{"kind": "sam"}, {"kind": "none"}]))
+        with pytest.raises(ConfigError, match="run b16-s0-none is planned twice"):
+            plan_sweep(bad)
 
     def test_invalid_workers(self):
         with pytest.raises(ConfigError, match="workers"):

@@ -332,7 +332,7 @@ class TestEmitReport:
         assert float(values[header.index("welch_p")]) == 1.0
         assert float(values[header.index("wilcoxon_p")]) == 1.0
 
-    def test_binning_failure_keeps_the_significance_tests(self, tmp_path):
+    def binning_failure_records(self):
         # the tied accuracies leave 3 equal-frequency bins two equal cut
         # points, so the engine fails; the significance tests need no binning
         records = []
@@ -340,6 +340,10 @@ class TestEmitReport:
             for seed, acc in enumerate(accuracies):
                 i = len(records)  # distinct noise and sharpness
                 records.append(synthetic_record(b, seed, acc, noise=0.01 * (i + 1), sharp=1.0 + i))
+        return records
+
+    def test_binning_failure_keeps_the_significance_tests(self, tmp_path):
+        records = self.binning_failure_records()
         out = tmp_path / "out"
         assert main(["report", str(self.write_records(tmp_path, records)), "--out", str(out)]) == 0
         meta_line, body = (out / "report.txt").read_text().split("\n\n", 1)
@@ -351,6 +355,19 @@ class TestEmitReport:
             (row,) = csv.DictReader(fh)
         expected = report.significance_result(records, 16, 256)
         assert row["welch_p"] == str(expected["welch_p"]) and 0.0 < expected["welch_p"] < 1.0
+
+    def test_failed_engine_section_replaces_the_causal_sections(self, tmp_path):
+        path = self.write_records(tmp_path, self.binning_failure_records())
+        paths = report.emit_report(path, AnalysisSettings(), tmp_path / "out")
+        blocks = paths["report"].read_text().rstrip("\n").split("\n\n")[1:]
+        assert [block.splitlines()[0] for block in blocks] == [
+            "== accuracy by batch size (percent, mean ± std over seeds) ==",
+            "== sharpness (top Hessian eigenvalue) by batch size ==",
+            "== time per epoch (seconds) ==",
+            "== causal analysis failed ==",
+            "== significance: B=16 vs B=256 ==",
+        ]
+        assert blocks[3] == "== causal analysis failed ==\n  quantile cut points are not strictly increasing"
 
     @pytest.mark.parametrize(
         "accuracies, error",

@@ -44,6 +44,20 @@ class TestRunSweep:
             (b, s, a) for b, s in cells for a in ("inject_noise", "none", "sam")
         ]
 
+    def test_plan_order_does_not_depend_on_the_axes_order(self, tmp_path):
+        ablations = [{"kind": "sam"}, {"kind": "inject_noise"}]
+        _, planned = sweep.plan_sweep(make_config(tmp_path, ablations=ablations))
+        shuffled = make_config(tmp_path, batch_sizes=[64, 16], seeds=[1, 0], ablations=ablations)
+        assert sweep.plan_sweep(shuffled)[1] == planned
+
+    def test_resume_checks_the_distinct_runs_rule(self, tmp_path):
+        # a finished resume plans from a record's dims without building the
+        # dataset, and still rejects a run planned twice
+        sweep.run_sweep(make_config(tmp_path))
+        twice = make_config(tmp_path, batch_sizes=[16, 64, 16])
+        with pytest.raises(ConfigError, match="run b16-s0-none is planned twice"):
+            sweep.run_sweep(twice)
+
     def test_ablation_multiplies_grid(self, tmp_path):
         cfg = make_config(tmp_path, ablations=[{"kind": "no_noise_averaging"}])
         records = sweep.run_sweep(cfg)
