@@ -71,6 +71,8 @@ def treat_control(batch_sizes, settings: AnalysisSettings) -> tuple[int, int]:
     """The (treat, control) that the engine and the significance tests compare: the
     settings' levels, else the smallest and largest observed ``batch_sizes``."""
     levels = sorted(set(batch_sizes))
+    if not levels:
+        raise ValueError("no usable observations (completed, unablated runs)")
     treat = settings.treat if settings.treat is not None else min(levels)
     control = settings.control if settings.control is not None else max(levels)
     for name, level in (("treat", treat), ("control", control)):
@@ -94,7 +96,7 @@ class AnalysisBundle:
     settings: AnalysisSettings
     treat: int
     control: int
-    scheme: causal.DiscretizationScheme
+    scheme: dict[str, causal.ContinuousBinning | causal.DiscreteBinning]
     tables: dict[str, list[causal.ConditionalTable]]  # per engine mode
     interventions: dict[str, list[causal.InterventionResult]]  # per engine mode
     ate: dict[str, float]  # per engine mode
@@ -104,7 +106,9 @@ class AnalysisBundle:
     def save(self, path) -> None:
         """Write the bundle as ``analysis.json``: its fields, in order, are the
         top-level keys, and each nested result is written by its own ``to_dict``."""
-        Path(path).write_text(json.dumps(vars(self), indent=2, default=lambda o: o.to_dict()))
+        path = Path(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(vars(self), indent=2, default=lambda o: o.to_dict()))
 
 
 def analyze_observations(observations: dict, settings: AnalysisSettings) -> AnalysisBundle:
@@ -116,26 +120,18 @@ def analyze_observations(observations: dict, settings: AnalysisSettings) -> Anal
     binned at their distinct-value count (a constant column becomes a single
     bin), so degenerate sweeps still analyze cleanly.
     """
-    n_observations = len(observations[causal.VAR_BATCH])
-    if not n_observations:
-        raise ValueError("no usable observations (completed, unablated runs)")
+    treat, control = treat_control(observations[causal.VAR_BATCH].tolist(), settings)
     discrete = {name for name, (_, levels) in VARIABLES.items() if levels}
     scheme, binned = causal.discretize_records(observations, settings.bins, discrete)
 
-    tables = {
-        mode: causal.fit_cpts(graph, binned, alpha=settings.alpha)
-        for mode, graph in STRUCTURES.items()
-    }
-
-    levels = scheme.bins[causal.VAR_BATCH].levels
-    treat, control = treat_control(levels, settings)
-
+    tables: dict[str, list[causal.ConditionalTable]] = {}
     interventions: dict[str, list[causal.InterventionResult]] = {}
     ate_by_mode: dict[str, float] = {}
     for mode, graph in STRUCTURES.items():
+        tables[mode] = causal.fit_cpts(graph, scheme, binned, alpha=settings.alpha)
         interventions[mode] = [
-            causal.interventional_distribution(graph, tables[mode], b, scheme, mode=mode)
-            for b in levels
+            causal.interventional_distribution(tables[mode], b, scheme, mode)
+            for b in scheme[causal.VAR_BATCH].levels
         ]
         expected = {res.b: res.expected for res in interventions[mode]}
         ate_by_mode[mode] = expected[treat] - expected[control]
@@ -148,8 +144,8 @@ def analyze_observations(observations: dict, settings: AnalysisSettings) -> Anal
         tables=tables,
         interventions=interventions,
         ate=ate_by_mode,
-        backdoor=causal.backdoor_diagnostic(binned),
-        n_observations=n_observations,
+        backdoor=causal.backdoor_diagnostic(scheme, binned),
+        n_observations=len(observations[causal.VAR_BATCH]),
     )
 
 

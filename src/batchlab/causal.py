@@ -4,10 +4,13 @@ A causal hypergraph maps tail variable sets to single head variables; fitting
 one smoothed conditional probability table per hyperedge turns observed run
 records into a discrete structural model. Interventions on the batch-size
 variable are answered by truncated factorization (summing the product of the
-remaining factors over every mediator bin). A query names a batch-size level
-of the fitted discretization scheme, and its expected outcome weights the
-scheme's generalization representatives; the average treatment effect is the
-difference of the expected outcomes of two such answers.
+remaining factors over every mediator bin). After fitting, the engine is two
+things: the discretization scheme, a dict from each variable to its binning,
+and the table list, which is its own structure (each table names its head
+and tails). A query names a batch-size level of the scheme, and its expected
+outcome weights the scheme's generalization representatives; the average
+treatment effect is the difference of the expected outcomes of two such
+answers.
 """
 
 from __future__ import annotations
@@ -126,6 +129,13 @@ class ContinuousBinning:
         # side="left": a value equal to a cut point goes to the lower bin
         return np.searchsorted(np.asarray(self.cuts), values, side="left").astype(np.int64)
 
+    def to_dict(self) -> dict:
+        return {
+            "kind": "continuous",
+            "cuts": list(self.cuts),
+            "representatives": list(self.representatives),
+        }
+
 
 @dataclass(frozen=True)
 class DiscreteBinning:
@@ -139,31 +149,8 @@ class DiscreteBinning:
         index = {v: i for i, v in enumerate(self.levels)}
         return np.asarray([index[v] for v in values], dtype=np.int64)
 
-
-@dataclass(frozen=True)
-class DiscretizationScheme:
-    bins: dict[str, ContinuousBinning | DiscreteBinning]
-
     def to_dict(self) -> dict:
-        out = {}
-        for var, b in self.bins.items():
-            if isinstance(b, DiscreteBinning):
-                out[var] = {"kind": "discrete", "levels": list(b.levels)}
-            else:
-                out[var] = {
-                    "kind": "continuous",
-                    "cuts": list(b.cuts),
-                    "representatives": list(b.representatives),
-                }
-        return out
-
-
-@dataclass
-class BinnedRecords:
-    """Each variable's bin index per record (``columns``) and bin count (``k``)."""
-
-    columns: dict[str, np.ndarray]
-    k: dict[str, int]
+        return {"kind": "discrete", "levels": list(self.levels)}
 
 
 def _equal_frequency_binning(values: np.ndarray, k: int) -> ContinuousBinning:
@@ -191,20 +178,22 @@ def _equal_frequency_binning(values: np.ndarray, k: int) -> ContinuousBinning:
     return ContinuousBinning(cuts=binning.cuts, representatives=tuple(reps))
 
 
-def discretize_records(columns, k: int, discrete) -> tuple[DiscretizationScheme, BinnedRecords]:
+def discretize_records(columns, k: int, discrete) -> tuple[dict, dict[str, np.ndarray]]:
     """Bin each column of a nonempty observation table (``columns``, one value
     per record): a variable in ``discrete`` keeps its sorted unique values as
     its levels, and every other one gets at most ``k`` equal-frequency bins,
-    whose representatives are within-bin means of the fitting records."""
-    bins: dict[str, ContinuousBinning | DiscreteBinning] = {}
+    whose representatives are within-bin means of the fitting records.
+
+    Returns the scheme (each variable's binning) and the binned table (each
+    variable's bin index per record).
+    """
+    scheme: dict[str, ContinuousBinning | DiscreteBinning] = {}
     for var in sorted(columns):
         if var in discrete:
-            bins[var] = DiscreteBinning(levels=tuple(sorted(set(columns[var].tolist()))))
+            scheme[var] = DiscreteBinning(levels=tuple(sorted(set(columns[var].tolist()))))
         else:
-            bins[var] = _equal_frequency_binning(columns[var], k)
-    binned = {var: binning.assign(columns[var]) for var, binning in bins.items()}
-    k_map = {var: binning.k for var, binning in bins.items()}
-    return DiscretizationScheme(bins=bins), BinnedRecords(columns=binned, k=k_map)
+            scheme[var] = _equal_frequency_binning(columns[var], k)
+    return scheme, {var: binning.assign(columns[var]) for var, binning in scheme.items()}
 
 
 # -- conditional probability tables ----------------------------------------------
@@ -229,17 +218,18 @@ class ConditionalTable:
         }
 
 
-def fit_cpts(h: CausalHypergraph, binned: BinnedRecords, alpha: float) -> list[ConditionalTable]:
-    """One Laplace-smoothed table per hyperedge:
+def fit_cpts(h: CausalHypergraph, scheme, binned, alpha: float) -> list[ConditionalTable]:
+    """One Laplace-smoothed table per hyperedge of ``h``, over the bins of
+    ``scheme`` and the bin indices of ``binned`` (``discretize_records``):
     P(head | tail) = (count + alpha) / (row_total + alpha * k_head),
     uniform where that denominator is 0 (a row never observed, alpha = 0).
     """
     tables = []
     for edge in h.hyperedges:
-        k_head = binned.k[edge.head]
-        shape = tuple(binned.k[t] for t in edge.tails) + (k_head,)
+        k_head = scheme[edge.head].k
+        shape = tuple(scheme[t].k for t in edge.tails) + (k_head,)
         counts = np.zeros(shape, dtype=np.float64)
-        idx = tuple(binned.columns[t] for t in edge.tails) + (binned.columns[edge.head],)
+        idx = tuple(binned[t] for t in edge.tails) + (binned[edge.head],)
         np.add.at(counts, idx, 1.0)
         denom = counts.sum(axis=-1, keepdims=True) + alpha * k_head
         seen = denom > 0
@@ -267,47 +257,45 @@ class InterventionResult:
         }
 
 
-def interventional_distribution(
-    h: CausalHypergraph,
-    tables,
-    b,
-    scheme: DiscretizationScheme,
-    mode: str = MODE_HYPERGRAPH,
-) -> InterventionResult:
+def interventional_distribution(tables, b, scheme, mode: str) -> InterventionResult:
     """Generalization distribution under do(batch size = b), by truncated
     factorization, with ``b`` a batch-size level of the fitted ``scheme``.
 
-    Every hyperedge of ``h`` except the one into the batch size contributes
-    its table as one factor, with the batch-size axis fixed at the bin of
-    ``b``; a single ``np.einsum`` sums the product over every other variable
-    and the result is normalized. A variable with no incoming hyperedge
-    (other than the batch size) has no factor and is summed out of the tables
-    that condition on it. The expected outcome weights the scheme's
-    generalization representatives. ``mode`` only labels the result with the
-    name of the factor set.
+    The tables are the structure: their edges must form a causal hypergraph
+    (one table per head, no cycle) with a table into generalization. Every
+    table except one into the batch size is one factor, with the batch-size
+    axis fixed at the bin of ``b``; a single ``np.einsum`` sums the product
+    over every other variable and the result is normalized. A variable that
+    heads no table (other than the batch size) has no factor and is summed
+    out of the tables that condition on it. The expected outcome weights the
+    scheme's generalization representatives. ``mode`` only labels the result
+    with the name of the factor set.
     """
-    levels = scheme.bins[VAR_BATCH].levels
+    levels = scheme[VAR_BATCH].levels
     if b not in levels:
         raise ValueError(f"unknown intervention level {b!r}; known levels {list(levels)}")
     b_index = levels.index(b)
 
-    by_head = {t.head: t for t in tables}
-    axis = {v: i for i, v in enumerate(h.variables)}
+    axis: dict[str, int] = {}  # einsum labels, by first appearance over the tables
+    for table in tables:
+        for v in table.tails + (table.head,):
+            axis.setdefault(v, len(axis))
+    # the tables' edges must be a hypergraph: one table per head, no cycle
+    CausalHypergraph.from_edges(axis, [(t.tails, t.head) for t in tables])
+    if VAR_GENERALIZATION not in {t.head for t in tables}:
+        raise ValueError(f"no table heads {VAR_GENERALIZATION!r}")
     operands = []
-    for edge in h.hyperedges:
-        if edge.head == VAR_BATCH:
+    for table in tables:
+        if table.head == VAR_BATCH:
             continue
-        table = by_head.get(edge.head)
-        if table is None or table.tails != edge.tails:
-            raise ValueError(f"missing table for variable {edge.head!r} given {edge.tails}")
         probs = table.probs
-        if VAR_BATCH in edge.tails:
-            probs = probs.take(b_index, axis=edge.tails.index(VAR_BATCH))
-        tails = [axis[v] for v in edge.tails if v != VAR_BATCH]
-        operands += [probs, tails + [axis[edge.head]]]
+        if VAR_BATCH in table.tails:
+            probs = probs.take(b_index, axis=table.tails.index(VAR_BATCH))
+        tails = [axis[v] for v in table.tails if v != VAR_BATCH]
+        operands += [probs, tails + [axis[table.head]]]
     dist = np.einsum(*operands, [axis[VAR_GENERALIZATION]])
     dist = dist / dist.sum()
-    reps = np.asarray(scheme.bins[VAR_GENERALIZATION].representatives, dtype=np.float64)
+    reps = np.asarray(scheme[VAR_GENERALIZATION].representatives, dtype=np.float64)
     return InterventionResult(b=b, mode=mode, distribution=dist, expected=float(dist @ reps))
 
 
@@ -343,7 +331,7 @@ def pearson_chi_square(table: np.ndarray) -> tuple[float, int]:
     return stat, (r - 1) * (c - 1)
 
 
-def backdoor_diagnostic(binned: BinnedRecords) -> list[StratumDiagnostic]:
+def backdoor_diagnostic(scheme, binned) -> list[StratumDiagnostic]:
     """Per-stratum chi-square tests of generalization-batch size independence.
 
     Diagnostic only: checks the conditional independence the back-door
@@ -354,16 +342,16 @@ def backdoor_diagnostic(binned: BinnedRecords) -> list[StratumDiagnostic]:
     from scipy.special import chdtrc
 
     results = []
-    strata = binned.columns[VAR_COMPLEXITY]
-    for s in range(binned.k[VAR_COMPLEXITY]):
+    strata = binned[VAR_COMPLEXITY]
+    for s in range(scheme[VAR_COMPLEXITY].k):
         mask = strata == s
         n = int(mask.sum())
         if n < MIN_STRATUM_RECORDS:
             reason = f"fewer than {MIN_STRATUM_RECORDS} records"
             results.append(StratumDiagnostic(s, n, None, None, None, True, reason))
             continue
-        table = np.zeros((binned.k[VAR_GENERALIZATION], binned.k[VAR_BATCH]))
-        outcome, treatment = binned.columns[VAR_GENERALIZATION], binned.columns[VAR_BATCH]
+        table = np.zeros((scheme[VAR_GENERALIZATION].k, scheme[VAR_BATCH].k))
+        outcome, treatment = binned[VAR_GENERALIZATION], binned[VAR_BATCH]
         np.add.at(table, (outcome[mask], treatment[mask]), 1.0)
         try:
             stat, dof = pearson_chi_square(table)

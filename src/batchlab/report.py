@@ -140,11 +140,12 @@ def _fmt(value) -> str:
 def render_report_body(
     tables: dict[str, list[dict]],
     bundle: AnalysisBundle | str,
-    sig: dict | None,
+    sig: dict | str,
 ) -> str:
     """The report text after its metadata line; ``tables`` holds the rows of
-    the accuracy, sharpness and timing CSVs, by name, and ``bundle`` is the
-    causal engine's answer, or its error when it failed."""
+    the accuracy, sharpness and timing CSVs, by name, ``bundle`` is the
+    causal engine's answer and ``sig`` the significance tests' result, each
+    its error when it failed."""
     lines: list[str] = []
     add = lines.append
     add("== accuracy by batch size (percent, mean ± std over seeds) ==")
@@ -195,7 +196,11 @@ def render_report_body(
                     f"dof={row.dof} p={row.p_value:.4g}"
                 )
         add("")
-    if sig is not None:
+    if isinstance(sig, str):
+        add("== significance tests failed ==")
+        add(f"  {sig}")
+        add("")
+    else:
         add(f"== significance: B={sig['treat']} vs B={sig['control']} ==")
         add(
             f"  mean diff = {sig['mean_diff'] * 100:+.2f} points "
@@ -226,12 +231,11 @@ def emit_report(records_path, settings: AnalysisSettings, out_dir) -> dict[str, 
         bundle = analyze_records(records, settings)
     except ValueError as exc:
         bundle = str(exc)  # the body says why the causal sections are missing
-    sig = sig_error = None
     try:
         treat, control = treat_control([r.batch_size for r in usable_runs(records)], settings)
         sig = significance_result(records, treat, control)
     except ValueError as exc:
-        sig_error = str(exc)
+        sig = str(exc)
 
     paths: dict[str, Path] = {}
 
@@ -277,14 +281,14 @@ def emit_report(records_path, settings: AnalysisSettings, out_dir) -> dict[str, 
         emit_csv("backdoor", [row.to_dict() for row in bundle.backdoor])
         paths["analysis"] = out_dir / "analysis.json"
         bundle.save(paths["analysis"])
-    if sig is not None:
+    if isinstance(sig, dict):
         emit_csv("significance", [sig])
 
     meta = {
         "generated_at": datetime.now(timezone.utc).isoformat(),
         "records": str(records_path),
         "n_records": len(records),
-        "analysis_error": bundle if isinstance(bundle, str) else sig_error,
+        "analysis_error": bundle if isinstance(bundle, str) else sig if isinstance(sig, str) else None,
     }
     body = render_report_body(tables, bundle, sig)
     paths["report"] = out_dir / "report.txt"

@@ -7,20 +7,24 @@ from pathlib import Path
 from batchlab import causal, data
 
 
-def index_scheme(k_b: int, k_g: int) -> causal.DiscretizationScheme:
+def index_scheme(k_b: int, k_g: int) -> dict:
     """The scheme whose batch-size levels are the bin indices ``0..k_b-1`` and
     whose generalization representatives are ``0..k_g-1``. On it, hand-built
     tables are queried by bin index, and a query's expected outcome is the
     mean of its outcome bin index."""
-    return causal.DiscretizationScheme(
-        bins={
-            causal.VAR_BATCH: causal.DiscreteBinning(levels=tuple(range(k_b))),
-            causal.VAR_GENERALIZATION: causal.ContinuousBinning(
-                cuts=tuple(g + 0.5 for g in range(k_g - 1)),
-                representatives=tuple(float(g) for g in range(k_g)),
-            ),
-        }
-    )
+    return {
+        causal.VAR_BATCH: causal.DiscreteBinning(levels=tuple(range(k_b))),
+        causal.VAR_GENERALIZATION: causal.ContinuousBinning(
+            cuts=tuple(g + 0.5 for g in range(k_g - 1)),
+            representatives=tuple(float(g) for g in range(k_g)),
+        ),
+    }
+
+
+def levels_scheme(k: dict[str, int]) -> dict:
+    """The scheme whose levels of each variable ``v`` are its bin indices
+    ``0..k[v]-1``: a table of bin indices is fitted on it as it stands."""
+    return {v: causal.DiscreteBinning(levels=tuple(range(n))) for v, n in k.items()}
 
 
 def as_version_1(path) -> None:

@@ -19,7 +19,7 @@ from batchlab.config import build_sweep_config
 from batchlab.measures import gradient_noise, sharpness_lambda_max
 from batchlab.report import render_report_body, significance_result
 from batchlab.stats import welch_t_test, wilcoxon_signed_rank
-from helpers import index_scheme
+from helpers import index_scheme, levels_scheme
 
 
 def verdict(criterion: str, ok: bool, detail: str) -> None:
@@ -119,9 +119,7 @@ def test_criterion_3_do_calculus_exactness():
         for mode in STRUCTURES:
             tables = _random_tables(rng, mode)
             b_idx = trial % 2
-            res = causal.interventional_distribution(
-                STRUCTURES[mode], tables, b_idx, index_scheme(2, 3), mode=mode
-            )
+            res = causal.interventional_distribution(tables, b_idx, index_scheme(2, 3), mode)
             oracle = _enumeration_oracle(tables, b_idx, mode)
             worst = max(worst, 0.5 * np.abs(res.distribution - oracle).sum())
     ok = worst <= 1e-12
@@ -150,23 +148,14 @@ def test_criterion_4_scm_recovery():
     cols[causal.VAR_SHARPNESS] = draw(causal.VAR_SHARPNESS)
     cols[causal.VAR_COMPLEXITY] = draw(causal.VAR_COMPLEXITY)
     cols[causal.VAR_GENERALIZATION] = draw(causal.VAR_GENERALIZATION)
-    binned = causal.BinnedRecords(
-        columns=cols,
-        k={
-            causal.VAR_BATCH: 2,
-            causal.VAR_NOISE: k,
-            causal.VAR_SHARPNESS: k,
-            causal.VAR_COMPLEXITY: k,
-            causal.VAR_GENERALIZATION: k,
-        },
-    )
-    graph = causal.default_hypergraph()
-    fitted = causal.fit_cpts(graph, binned, alpha=1.0)
+    mediators = (causal.VAR_NOISE, causal.VAR_SHARPNESS, causal.VAR_COMPLEXITY)
+    scheme = {**levels_scheme(dict.fromkeys(mediators, k)), **index_scheme(2, k)}
+    fitted = causal.fit_cpts(causal.default_hypergraph(), scheme, cols, alpha=1.0)
     worst_tv = 0.0
     expectations = {}
     analytic_expectations = {}
     for b in (0, 1):
-        est = causal.interventional_distribution(graph, fitted, b, index_scheme(2, k))
+        est = causal.interventional_distribution(fitted, b, scheme, "hypergraph")
         analytic = _enumeration_oracle(truth, b, "hypergraph")
         worst_tv = max(worst_tv, 0.5 * np.abs(est.distribution - analytic).sum())
         expectations[b] = est.expected
@@ -326,7 +315,9 @@ def test_criterion_9_point_value_arithmetic(sweep_records):
     settings = AnalysisSettings(treat=16, control=256)
     bundle = analyze_records(sweep_records, settings)
     lines = render_report_body(
-        {"accuracy": [], "sharpness": [], "timing": []}, bundle, None
+        {"accuracy": [], "sharpness": [], "timing": []},
+        bundle,
+        significance_result(sweep_records, 16, 256),
     ).splitlines()
     checks = []
     for mode, results in bundle.interventions.items():

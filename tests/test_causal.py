@@ -10,7 +10,6 @@ from batchlab.causal import (
     VAR_GENERALIZATION,
     VAR_NOISE,
     VAR_SHARPNESS,
-    BinnedRecords,
     CausalHypergraph,
     ConditionalTable,
     algorithm1_structure,
@@ -22,7 +21,7 @@ from batchlab.causal import (
     pearson_chi_square,
     validate_hypergraph,
 )
-from helpers import index_scheme
+from helpers import index_scheme, levels_scheme
 
 
 def pairwise_hypergraph():
@@ -178,59 +177,59 @@ class TestDiscretize:
     def test_exact_tertiles(self):
         scheme, binned = discretize(range(1, 10), k=3)
         expected = [0, 0, 0, 1, 1, 1, 2, 2, 2]
-        np.testing.assert_array_equal(binned.columns["x"], expected)
+        np.testing.assert_array_equal(binned["x"], expected)
 
     def test_constant_column_gets_one_bin(self):
         scheme, binned = discretize([1.0] * 10, k=3)
-        assert scheme.bins["x"] == causal.ContinuousBinning(cuts=(), representatives=(1.0,))
-        assert binned.k["x"] == 1
-        np.testing.assert_array_equal(binned.columns["x"], np.zeros(10))
+        assert scheme["x"] == causal.ContinuousBinning(cuts=(), representatives=(1.0,))
+        assert scheme["x"].k == 1
+        np.testing.assert_array_equal(binned["x"], np.zeros(10))
 
     def test_bins_clamped_to_distinct_values(self):
-        scheme, binned = discretize([v % 2 for v in range(12)], k=3)
-        assert binned.k["x"] == 2
-        assert scheme.bins["x"].representatives == (0.0, 1.0)
+        scheme, _ = discretize([v % 2 for v in range(12)], k=3)
+        assert scheme["x"].k == 2
+        assert scheme["x"].representatives == (0.0, 1.0)
 
     def test_quantile_occupancy(self):
         rng = np.random.default_rng(0)
         values = rng.standard_normal(100)
         scheme, binned = discretize(values, k=4)
-        counts = np.bincount(binned.columns["x"], minlength=4)
+        counts = np.bincount(binned["x"], minlength=4)
         assert all(abs(c - 25) <= 1 for c in counts)
         # independent quantile check by sorting
         xs = np.sort(values)
-        cuts = scheme.bins["x"].cuts
+        cuts = scheme["x"].cuts
         assert xs[24] <= cuts[0] <= xs[25]
 
     def test_tie_goes_to_lower_bin(self):
         scheme, binned = discretize([1.0, 2.0, 3.0, 4.0], k=2)
-        cut = scheme.bins["x"].cuts[0]
+        cut = scheme["x"].cuts[0]
         # the median of 1..4 is 2.5; a record exactly at a cut goes low
         _, binned2 = discretize([1.0, cut, 3.0, 4.0], k=2)
-        assert binned2.columns["x"][1] == 0
+        assert binned2["x"][1] == 0
 
     def test_representatives_are_bin_means(self):
         scheme, _ = discretize(range(1, 10), k=3)
-        assert scheme.bins["x"].representatives == (2.0, 5.0, 8.0)
+        assert scheme["x"].representatives == (2.0, 5.0, 8.0)
 
     def test_batch_treated_as_discrete_levels(self):
         scheme, binned = discretize(range(6), k=2, batch=[16, 512, 16, 512, 64, 16])
-        assert scheme.bins[VAR_BATCH].levels == (16, 64, 512)
-        np.testing.assert_array_equal(binned.columns[VAR_BATCH], [0, 2, 0, 2, 1, 0])
+        assert scheme[VAR_BATCH].levels == (16, 64, 512)
+        np.testing.assert_array_equal(binned[VAR_BATCH], [0, 2, 0, 2, 1, 0])
 
     def test_discrete_set_alone_decides_levels(self):
         # any variable of the discrete set keeps its levels, and a batch-size
         # column outside it is binned like any other
         columns = {"x": np.array([3, 1, 3, 2]), VAR_BATCH: np.array([16.0, 64.0, 256.0, 512.0])}
         scheme, binned = discretize_records(columns, 2, {"x"})
-        assert scheme.bins["x"] == causal.DiscreteBinning(levels=(1, 2, 3))
-        np.testing.assert_array_equal(binned.columns["x"], [2, 0, 2, 1])
-        assert isinstance(scheme.bins[VAR_BATCH], causal.ContinuousBinning)
-        np.testing.assert_array_equal(binned.columns[VAR_BATCH], [0, 0, 1, 1])
+        assert scheme["x"] == causal.DiscreteBinning(levels=(1, 2, 3))
+        np.testing.assert_array_equal(binned["x"], [2, 0, 2, 1])
+        assert isinstance(scheme[VAR_BATCH], causal.ContinuousBinning)
+        np.testing.assert_array_equal(binned[VAR_BATCH], [0, 0, 1, 1])
 
     def test_scheme_dict_lists_cuts_and_levels(self):
         scheme, _ = discretize(range(12), k=3, batch=[16, 512] * 6)
-        out = scheme.to_dict()
+        out = {var: binning.to_dict() for var, binning in scheme.items()}
         assert out[VAR_BATCH] == {"kind": "discrete", "levels": [16, 512]}
         assert out["x"]["kind"] == "continuous"
         # tertiles of 0..11; bins {0..3}, {4..7}, {8..11}
@@ -239,40 +238,37 @@ class TestDiscretize:
 
 
 class TestFitCpts:
-    def binned_from_columns(self, **cols):
+    def scheme_and_columns(self, **cols):
+        """Bin-index columns, each on as many levels as its largest index needs."""
         k = {name: int(np.max(v)) + 1 for name, v in cols.items()}
-        return BinnedRecords(columns={n: np.asarray(v) for n, v in cols.items()}, k=k)
+        return levels_scheme(k), {n: np.asarray(v) for n, v in cols.items()}
 
     def chain_graph(self):
         return CausalHypergraph.from_edges(("a", "b"), [(("a",), "b")])
 
     def test_laplace_smoothing_direct_formula(self):
-        binned = BinnedRecords(
-            columns={"a": np.zeros(2, dtype=int), "b": np.zeros(2, dtype=int)},
-            k={"a": 1, "b": 2},
-        )
-        (table,) = fit_cpts(self.chain_graph(), binned, alpha=1.0)
+        scheme = levels_scheme({"a": 1, "b": 2})
+        binned = {"a": np.zeros(2, dtype=int), "b": np.zeros(2, dtype=int)}
+        (table,) = fit_cpts(self.chain_graph(), scheme, binned, alpha=1.0)
         np.testing.assert_allclose(table.probs[0], [0.75, 0.25])
 
     def test_unsmoothed_counts(self):
-        binned = self.binned_from_columns(a=[0, 0, 0, 0], b=[0, 0, 0, 1])
-        (table,) = fit_cpts(self.chain_graph(), binned, alpha=0.0)
+        scheme, binned = self.scheme_and_columns(a=[0, 0, 0, 0], b=[0, 0, 0, 1])
+        (table,) = fit_cpts(self.chain_graph(), scheme, binned, alpha=0.0)
         np.testing.assert_allclose(table.probs[0], [0.75, 0.25])
 
     def test_unseen_rows_uniform(self):
-        binned = BinnedRecords(
-            columns={"a": np.zeros(3, dtype=int), "b": np.array([0, 1, 0])},
-            k={"a": 2, "b": 2},
-        )
-        (table,) = fit_cpts(self.chain_graph(), binned, alpha=1.0)
+        scheme = levels_scheme({"a": 2, "b": 2})
+        binned = {"a": np.zeros(3, dtype=int), "b": np.array([0, 1, 0])}
+        (table,) = fit_cpts(self.chain_graph(), scheme, binned, alpha=1.0)
         np.testing.assert_allclose(table.probs[1], [0.5, 0.5])
-        (table0,) = fit_cpts(self.chain_graph(), binned, alpha=0.0)
+        (table0,) = fit_cpts(self.chain_graph(), scheme, binned, alpha=0.0)
         np.testing.assert_allclose(table0.probs[1], [0.5, 0.5])
 
     def test_rows_sum_to_one_and_positive(self):
         rng = np.random.default_rng(1)
         n = 200
-        binned = self.binned_from_columns(
+        scheme, binned = self.scheme_and_columns(
             **{
                 VAR_BATCH: rng.integers(0, 2, n),
                 VAR_NOISE: rng.integers(0, 3, n),
@@ -281,7 +277,7 @@ class TestFitCpts:
                 VAR_GENERALIZATION: rng.integers(0, 3, n),
             }
         )
-        for table in fit_cpts(default_hypergraph(), binned, alpha=1.0):
+        for table in fit_cpts(default_hypergraph(), scheme, binned, alpha=1.0):
             sums = table.probs.sum(axis=-1)
             np.testing.assert_allclose(sums, 1.0, atol=1e-12)
             assert (table.probs > 0).all()
@@ -296,8 +292,8 @@ class TestFitCpts:
             VAR_COMPLEXITY: rng.integers(0, 3, n),
             VAR_GENERALIZATION: rng.integers(0, 3, n),
         }
-        binned = self.binned_from_columns(**cols)
-        tables = {t.head: t for t in fit_cpts(default_hypergraph(), binned, alpha=1.0)}
+        scheme, binned = self.scheme_and_columns(**cols)
+        tables = {t.head: t for t in fit_cpts(default_hypergraph(), scheme, binned, alpha=1.0)}
         # brute-force counting for the joint-tail table
         table = tables[VAR_COMPLEXITY]
         for nn in range(3):
@@ -330,7 +326,7 @@ class TestInterventionalDistribution:
             ),
             point(VAR_GENERALIZATION, (VAR_COMPLEXITY,), (2,), 2, {(0,): 0, (1,): 1}),
         ]
-        res = interventional_distribution(default_hypergraph(), tables, 0, index_scheme(2, 2))
+        res = interventional_distribution(tables, 0, index_scheme(2, 2), "hypergraph")
         np.testing.assert_allclose(res.distribution, [0.0, 1.0], atol=1e-15)
 
     def test_uniform_tables_give_uniform_outcome(self):
@@ -346,7 +342,7 @@ class TestInterventionalDistribution:
             ),
             ConditionalTable(VAR_GENERALIZATION, (VAR_COMPLEXITY,), np.full((k, k), 1 / k), 0),
         ]
-        res = interventional_distribution(default_hypergraph(), uniform, 1, index_scheme(2, k))
+        res = interventional_distribution(uniform, 1, index_scheme(2, k), "hypergraph")
         np.testing.assert_allclose(res.distribution, np.full(k, 1 / k), atol=1e-15)
 
     @pytest.mark.parametrize("mode", list(ORACLE_CASES))
@@ -358,9 +354,7 @@ class TestInterventionalDistribution:
             oracles = [joint_enumeration_oracle(structure(), tables, trial % 2)]
             if hand_oracle is not None:
                 oracles.append(hand_oracle(tables, trial % 2))
-            res = interventional_distribution(
-                structure(), tables, trial % 2, index_scheme(2, 3), mode=mode
-            )
+            res = interventional_distribution(tables, trial % 2, index_scheme(2, 3), mode)
             for oracle in oracles:
                 tv = 0.5 * np.abs(res.distribution - oracle).sum()
                 assert tv <= 1e-12
@@ -374,54 +368,56 @@ class TestInterventionalDistribution:
             random_table(rng, VAR_COMPLEXITY, (VAR_NOISE,), (3,), 3),
             random_table(rng, VAR_GENERALIZATION, (VAR_COMPLEXITY,), (3,), 3),
         ]
-        res = interventional_distribution(pairwise_hypergraph(), tables, 0, index_scheme(2, 3))
+        res = interventional_distribution(tables, 0, index_scheme(2, 3), "pairwise")
         assert res.distribution.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_unknown_level_rejected(self):
         rng = np.random.default_rng(12)
         tables = random_hypergraph_tables(rng)
         with pytest.raises(ValueError, match="unknown intervention level"):
-            interventional_distribution(default_hypergraph(), tables, 7, index_scheme(2, 3))
+            interventional_distribution(tables, 7, index_scheme(2, 3), "hypergraph")
 
     def test_missing_table_rejected(self):
+        # without the table into generalization the tables have no outcome
         rng = np.random.default_rng(13)
         tables = random_hypergraph_tables(rng)[:-1]
-        with pytest.raises(ValueError, match="missing table"):
-            interventional_distribution(default_hypergraph(), tables, 0, index_scheme(2, 3))
+        with pytest.raises(ValueError, match="no table heads 'generalization'"):
+            interventional_distribution(tables, 0, index_scheme(2, 3), "hypergraph")
 
     @pytest.mark.parametrize(
-        "structure,make_tables",
+        "head, tails, error",
         [
-            (default_hypergraph, random_algorithm1_tables),  # no complexity table
-            (algorithm1_structure, random_hypergraph_tables),  # outcome tails differ
-            (pairwise_hypergraph, random_hypergraph_tables),  # complexity tails differ
+            (VAR_COMPLEXITY, (VAR_BATCH,), "two incoming"),  # a second complexity table
+            (VAR_BATCH, (VAR_GENERALIZATION,), "cycle"),  # the outcome drives the batch size
         ],
+        ids=["two-heads", "cycle"],
     )
-    def test_tables_of_another_structure_rejected(self, structure, make_tables):
-        tables = make_tables(np.random.default_rng(16))
-        with pytest.raises(ValueError, match="missing table"):
-            interventional_distribution(structure(), tables, 0, index_scheme(2, 3))
+    def test_table_set_that_is_no_structure_rejected(self, head, tails, error):
+        # the tables are the structure: one table per head, and no cycle
+        rng = np.random.default_rng(16)
+        k = {VAR_BATCH: 2, VAR_NOISE: 3, VAR_COMPLEXITY: 3, VAR_GENERALIZATION: 3}
+        extra = random_table(rng, head, tails, [k[t] for t in tails], k[head])
+        tables = random_hypergraph_tables(rng) + [extra]
+        with pytest.raises(ValueError, match=error):
+            interventional_distribution(tables, 0, index_scheme(2, 3), "hypergraph")
 
     def test_level_resolution_through_scheme(self):
         rng = np.random.default_rng(14)
         tables = random_hypergraph_tables(rng)
         by_index = index_scheme(2, 3)
-        scheme = causal.DiscretizationScheme(
-            bins=dict(by_index.bins, **{VAR_BATCH: causal.DiscreteBinning(levels=(16, 512))})
-        )
-        at_index = interventional_distribution(default_hypergraph(), tables, 1, by_index)
-        at_level = interventional_distribution(default_hypergraph(), tables, 512, scheme)
+        scheme = {**by_index, VAR_BATCH: causal.DiscreteBinning(levels=(16, 512))}
+        at_index = interventional_distribution(tables, 1, by_index, "hypergraph")
+        at_level = interventional_distribution(tables, 512, scheme, "hypergraph")
         np.testing.assert_array_equal(at_index.distribution, at_level.distribution)
         assert at_index.expected == at_level.expected
         with pytest.raises(ValueError, match="unknown intervention level"):
-            interventional_distribution(default_hypergraph(), tables, 64, scheme)
+            interventional_distribution(tables, 64, scheme, "hypergraph")
 
 
 def ate(tables, b_treat, b_control, scheme):
-    """E[outcome | do(b_treat)] - E[outcome | do(b_control)] on the default structure."""
+    """E[outcome | do(b_treat)] - E[outcome | do(b_control)]."""
     treat, control = (
-        interventional_distribution(default_hypergraph(), tables, b, scheme)
-        for b in (b_treat, b_control)
+        interventional_distribution(tables, b, scheme, "hypergraph") for b in (b_treat, b_control)
     )
     return treat.expected - control.expected
 
@@ -446,14 +442,12 @@ class TestAte:
             ),
             ConditionalTable(VAR_GENERALIZATION, (VAR_COMPLEXITY,), np.eye(k), 0),
         ]
-        scheme = causal.DiscretizationScheme(
-            bins={
-                VAR_BATCH: causal.DiscreteBinning(levels=(16, 512)),
-                VAR_GENERALIZATION: causal.ContinuousBinning(
-                    cuts=(82.0,), representatives=(83.9, 80.5)
-                ),
-            }
-        )
+        scheme = {
+            VAR_BATCH: causal.DiscreteBinning(levels=(16, 512)),
+            VAR_GENERALIZATION: causal.ContinuousBinning(
+                cuts=(82.0,), representatives=(83.9, 80.5)
+            ),
+        }
         value = ate(tables, 16, 512, scheme)
         assert value == pytest.approx(3.4, abs=1e-12)
 
@@ -469,25 +463,22 @@ class TestAte:
 
 class TestBackdoorDiagnostic:
     def make_binned(self, b, g, c):
-        return BinnedRecords(
-            columns={
-                VAR_BATCH: np.asarray(b),
-                VAR_GENERALIZATION: np.asarray(g),
-                VAR_COMPLEXITY: np.asarray(c),
-            },
-            k={
-                VAR_BATCH: int(np.max(b)) + 1,
-                VAR_GENERALIZATION: int(np.max(g)) + 1,
-                VAR_COMPLEXITY: int(np.max(c)) + 1,
-            },
-        )
+        """The scheme and the bin-index columns of batch size ``b``, outcome
+        ``g`` and complexity ``c``, each on as many levels as its largest
+        index needs."""
+        cols = {
+            VAR_BATCH: np.asarray(b),
+            VAR_GENERALIZATION: np.asarray(g),
+            VAR_COMPLEXITY: np.asarray(c),
+        }
+        return levels_scheme({v: int(x.max()) + 1 for v, x in cols.items()}), cols
 
     def test_hand_evaluated_chi_square(self):
         # single stratum with counts [[10, 0], [0, 10]]
         b = [0] * 10 + [1] * 10
         g = [0] * 10 + [1] * 10
         c = [0] * 20
-        rows = backdoor_diagnostic(self.make_binned(b, g, c))
+        rows = backdoor_diagnostic(*self.make_binned(b, g, c))
         assert len(rows) == 1
         assert rows[0].chi_square == pytest.approx(20.0, abs=1e-12)
         assert rows[0].dof == 1
@@ -499,7 +490,7 @@ class TestBackdoorDiagnostic:
         c = rng.integers(0, 3, n)
         g = (c + rng.integers(0, 2, n)) % 3  # depends on C only
         b = rng.integers(0, 2, n)  # independent treatment
-        rows = backdoor_diagnostic(self.make_binned(b, g, c))
+        rows = backdoor_diagnostic(*self.make_binned(b, g, c))
         rejections = [r for r in rows if not r.skipped and r.p_value < 0.01]
         assert len(rejections) == 0
 
@@ -509,14 +500,14 @@ class TestBackdoorDiagnostic:
         b = rng.integers(0, 2, n)
         g = b.copy()  # outcome a function of treatment
         c = rng.integers(0, 2, n)
-        rows = backdoor_diagnostic(self.make_binned(b, g, c))
+        rows = backdoor_diagnostic(*self.make_binned(b, g, c))
         assert any((not r.skipped) and r.p_value < 0.01 for r in rows)
 
     def test_sparse_strata_skipped_and_reported(self):
         b = [0, 1, 0, 1, 0, 1]
         g = [0, 1, 0, 1, 0, 1]
         c = [0, 0, 0, 0, 0, 1]  # stratum 1 has a single record
-        rows = backdoor_diagnostic(self.make_binned(b, g, c))
+        rows = backdoor_diagnostic(*self.make_binned(b, g, c))
         assert rows[1].skipped and "fewer than" in rows[1].reason
 
     def test_chi_square_oracle_formula(self):
@@ -527,6 +518,9 @@ class TestBackdoorDiagnostic:
         oracle = ((table - expected) ** 2 / expected).sum()
         assert stat == pytest.approx(oracle, rel=1e-12)
         assert dof == 1
+
+
+MEDIATORS = (VAR_NOISE, VAR_SHARPNESS, VAR_COMPLEXITY)
 
 
 class TestScmRecovery:
@@ -551,19 +545,10 @@ class TestScmRecovery:
         rng = np.random.default_rng(20)
         truth = random_hypergraph_tables(rng, concentrate=0.3)
         cols = self.sample_scm(rng, 30_000, truth)
-        binned = BinnedRecords(
-            columns=cols,
-            k={
-                VAR_BATCH: 2,
-                VAR_NOISE: 3,
-                VAR_SHARPNESS: 3,
-                VAR_COMPLEXITY: 3,
-                VAR_GENERALIZATION: 3,
-            },
-        )
-        fitted = fit_cpts(default_hypergraph(), binned, alpha=1.0)
+        scheme = {**levels_scheme(dict.fromkeys(MEDIATORS, 3)), **index_scheme(2, 3)}
+        fitted = fit_cpts(default_hypergraph(), scheme, cols, alpha=1.0)
         for b in (0, 1):
-            est = interventional_distribution(default_hypergraph(), fitted, b, index_scheme(2, 3))
+            est = interventional_distribution(fitted, b, scheme, "hypergraph")
             analytic = hypergraph_oracle(truth, b)
             tv = 0.5 * np.abs(est.distribution - analytic).sum()
             assert tv <= 0.03
@@ -590,24 +575,14 @@ class TestScmRecovery:
             random_table(rng, VAR_GENERALIZATION, (VAR_COMPLEXITY,), (k,), k, concentrate=0.3),
         ]
         cols = self.sample_scm(rng, 20_000, truth)
-        binned = BinnedRecords(
-            columns=cols,
-            k={
-                VAR_BATCH: 2,
-                VAR_NOISE: k,
-                VAR_SHARPNESS: k,
-                VAR_COMPLEXITY: k,
-                VAR_GENERALIZATION: k,
-            },
-        )
-        fitted_hyper = fit_cpts(default_hypergraph(), binned, alpha=0.0)
-        fitted_pair = fit_cpts(pairwise_hypergraph(), binned, alpha=0.0)
+        scheme = {**levels_scheme(dict.fromkeys(MEDIATORS, k)), **index_scheme(2, k)}
+        fitted_hyper = fit_cpts(default_hypergraph(), scheme, cols, alpha=0.0)
+        fitted_pair = fit_cpts(pairwise_hypergraph(), scheme, cols, alpha=0.0)
         errs = {"hyper": 0.0, "pair": 0.0}
-        scheme = index_scheme(2, k)
         for b in (0, 1):
             analytic = hypergraph_oracle(truth, b, k=k) @ np.arange(k)
-            e_hyper = interventional_distribution(default_hypergraph(), fitted_hyper, b, scheme).expected
-            e_pair = interventional_distribution(pairwise_hypergraph(), fitted_pair, b, scheme).expected
+            e_hyper = interventional_distribution(fitted_hyper, b, scheme, "hypergraph").expected
+            e_pair = interventional_distribution(fitted_pair, b, scheme, "pairwise").expected
             errs["hyper"] += abs(e_hyper - analytic)
             errs["pair"] += abs(e_pair - analytic)
         assert errs["hyper"] <= errs["pair"] + 1e-12

@@ -321,22 +321,12 @@ class TestCli:
         assert len(records.read_text().splitlines()) == 4
 
         assert main(["validate", str(records)]) == 0
+        # analyze --out makes the directories it writes into
+        bundle = tmp_path / "new" / "dir" / "analysis.json"
         assert (
-            main(
-                [
-                    "analyze",
-                    str(records),
-                    "--treat",
-                    "16",
-                    "--control",
-                    "64",
-                    "--out",
-                    str(tmp_path / "analysis.json"),
-                ]
-            )
+            main(["analyze", str(records), "--treat", "16", "--control", "64", "--out", str(bundle)])
             == 0
         )
-        assert (tmp_path / "analysis.json").exists()
         out = capsys.readouterr().out
         assert "ate" in out
 
@@ -357,6 +347,7 @@ class TestCli:
         )
         assert (tmp_path / "report" / "report.txt").exists()
         assert (tmp_path / "report" / "accuracy.csv").exists()
+        assert bundle.read_bytes() == (tmp_path / "report" / "analysis.json").read_bytes()
 
     def test_stale_resume_exit_1(self, config_path, tmp_path, capsys):
         assert main(["sweep", str(config_path)]) == 0

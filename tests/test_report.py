@@ -131,7 +131,7 @@ class TestAnalysis:
         monkeypatch.setattr(analysis, "STRUCTURES", structures)
         bundle = analyze_observations(records_to_observations(records), settings)
 
-        assert bundle.scheme.bins["gen_gap"].k == 3
+        assert bundle.scheme["gen_gap"].k == 3
         gaps = np.array([r.final.gen_gap for r in records])
         batch = np.array([r.batch_size for r in records])
         cuts = np.quantile(gaps, [1 / 3, 2 / 3])
@@ -168,7 +168,7 @@ class TestAnalysis:
                 # and a fresh query of the fitted tables gives the same floats
                 fresh = {
                     b: causal.interventional_distribution(
-                        STRUCTURES[mode], bundle.tables[mode], b, scheme=bundle.scheme
+                        bundle.tables[mode], b, bundle.scheme, mode
                     ).expected
                     for b in (treat, control)
                 }
@@ -192,7 +192,7 @@ class TestAnalysis:
                 records.append(synthetic_record(b, seed, 0.8))
         bundle = analyze_records(records, AnalysisSettings(treat=16, control=256))
         assert bundle.ate["hypergraph"] == pytest.approx(0.0, abs=1e-12)
-        assert bundle.scheme.bins[VAR_GENERALIZATION].k == 1
+        assert bundle.scheme[VAR_GENERALIZATION].k == 1
 
     def test_saved_bundle_is_its_json_dict(self, tmp_path):
         records = synthetic_sweep_records()
@@ -206,7 +206,7 @@ class TestAnalysis:
             "settings": bundle.settings.to_dict(),
             "treat": bundle.treat,
             "control": bundle.control,
-            "scheme": bundle.scheme.to_dict(),
+            "scheme": {var: binning.to_dict() for var, binning in bundle.scheme.items()},
             "tables": {m: [t.to_dict() for t in ts] for m, ts in bundle.tables.items()},
             "interventions": {
                 m: [r.to_dict() for r in rs] for m, rs in bundle.interventions.items()
@@ -385,9 +385,25 @@ class TestEmitReport:
         ]
         records.append(synthetic_record(256, 0, 0.45, noise=0.5, sharp=10.0))
         paths = report.emit_report(self.write_records(tmp_path, records), AnalysisSettings(), tmp_path / "out")
-        meta = json.loads(paths["report"].read_text().splitlines()[0].removeprefix("# metadata: "))
+        meta_line, body = paths["report"].read_text().split("\n\n", 1)
+        meta = json.loads(meta_line.removeprefix("# metadata: "))
         assert meta["analysis_error"] == error
         assert ("analysis" in paths) == (error.startswith("need")) and "significance" not in paths
+        # the body names each failure in its own section
+        blocks = body.rstrip("\n").split("\n\n")
+        tests_error = "need at least 2 seeds at both B=16 and B=256"
+        assert blocks[-1] == f"== significance tests failed ==\n  {tests_error}"
+        assert (f"== causal analysis failed ==\n  {error}" in blocks) == (error != tests_error)
+
+    def test_only_ablated_runs_name_no_usable_observations_twice(self, tmp_path):
+        records = [synthetic_record(b, s, 0.8, ablation="sam") for b in (16, 256) for s in range(2)]
+        paths = report.emit_report(self.write_records(tmp_path, records), AnalysisSettings(), tmp_path / "out")
+        error = "no usable observations (completed, unablated runs)"
+        blocks = paths["report"].read_text().rstrip("\n").split("\n\n")[-2:]
+        assert blocks == [
+            f"== causal analysis failed ==\n  {error}",
+            f"== significance tests failed ==\n  {error}",
+        ]
 
     def test_empty_record_file_rejected(self, tmp_path):
         path = tmp_path / "records.jsonl"
