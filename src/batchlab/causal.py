@@ -169,8 +169,6 @@ def _equal_frequency_binning(values: np.ndarray, k: int) -> ContinuousBinning:
         members = values[assigned == b]
         if members.size:
             reps.append(float(members.mean()))
-        elif b == 0:
-            reps.append(float(values.min()))
         elif b == k - 1:
             reps.append(float(values.max()))
         else:

@@ -20,9 +20,9 @@ and ``np.matmul`` runs the same per-matrix routine on a stack as on one
 matrix. A row's product can depend on how many rows its matrix has (BLAS
 takes a row remainder with another kernel), so rows that a caller evaluates
 apart, such as the train, val and test splits, stay apart. The probe kernels
-(``per_sample_gradients``, ``hvp_operator``) take one parameter vector: a
-seed's per-sample gradients alone fill hundreds of kilobytes, and a stack of
-them runs slower than one call per seed.
+(``per_sample_gradients``, ``hvp_operator``) take one parameter vector: a stack
+of per-sample gradients runs slower than one call per seed for the hidden-layer
+models, and on logistic, where a stack is faster, the probes cost too little.
 
 The kernels trust their inputs: data are validated once, by
 ``data.DatasetBundle`` and ``training.check_model_fits``, never per call. A

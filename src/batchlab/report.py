@@ -129,12 +129,8 @@ def _write_csv(path: Path, rows: list[dict]) -> None:
         writer.writerows(rows)
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return "-"
-    if isinstance(value, float):
-        return f"{value:.6g}"
-    return str(value)
+def _fmt(value: float | None) -> str:
+    return "-" if value is None else f"{value:.6g}"
 
 
 def render_report_body(

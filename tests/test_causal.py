@@ -163,6 +163,10 @@ class TestValidateHypergraph:
         with pytest.raises(ValueError, match="unknown"):
             CausalHypergraph.from_edges((VAR_BATCH,), [(("mystery",), VAR_BATCH)])
 
+    def test_self_loop_rejected(self):
+        with pytest.raises(ValueError, match=f"^self-loop on '{VAR_NOISE}'$"):
+            causal.Hyperedge((VAR_BATCH, VAR_NOISE), VAR_NOISE)
+
 
 def discretize(x, k, batch=16):
     """``discretize_records`` of a continuous column ``x`` beside a batch-size
@@ -211,6 +215,33 @@ class TestDiscretize:
     def test_representatives_are_bin_means(self):
         scheme, _ = discretize(range(1, 10), k=3)
         assert scheme["x"].representatives == (2.0, 5.0, 8.0)
+
+    def test_first_bin_holds_the_minimum(self):
+        # the first cut is a quantile, at least the minimum, and a tie goes low
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            x = rng.integers(0, 5, rng.integers(2, 30))
+            for k in (2, 3, 5):
+                try:
+                    _, binned = discretize(x, k)
+                except ValueError as exc:  # tied cuts leave no binning
+                    assert str(exc) == "quantile cut points are not strictly increasing"
+                    continue
+                assert binned["x"][np.argmin(x)] == 0
+
+    def test_empty_top_bin_takes_the_maximum(self):
+        # cuts (2.67, 3): every 3 sits on the top cut and goes low
+        scheme, binned = discretize([1, 2, 3, 3, 3, 3], k=3)
+        assert scheme["x"].cuts == pytest.approx((8 / 3, 3.0), rel=1e-15)
+        np.testing.assert_array_equal(np.bincount(binned["x"], minlength=3), [2, 4, 0])
+        assert scheme["x"].representatives == (1.5, 3.0, 3.0)
+
+    def test_empty_middle_bin_takes_its_cuts_midpoint(self):
+        # 5 bins clamp to the 3 distinct values; cuts (3, 3.67): the 3s go low
+        scheme, binned = discretize([4, 1, 3, 4, 3, 4, 3, 3], k=5)
+        assert scheme["x"].cuts == pytest.approx((3.0, 11 / 3), rel=1e-15)
+        np.testing.assert_array_equal(np.bincount(binned["x"], minlength=3), [5, 0, 3])
+        assert scheme["x"].representatives == pytest.approx((2.6, 10 / 3, 4.0), rel=1e-15)
 
     def test_batch_treated_as_discrete_levels(self):
         scheme, binned = discretize(range(6), k=2, batch=[16, 512, 16, 512, 64, 16])
@@ -400,6 +431,25 @@ class TestInterventionalDistribution:
         tables = random_hypergraph_tables(rng) + [extra]
         with pytest.raises(ValueError, match=error):
             interventional_distribution(tables, 0, index_scheme(2, 3), "hypergraph")
+
+    def test_table_into_batch_size_is_no_factor(self):
+        # do(B) cuts every edge into B: a fitted prior on B changes no answer
+        rng = np.random.default_rng(17)
+        n = 60
+        binned = {v: rng.integers(0, 3, n) for v in causal.DEFAULT_VARIABLES}
+        binned[VAR_BATCH] = rng.integers(0, 2, n)
+        mediators = levels_scheme({VAR_NOISE: 3, VAR_SHARPNESS: 3, VAR_COMPLEXITY: 3})
+        scheme = {**mediators, **index_scheme(2, 3)}
+        edges = [(e.tails, e.head) for e in default_hypergraph().hyperedges]
+        tables = fit_cpts(default_hypergraph(), scheme, binned, alpha=1.0)
+        with_prior = CausalHypergraph.from_edges(causal.DEFAULT_VARIABLES, [((), VAR_BATCH)] + edges)
+        prior_tables = fit_cpts(with_prior, scheme, binned, alpha=1.0)
+        assert prior_tables[0].head == VAR_BATCH and prior_tables[0].probs.shape == (2,)
+        for b in (0, 1):
+            plain = interventional_distribution(tables, b, scheme, "hypergraph")
+            primed = interventional_distribution(prior_tables, b, scheme, "hypergraph")
+            np.testing.assert_array_equal(primed.distribution, plain.distribution)
+            assert primed.expected == plain.expected
 
     def test_level_resolution_through_scheme(self):
         rng = np.random.default_rng(14)

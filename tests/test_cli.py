@@ -1,5 +1,6 @@
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -348,6 +349,24 @@ class TestCli:
         assert (tmp_path / "report" / "report.txt").exists()
         assert (tmp_path / "report" / "accuracy.csv").exists()
         assert bundle.read_bytes() == (tmp_path / "report" / "analysis.json").read_bytes()
+
+    def test_report_out_naming_a_file_is_a_runtime_failure(self, config_path, tmp_path, capsys):
+        # an error that is no ValueError exits 2
+        assert main(["sweep", str(config_path)]) == 0
+        records = tmp_path / "out" / "records.jsonl"
+        capsys.readouterr()
+        assert main(["report", str(records), "--out", str(records)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime failure: ") and f"File exists: '{records}'" in err
+
+    def test_module_run_as_a_script_exits_with_mains_code(self, tmp_path, monkeypatch, capsys):
+        missing = tmp_path / "missing.jsonl"
+        monkeypatch.setattr(sys, "argv", ["batchlab", "validate", str(missing)])
+        monkeypatch.delitem(sys.modules, "batchlab.cli")  # run afresh, as ``python -m``
+        with pytest.raises(SystemExit) as exit_info:
+            runpy.run_module("batchlab.cli", run_name="__main__")
+        assert exit_info.value.code == 1
+        assert capsys.readouterr().err == f"error: record file not found: {missing}\n"
 
     def test_stale_resume_exit_1(self, config_path, tmp_path, capsys):
         assert main(["sweep", str(config_path)]) == 0

@@ -218,6 +218,21 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="run b16-s0-none is planned twice"):
             plan_sweep(bad)
 
+    def test_sections_that_are_not_objects_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="^config root must be an object$"):
+            parse_config(write_config(tmp_path, [MINIMAL]))
+        with pytest.raises(ConfigError, match="^dataset must be an object$"):
+            build_sweep_config(dict(MINIMAL, dataset=["blobs"]))
+
+    @pytest.mark.parametrize(
+        "causal, message",
+        [({"bins": 0}, "bins must be >= 1"), ({"alpha": -1}, "alpha must be >= 0")],
+        ids=["bins_0", "alpha_negative"],
+    )
+    def test_causal_values_checked(self, causal, message):
+        with pytest.raises(ConfigError, match=f"^invalid causal settings: {message}$"):
+            build_sweep_config(dict(MINIMAL, causal=causal))
+
     def test_invalid_workers(self):
         with pytest.raises(ConfigError, match="workers"):
             build_sweep_config(dict(MINIMAL, workers=0))

@@ -36,6 +36,10 @@ class TestSplit:
         with pytest.raises(ValueError):
             data.split(10, (0.8, 0.2, 0.2), seed=0)
 
+    def test_zero_fraction_rejected(self):
+        with pytest.raises(ValueError, match="^fractions must be positive$"):
+            data.split(10, (0.8, 0.0, 0.2), seed=0)
+
 
 class TestDatasetArguments:
     @pytest.mark.parametrize(
@@ -105,6 +109,15 @@ class TestBlobs:
         acc = (np.argmin(d2, axis=1) == bundle.labels).mean()
         assert acc >= 0.99
 
+    def test_more_classes_than_features_get_seeded_unit_directions(self):
+        # 5 classes in 2 dimensions cannot be axis-aligned: each center is a
+        # random unit direction, scaled like the axis-aligned ones
+        a, b, other = (data.make_blobs(2000, 2, 5, separation=6.0, seed=s) for s in (3, 3, 4))
+        assert a.features.tobytes() == b.features.tobytes()
+        assert not np.array_equal(a.features, other.features)
+        centers = np.stack([a.features[a.labels == c].mean(axis=0) for c in range(5)])
+        np.testing.assert_allclose(np.linalg.norm(centers, axis=1), 6.0 / np.sqrt(2.0), atol=0.3)
+
     def test_invalid_ranges(self):
         with pytest.raises(ValueError):
             data.make_blobs(10, 4, 3, separation=0.0)
@@ -146,6 +159,10 @@ class TestSbm:
     def test_invalid_probabilities(self):
         with pytest.raises(ValueError):
             data.make_sbm_graph(30, 2, p_in=0.1, p_out=0.2, d=3)
+
+    def test_fewer_nodes_than_classes_rejected(self):
+        with pytest.raises(ValueError, match="^need n >= num_classes >= 2$"):
+            data.make_sbm_graph(2, 3, p_in=0.2, p_out=0.02, d=3)
 
 
 def all_train(n):
@@ -307,6 +324,48 @@ class TestTabularGraphFiles:
         nodes = "id,f1,label\n0,0.1,0\n1,0.2,1\n2,0.3,-1\n"
         with pytest.raises(ValueError, match="negative label in row 2"):
             data.load_tabular_graph(*self.write_files(tmp_path, nodes, "src,dst\n0,1\n"))
+
+    GOOD_NODES = "id,f1,label\n0,0.1,0\n1,0.2,1\n"
+    GOOD_EDGES = "src,dst\n0,1\n"
+
+    BAD_HEADER = "nodes.csv: header must be id,<features...>,label"
+
+    @pytest.mark.parametrize(
+        "nodes, edges, message",
+        [
+            ("node,f1,label\n0,0.1,0\n", GOOD_EDGES, BAD_HEADER),
+            ("id,label\n0,0\n", GOOD_EDGES, BAD_HEADER),
+            ("", GOOD_EDGES, BAD_HEADER),
+            ("id,f1,label\n0,0.1,0\n1,0.2\n", GOOD_EDGES, "nodes.csv:3: expected 3 fields, got 2"),
+            ("id,f1,label\n", GOOD_EDGES, "nodes.csv: no node rows"),
+            ("id,f1,label\n0,0.1,0\n2,0.2,1\n", GOOD_EDGES, "nodes.csv: node ids must cover 0..1"),
+            (GOOD_NODES, "dst,src\n0,1\n", "edges.csv: header must be src,dst"),
+            (GOOD_NODES, "", "edges.csv: header must be src,dst"),
+            (GOOD_NODES, "src,dst\n0,1\n1,0,1\n", "edges.csv:3: expected 2 fields, got 3"),
+            (
+                GOOD_NODES,
+                "src,dst\n0,1\n0,x\n",
+                "edges.csv:3: invalid literal for int() with base 10: 'x'",
+            ),
+        ],
+        ids=[
+            "nodes_header_first",
+            "nodes_header_no_feature",
+            "nodes_empty",
+            "node_row_width",
+            "header_only_nodes",
+            "node_ids_skip",
+            "edges_header",
+            "edges_empty",
+            "edge_row_width",
+            "edge_endpoint_not_integer",
+        ],
+    )
+    def test_malformed_csv_names_file_and_line(self, tmp_path, nodes, edges, message):
+        nodes_path, edges_path = self.write_files(tmp_path, nodes, edges)
+        with pytest.raises(ValueError) as excinfo:
+            data.load_tabular_graph(nodes_path, edges_path)
+        assert str(excinfo.value) == f"{tmp_path}/{message}"
 
     def test_round_trip(self, tmp_path):
         bundle = data.make_sbm_graph(40, 2, p_in=0.3, p_out=0.1, d=3, seed=12)

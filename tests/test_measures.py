@@ -29,6 +29,11 @@ class TestGradientNoise:
             2.0, abs=1e-12
         )
 
+    def test_non_finite_sample_rejected(self):
+        grads = np.array([[1.0, 2.0], [np.inf, 0.0], [3.0, 1.0]])
+        with pytest.raises(ValueError, match="^non-finite gradient samples$"):
+            gradient_noise(grads, 2)
+
     def test_matches_covariance_trace_oracle(self):
         rng = np.random.default_rng(7)
         grads = rng.standard_normal((50, 4))

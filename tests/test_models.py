@@ -322,6 +322,18 @@ class TestParamLayout:
         ModelSpec("graph_diffusion", 4, 3, **{"hidden_dim": 4, **unread})
         ModelSpec(kind, 4, 3, **hidden, **{key: getattr(ModelSpec, key) for key in unread})
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("mlp1", 0, 3, 4), "input_dim must be >= 1"),
+            (("graph_diffusion", 4, 3, 4, 0.0, 0.0, -1), "diffusion_steps must be >= 0"),
+        ],
+        ids=["input_dim_0", "diffusion_steps_negative"],
+    )
+    def test_spec_ranges(self, args, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ModelSpec(*args)
+
     def test_diffusion_noise_needs_a_step(self):
         with pytest.raises(ValueError, match="diffusion_beta needs diffusion_steps >= 1"):
             ModelSpec("graph_diffusion", 4, 3, 4, diffusion_beta=0.1, diffusion_steps=0)

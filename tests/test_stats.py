@@ -108,6 +108,10 @@ class TestWilcoxon:
         r = wilcoxon_signed_rank([0.0, 0.0])
         assert (r.w, r.p, r.method, r.n) == (0.0, 1.0, "degenerate", 0)
 
+    def test_nan_difference_rejected(self):
+        with pytest.raises(ValueError, match="^non-finite differences$"):
+            wilcoxon_signed_rank([1.0, float("nan"), -2.0])
+
     def test_three_positive_diffs(self):
         r = wilcoxon_signed_rank([1.0, 2.0, 3.0])
         assert r.w == 6.0

@@ -701,6 +701,20 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             BatchSchedule(kind="progressive", factor=0)
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Ablation(kind="sam", rho=-0.1), "rho must be >= 0"),
+            (lambda: Ablation(kind="l1l2", l1=-1.0), "l1/l2 must be >= 0"),
+            (lambda: BatchSchedule(kind="cyclic"), "unknown batch schedule 'cyclic'"),
+            (lambda: quick_config(lambda_causal=-0.1), "lambda_causal must be >= 0"),
+        ],
+        ids=["sam_rho", "l1l2_l1", "batch_schedule_kind", "lambda_causal"],
+    )
+    def test_invalid_settings_named(self, build, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
+
     def test_negative_seed_rejected(self):
         # a seed names the run and roots its random streams
         with pytest.raises(ValueError, match="seed must be >= 0"):
