@@ -68,7 +68,14 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+def _check_out(out, directory: bool) -> None:
+    """Reject an existing ``--out`` of the wrong kind, before any record is read."""
+    if out and Path(out).exists() and Path(out).is_dir() != directory:
+        raise ValueError(f"--out {out} {'is not' if directory else 'is'} a directory")
+
+
 def _cmd_analyze(args) -> int:
+    _check_out(args.out, directory=False)
     records = sweep.read_records(args.records)
     settings = _settings_from_args(args)
     bundle = analyze_records(records, settings)
@@ -87,6 +94,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_report(args) -> int:
     settings = _settings_from_args(args)
+    _check_out(args.out, directory=True)
     paths = emit_report(args.records, settings, args.out)
     for name, path in sorted(paths.items()):
         print(f"{name}: {path}")

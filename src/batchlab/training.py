@@ -7,7 +7,8 @@ and each update is one call of the stack-aware kernels (``models``; a few
 calls of at most ``MAX_STACK_ROWS`` rows under ``no_noise_averaging`` on a
 large dataset). Each seed keeps its own RNG streams (initialization,
 shuffling, noise), its early stop, its best-parameters restore and its
-divergence exit; a seed that stops or diverges leaves the stack, and the
+divergence exit; a seed that stops or diverges leaves the stack at the end
+of that epoch, its remaining updates running in rows of its own, and the
 others go on. Each epoch evaluates the whole active stack in one call per
 split, and a noisy graph model diffuses the stack's features in one call per
 step; the gradient-noise probes and the final measurement of gradient noise,
@@ -200,7 +201,7 @@ def adam_step(
     operations are those of ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2)
     g g`` and ``params - lr m_hat / (sqrt(v_hat) + eps)``, in that order. A
     non-finite gradient makes the parameters non-finite, which the training
-    loop's divergence check catches."""
+    loop finds at the end of the epoch."""
     m, v = moments
     m *= ADAM_BETA1
     m += (1.0 - ADAM_BETA1) * grad
@@ -498,16 +499,19 @@ def train_run(dataset: datamod.DatasetBundle, configs) -> list[RunRecord]:
     ``wall_seconds`` the seed's share of the cell's time. A run is marked
     degenerate when the parameters or the loss leave the finite range or the
     final sharpness/noise leave the complexity domain; degenerate records
-    carry no final measurement. The final gradient noise is divided by the
-    batch of the measured epoch's updates: its ``effective_batch`` (epoch
-    0's if none ran), times the ``ceil(n_train / eff)`` minibatches that
-    ``no_noise_averaging`` averages per update; ``batch_size`` and the
-    scaled learning rate keep the configured B. The model spec is checked
-    against the dataset once, here (``check_model_fits``,
-    ``check_train_split``); the kernels called per step check nothing. With
-    ``lambda_causal`` > 0 on a graph with edges, the edge regularizer's
-    ``edge_laplacian`` is built once, here, and each gradient applies it to
-    the whole stack in one product.
+    carry no final measurement. The stack changes only at an epoch's end,
+    where each seed that stopped early or diverged in the epoch leaves; a
+    diverged seed logs no scores for it, and its remaining updates in it run
+    in the seed's own rows and change nothing. The final gradient noise is
+    divided by the batch of the measured epoch's updates: its
+    ``effective_batch`` (epoch 0's if none ran), times the ``ceil(n_train /
+    eff)`` minibatches that ``no_noise_averaging`` averages per update;
+    ``batch_size`` and the scaled learning rate keep the configured B. The
+    model spec is checked against the dataset once, here
+    (``check_model_fits``, ``check_train_split``); the kernels called per
+    step check nothing. With ``lambda_causal`` > 0 on a graph with edges, the
+    edge regularizer's ``edge_laplacian`` is built once, here, and each
+    gradient applies it to the whole stack in one product.
 
     Each epoch scores the active stack with one call per split: the train and
     val losses by ``models.forward_loss``, the test loss and accuracy by
@@ -680,91 +684,78 @@ def train_run(dataset: datamod.DatasetBundle, configs) -> list[RunRecord]:
 
     moments = np.zeros((2, *params.shape))  # Adam's m and v
     step_count = 0
-
-    def leave(keep: np.ndarray) -> None:
-        # drop the seeds that left from every stacked array
-        nonlocal active, params, moments, features, order
-        active = [run for run, k in zip(active, keep) if k]
-        params, order, moments = params[keep], order[keep], moments[:, keep]
-        if features.ndim == 3:
-            features = features[keep]
-
     for run in runs:
         run.record.wall_seconds = (perf_counter() - t_start) / len(runs)
-    for epoch in range(config.epochs):
-        if not active:
-            break
-        epoch_t0 = perf_counter()
-        began = list(active)
-        lr = schedule_lr(config, epoch)
-        eff_b = config.batch_schedule.effective(config.batch_size, epoch, n_train)
+    # a seed whose parameters turn non-finite trains on, silently, in rows of
+    # its own to the epoch's end, the one point where seeds leave the stack
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            if not active:
+                break
+            epoch_t0 = perf_counter()
+            lr = schedule_lr(config, epoch)
+            eff_b = config.batch_schedule.effective(config.batch_size, epoch, n_train)
 
-        features = det_features  # or one noisy copy per seed, [S, n, d]
-        if noisy:
-            scales = [math.sqrt(r.running_noise) if r.running_noise else 0.0 for r in active]
-            noise = [(s, run.rng_noise) for s, run in zip(scales, active)]
-            features = diffused(spec.diffusion_beta, noise)
-
-        if abl.kind == "inject_noise":
-            for row, run in enumerate(active):
-                x = features[row] if noisy else features
-                run.inject_level = probe_noise(params[row], x[probe_idx], eff_b)
-
-        # one update per group: no_noise_averaging averages every minibatch
-        # of the epoch into one, every other kind updates per minibatch
-        order = train_idx[np.stack([run.rng_shuffle.permutation(n_train) for run in active])]
-        starts = [0] if abl.kind == "no_noise_averaging" else range(0, n_train, eff_b)
-        for start in starts:
-            group = order if abl.kind == "no_noise_averaging" else order[:, start : start + eff_b]
-            g = update_gradient(group)
-            step_count += 1
-            if config.optimizer == "adam":
-                adam_step(params, g, moments, lr, t=step_count)
-            else:
-                params -= lr * g
-            finite = np.isfinite(params).all(axis=1)
-            if not finite.all():
-                for rec in (r.record for r, ok in zip(active, finite) if not ok):
-                    rec.status, rec.degenerate_reason = "degenerate", "non-finite parameters"
-                leave(finite)
-                if not active:
-                    break
-
-        evaluated = list(active)
-        stay = np.ones(len(active), dtype=bool)
-        for row, (run, scores) in enumerate(zip(active, evaluate(params))):
-            p, rec = params[row], run.record
-            train_loss, val_loss, test_loss, test_acc = scores
-            rec.train_loss.append(train_loss)
-            rec.test_loss.append(test_loss)
-            rec.test_acc.append(test_acc)
-            rec.lr.append(lr)
-            rec.effective_batch.append(eff_b)
-
-            if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
-                rec.status, rec.degenerate_reason = "degenerate", "non-finite loss"
-                stay[row] = False
-                continue
-
+            features = det_features  # or one noisy copy per seed, [S, n, d]
             if noisy:
-                run.running_noise = probe_noise(p, x_probe, update_batch(epoch))
+                scales = [math.sqrt(r.running_noise) if r.running_noise else 0.0 for r in active]
+                noise = [(s, run.rng_noise) for s, run in zip(scales, active)]
+                features = diffused(spec.diffusion_beta, noise)
 
-            if val_loss < run.best_val:
-                run.best_val, run.best_params, run.best_epoch = val_loss, p.copy(), epoch
-                run.bad_epochs = 0
-            else:
-                run.bad_epochs += 1
-                if run.bad_epochs >= config.early_stop_patience:
-                    rec.status, run.params = "early_stopped", run.best_params
-                    stay[row] = False
+            if abl.kind == "inject_noise":
+                for row, run in enumerate(active):
+                    x = features[row] if noisy else features
+                    run.inject_level = probe_noise(params[row], x[probe_idx], eff_b)
 
-        share = (perf_counter() - epoch_t0) / len(began)
-        for run in began:
-            run.record.wall_seconds += share
-        for run in evaluated:
-            run.record.epoch_wall_seconds.append(share)
-        if not stay.all():
-            leave(stay)
+            # one update per group: no_noise_averaging averages every minibatch
+            # of the epoch into one, every other kind updates per minibatch
+            order = train_idx[np.stack([run.rng_shuffle.permutation(n_train) for run in active])]
+            span = n_train if abl.kind == "no_noise_averaging" else eff_b
+            for start in range(0, n_train, span):
+                g = update_gradient(order[:, start : start + span])
+                step_count += 1
+                if config.optimizer == "adam":
+                    adam_step(params, g, moments, lr, t=step_count)
+                else:
+                    params -= lr * g
+
+            finite = np.isfinite(params).all(axis=1)
+            for row, (run, scores) in enumerate(zip(active, evaluate(params))):
+                p, rec = params[row], run.record
+                if not finite[row]:
+                    rec.status, rec.degenerate_reason = "degenerate", "non-finite parameters"
+                    continue
+                train_loss, val_loss, test_loss, test_acc = scores
+                rec.train_loss.append(train_loss)
+                rec.test_loss.append(test_loss)
+                rec.test_acc.append(test_acc)
+                rec.lr.append(lr)
+                rec.effective_batch.append(eff_b)
+
+                if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
+                    rec.status, rec.degenerate_reason = "degenerate", "non-finite loss"
+                    continue
+
+                if noisy:
+                    run.running_noise = probe_noise(p, x_probe, update_batch(epoch))
+
+                if val_loss < run.best_val:
+                    run.best_val, run.best_params, run.best_epoch = val_loss, p.copy(), epoch
+                    run.bad_epochs = 0
+                else:
+                    run.bad_epochs += 1
+                    if run.bad_epochs >= config.early_stop_patience:
+                        rec.status, run.params = "early_stopped", run.best_params
+
+            share = (perf_counter() - epoch_t0) / len(active)
+            for run, logged in zip(active, finite):
+                run.record.wall_seconds += share
+                if logged:
+                    run.record.epoch_wall_seconds.append(share)
+            stay = [run.record.status == "completed" for run in active]
+            if not all(stay):  # a seed diverged, hit a non-finite loss or stopped early
+                active = [run for run, k in zip(active, stay) if k]
+                params, moments = params[stay], moments[:, stay]
 
     for row, run in enumerate(active):
         run.params = params[row]

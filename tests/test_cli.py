@@ -9,7 +9,7 @@ import pytest
 from helpers import DATA_CHANGES, changed_dataset
 
 import batchlab
-from batchlab import data
+from batchlab import cli, data
 from batchlab.cli import main
 
 CONFIG = {
@@ -350,14 +350,28 @@ class TestCli:
         assert (tmp_path / "report" / "accuracy.csv").exists()
         assert bundle.read_bytes() == (tmp_path / "report" / "analysis.json").read_bytes()
 
-    def test_report_out_naming_a_file_is_a_runtime_failure(self, config_path, tmp_path, capsys):
-        # an error that is no ValueError exits 2
-        assert main(["sweep", str(config_path)]) == 0
-        records = tmp_path / "out" / "records.jsonl"
-        capsys.readouterr()
-        assert main(["report", str(records), "--out", str(records)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("runtime failure: ") and f"File exists: '{records}'" in err
+    @pytest.mark.parametrize("command", ["report", "analyze"])
+    def test_out_of_the_wrong_kind_exit_1_before_the_read(self, tmp_path, capsys, command):
+        # report writes into a directory and analyze writes one file: an --out
+        # that exists as the other kind is bad input, found before the record
+        # file is read (here it is missing)
+        missing, out = tmp_path / "missing.jsonl", tmp_path / "taken"
+        if command == "report":
+            out.write_text("")
+        else:
+            out.mkdir()
+        assert main([command, str(missing), "--out", str(out)]) == 1
+        kind = "is not" if command == "report" else "is"
+        assert capsys.readouterr().err == f"error: --out {out} {kind} a directory\n"
+        assert sorted(tmp_path.iterdir()) == [out]
+
+    def test_an_error_that_is_no_value_error_exits_2(self, tmp_path, monkeypatch, capsys):
+        def fault(*args):
+            raise RuntimeError("internal fault")
+
+        monkeypatch.setattr(cli, "emit_report", fault)
+        assert main(["report", str(tmp_path / "records.jsonl"), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "runtime failure: internal fault\n"
 
     def test_module_run_as_a_script_exits_with_mains_code(self, tmp_path, monkeypatch, capsys):
         missing = tmp_path / "missing.jsonl"

@@ -7,6 +7,7 @@ seeds, splits cells across idle workers and resumes a half-finished cell to
 the records of a fresh sweep.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -44,14 +45,25 @@ def poison_minibatches(monkeypatch, bundle, row, value):
 
     def poisoned(spec, params, x, y, out=None):
         g = real(spec, params, x, y, out=out)
-        if x.ndim == 3:  # a stack's minibatches [S, b, d]
-            hit = (x[:, 0] == target).all(axis=-1)
+        if x.ndim >= 3:  # a stack's minibatches [S, b, d], or [S, M, b, d]
+            hit = (x[..., 0, :] == target).all(axis=-1)
             g[hit] = value
             hits.append(int(hit.sum()))
         return g
 
     monkeypatch.setattr(models, "mean_gradient", poisoned)
     return hits
+
+
+def isolated_zero_node(bundle, row):
+    """``bundle`` with the node of train row ``row`` cut from the graph and
+    its features zeroed. Diffusion, noisy or not, keeps them zero, so
+    ``poison_minibatches`` finds the node's minibatches by its features."""
+    node = bundle.splits["train"][row]
+    features = bundle.features.copy()
+    features[node] = 0.0
+    edges = bundle.edges[(bundle.edges != node).all(axis=1)]
+    return dataclasses.replace(bundle, features=features, edges=edges)
 
 
 class TestStackedKernels:
@@ -235,6 +247,10 @@ def sbm():
 
 
 MLP = ModelSpec("mlp1", 4, 3, hidden_dim=6)
+NOISY_GRAPH = ModelSpec(
+    "graph_diffusion", 4, 2, hidden_dim=5, diffusion_alpha=0.3, diffusion_beta=0.1
+)
+NON_FINITE = "non-finite parameters"
 
 
 class TestStackedTrainRun:
@@ -312,37 +328,87 @@ class TestStackedTrainRun:
         assert (2, 1, 14) in shapes and (1, 2, 14) in shapes
         assert max(np.prod(s) for s in shapes if len(s) == 3) == 28
 
-    def test_seeds_that_stop_or_diverge_leave_the_stack(self, monkeypatch):
-        # seed 3 diverges in its 4th epoch and seed 5 in its 7th, both mid-epoch;
-        # seed 2 early-stops and seed 0 trains to the end
+    @pytest.mark.parametrize(
+        "settings, row, statuses",
+        [
+            # seed 3 diverges in its 4th epoch and seed 5 in its 7th, both
+            # mid-epoch; seed 2 early-stops and seed 0 trains to the end
+            (dict(), 5, [("completed", 8), ("early_stopped", 7), (NON_FINITE, 3), (NON_FINITE, 6)]),
+            (
+                dict(ablation=Ablation("sam", rho=0.05)),
+                5,
+                [("early_stopped", 8), ("early_stopped", 7), (NON_FINITE, 3), (NON_FINITE, 6)],
+            ),
+            (
+                dict(ablation=Ablation("inject_noise")),
+                5,
+                [("completed", 8), ("early_stopped", 7), (NON_FINITE, 3), (NON_FINITE, 6)],
+            ),
+            # 90 train rows at batch 14: the [S, M, b, d] minibatches of one update
+            (
+                dict(batch_size=14, ablation=Ablation("no_noise_averaging")),
+                6,
+                [("completed", 8), ("completed", 8), (NON_FINITE, 6), (NON_FINITE, 7)],
+            ),
+            (
+                dict(optimizer="sgd", lr=0.05),
+                5,
+                [("completed", 8), ("completed", 8), (NON_FINITE, 3), (NON_FINITE, 6)],
+            ),
+            (
+                dict(model=NOISY_GRAPH, lambda_causal=0.5),
+                11,
+                [(NON_FINITE, 4), (NON_FINITE, 7), ("completed", 8), ("completed", 8)],
+            ),
+        ],
+        ids=["none", "sam", "inject_noise", "no_noise_averaging", "sgd", "noisy_graph"],
+    )
+    def test_seeds_that_stop_or_diverge_leave_the_stack(
+        self, monkeypatch, sbm, settings, row, statuses
+    ):
+        if "model" in settings:
+            bundle = isolated_zero_node(sbm, row)
+        else:
+            bundle = data.make_blobs(150, 4, 2, separation=2.0, label_noise=0.3, seed=5)
+        hits = poison_minibatches(monkeypatch, bundle, row, np.nan)
+        model = ModelSpec("mlp1", 4, 2, hidden_dim=8)
+        base = dict(model=model, batch_size=16, epochs=8, lr=0.01, early_stop_patience=2)
+        records = train_alone_and_stacked(bundle, [0, 2, 3, 5], **{**base, **settings})
+        assert sum(hits) > 0
+        got = [(r.degenerate_reason or r.status, len(r.lr)) for r in records]
+        assert got == statuses
+        for r in records:  # a diverged seed logs nothing of the epoch it diverged in
+            assert len(r.train_loss) == len(r.effective_batch) == len(r.epoch_wall_seconds) == len(r.lr)
+
+    def test_a_seed_that_diverges_mid_epoch_leaves_at_the_epochs_end(self, monkeypatch):
+        # seed 3 diverges in its 4th epoch, seed 5 in its 7th, as seed 2
+        # early-stops: every update of an epoch takes the stack that began it
         bundle = data.make_blobs(150, 4, 2, separation=2.0, label_noise=0.3, seed=5)
-        hits = poison_minibatches(monkeypatch, bundle, 5, np.nan)
-        records = train_alone_and_stacked(
-            bundle,
-            [0, 2, 3, 5],
-            model=ModelSpec("mlp1", 4, 2, hidden_dim=8),
-            batch_size=16,
-            epochs=8,
-            lr=0.01,
-            early_stop_patience=2,
-        )
-        assert sum(hits) == 4  # each diverging seed, once alone and once in the stack
-        statuses = [(r.status, r.degenerate_reason, len(r.lr)) for r in records]
-        assert statuses == [
-            ("completed", None, 8),
-            ("early_stopped", None, 7),
-            ("degenerate", "non-finite parameters", 3),
-            ("degenerate", "non-finite parameters", 6),
+        poison_minibatches(monkeypatch, bundle, 5, np.nan)
+        poisoned, stack_sizes = models.mean_gradient, []
+
+        def counting(spec, params, x, y, out=None):
+            stack_sizes.append(len(params))
+            return poisoned(spec, params, x, y, out=out)
+
+        monkeypatch.setattr(models, "mean_gradient", counting)
+        spec = ModelSpec("mlp1", 4, 2, hidden_dim=8)
+        configs = [
+            TrainConfig(model=spec, batch_size=16, epochs=8, lr=0.01, early_stop_patience=2, seed=s)
+            for s in (0, 2, 3, 5)
         ]
+        training.train_run(bundle, configs)
+        # 90 train rows at batch 16: 6 updates, one gradient call each, per epoch
+        assert len(stack_sizes) == 8 * 6
+        epochs = [stack_sizes[i : i + 6] for i in range(0, 8 * 6, 6)]
+        assert epochs == [[size] * 6 for size in (4, 4, 4, 4, 3, 3, 3, 1)]
 
     def test_noisy_graph_seed_with_a_non_finite_loss_leaves_the_stack(self, monkeypatch, sbm):
         # seed 1's first update spreads its output biases to -+1.5e308: its
         # parameters stay finite, but a logit difference overflows, so its
         # first train loss is inf; the poisoned update is found by the seed's
         # initial parameters, the same alone and in a stack
-        spec = ModelSpec(
-            "graph_diffusion", 4, 2, hidden_dim=5, diffusion_alpha=0.3, diffusion_beta=0.1
-        )
+        spec = NOISY_GRAPH
         rng_init = np.random.default_rng(np.random.SeedSequence(1).spawn(3)[0])
         target = models.init_params(spec, rng_init)
         poison = np.zeros_like(target)
