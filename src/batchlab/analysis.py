@@ -19,22 +19,45 @@ import numpy as np
 from . import causal, models
 from .training import RunRecord
 
-# The causal variables, each declared here once: its reader of a usable run
-# record, and whether its observed values are its levels (the batch size) or
-# are binned into equal-frequency bins.
+# The causal model is declared here once (``causal`` names no variable). The
+# variables, in order: each one's reader of a usable run record, and whether
+# its observed values are its levels (the batch size) or are binned.
 VARIABLES = {
-    causal.VAR_BATCH: (lambda r: r.batch_size, True),
-    causal.VAR_NOISE: (lambda r: r.final.grad_noise, False),
-    causal.VAR_SHARPNESS: (lambda r: r.final.sharpness, False),
-    causal.VAR_COMPLEXITY: (lambda r: r.final.complexity, False),
-    causal.VAR_GENERALIZATION: (lambda r: r.final.test_accuracy, False),
+    "batch_size": (lambda r: r.batch_size, True),
+    "grad_noise": (lambda r: r.final.grad_noise, False),
+    "sharpness": (lambda r: r.final.sharpness, False),
+    "complexity": (lambda r: r.final.complexity, False),
+    "generalization": (lambda r: r.final.test_accuracy, False),
 }
+VAR_BATCH, VAR_NOISE, VAR_SHARPNESS, VAR_COMPLEXITY, VAR_GENERALIZATION = VARIABLES
 
 # The factor set of each engine mode, as the hypergraph it is fitted and queried on.
 STRUCTURES = {
-    causal.MODE_HYPERGRAPH: causal.default_hypergraph(),
-    causal.MODE_ALGORITHM1: causal.algorithm1_structure(),
+    # batch size drives noise, noise drives sharpness, noise and sharpness
+    # jointly drive complexity, complexity drives generalization
+    "hypergraph": causal.CausalHypergraph.from_edges(
+        VARIABLES,
+        [
+            ((VAR_BATCH,), VAR_NOISE),
+            ((VAR_NOISE,), VAR_SHARPNESS),
+            ((VAR_NOISE, VAR_SHARPNESS), VAR_COMPLEXITY),
+            ((VAR_COMPLEXITY,), VAR_GENERALIZATION),
+        ],
+    ),
+    # complexity has no incoming edge, so it gets no factor and is summed
+    # out, and the outcome conditions jointly on all mediators
+    "algorithm1": causal.CausalHypergraph.from_edges(
+        VARIABLES,
+        [
+            ((VAR_BATCH,), VAR_NOISE),
+            ((VAR_NOISE,), VAR_SHARPNESS),
+            ((VAR_NOISE, VAR_SHARPNESS, VAR_COMPLEXITY), VAR_GENERALIZATION),
+        ],
+    ),
 }
+
+# Every query's roles: do(batch size) on generalization, back-door strata by complexity.
+TREATMENT, OUTCOME, STRATIFIER = VAR_BATCH, VAR_GENERALIZATION, VAR_COMPLEXITY
 
 
 @dataclass(frozen=True)
@@ -120,7 +143,7 @@ def analyze_observations(observations: dict, settings: AnalysisSettings) -> Anal
     binned at their distinct-value count (a constant column becomes a single
     bin), so degenerate sweeps still analyze cleanly.
     """
-    treat, control = treat_control(observations[causal.VAR_BATCH].tolist(), settings)
+    treat, control = treat_control(observations[TREATMENT].tolist(), settings)
     discrete = {name for name, (_, levels) in VARIABLES.items() if levels}
     scheme, binned = causal.discretize_records(observations, settings.bins, discrete)
 
@@ -130,8 +153,8 @@ def analyze_observations(observations: dict, settings: AnalysisSettings) -> Anal
     for mode, graph in STRUCTURES.items():
         tables[mode] = causal.fit_cpts(graph, scheme, binned, alpha=settings.alpha)
         interventions[mode] = [
-            causal.interventional_distribution(tables[mode], b, scheme, mode)
-            for b in scheme[causal.VAR_BATCH].levels
+            causal.interventional_distribution(tables[mode], scheme, TREATMENT, b, OUTCOME, mode)
+            for b in scheme[TREATMENT].levels
         ]
         expected = {res.b: res.expected for res in interventions[mode]}
         ate_by_mode[mode] = expected[treat] - expected[control]
@@ -144,8 +167,8 @@ def analyze_observations(observations: dict, settings: AnalysisSettings) -> Anal
         tables=tables,
         interventions=interventions,
         ate=ate_by_mode,
-        backdoor=causal.backdoor_diagnostic(scheme, binned),
-        n_observations=len(observations[causal.VAR_BATCH]),
+        backdoor=causal.backdoor_diagnostic(scheme, binned, TREATMENT, OUTCOME, STRATIFIER),
+        n_observations=len(observations[TREATMENT]),
     )
 
 

@@ -2,15 +2,14 @@
 
 A causal hypergraph maps tail variable sets to single head variables; fitting
 one smoothed conditional probability table per hyperedge turns observed run
-records into a discrete structural model. Interventions on the batch-size
-variable are answered by truncated factorization (summing the product of the
-remaining factors over every mediator bin). After fitting, the engine is two
-things: the discretization scheme, a dict from each variable to its binning,
-and the table list, which is its own structure (each table names its head
-and tails). A query names a batch-size level of the scheme, and its expected
-outcome weights the scheme's generalization representatives; the average
-treatment effect is the difference of the expected outcomes of two such
-answers.
+records into a discrete structural model. An intervention on a discrete
+treatment is answered by truncated factorization (summing the product of the
+remaining factors over every other variable's bins). After fitting, the
+engine is two things: the discretization scheme, a dict from each variable
+to its binning, and the table list, which is its own structure (each table
+names its head and tails). A query names a treatment, one of its levels in
+the scheme and an outcome, whose representatives its expected outcome
+weights. The engine names no variable: its caller declares them all.
 """
 
 from __future__ import annotations
@@ -18,16 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-VAR_BATCH = "batch_size"
-VAR_NOISE = "grad_noise"
-VAR_SHARPNESS = "sharpness"
-VAR_COMPLEXITY = "complexity"
-VAR_GENERALIZATION = "generalization"
-DEFAULT_VARIABLES = (VAR_BATCH, VAR_NOISE, VAR_SHARPNESS, VAR_COMPLEXITY, VAR_GENERALIZATION)
-
-MODE_HYPERGRAPH = "hypergraph"
-MODE_ALGORITHM1 = "algorithm1"
 
 
 @dataclass(frozen=True)
@@ -55,34 +44,6 @@ class CausalHypergraph:
             variables=tuple(variables),
             hyperedges=tuple(Hyperedge(tuple(t), h) for t, h in edges),
         )
-
-
-def default_hypergraph() -> CausalHypergraph:
-    """Batch size drives noise, noise drives sharpness, noise and sharpness
-    jointly drive complexity, complexity drives generalization."""
-    return CausalHypergraph.from_edges(
-        DEFAULT_VARIABLES,
-        [
-            ((VAR_BATCH,), VAR_NOISE),
-            ((VAR_NOISE,), VAR_SHARPNESS),
-            ((VAR_NOISE, VAR_SHARPNESS), VAR_COMPLEXITY),
-            ((VAR_COMPLEXITY,), VAR_GENERALIZATION),
-        ],
-    )
-
-
-def algorithm1_structure() -> CausalHypergraph:
-    """Factor set of the alternate (algorithm1) engine mode: complexity has
-    no incoming edge, so it gets no factor and is summed out, and the outcome
-    conditions jointly on all mediators."""
-    return CausalHypergraph.from_edges(
-        DEFAULT_VARIABLES,
-        [
-            ((VAR_BATCH,), VAR_NOISE),
-            ((VAR_NOISE,), VAR_SHARPNESS),
-            ((VAR_NOISE, VAR_SHARPNESS, VAR_COMPLEXITY), VAR_GENERALIZATION),
-        ],
-    )
 
 
 def validate_hypergraph(h: CausalHypergraph) -> list[str]:
@@ -255,24 +216,24 @@ class InterventionResult:
         }
 
 
-def interventional_distribution(tables, b, scheme, mode: str) -> InterventionResult:
-    """Generalization distribution under do(batch size = b), by truncated
-    factorization, with ``b`` a batch-size level of the fitted ``scheme``.
+def interventional_distribution(tables, scheme, treatment, level, outcome, mode) -> InterventionResult:
+    """Distribution of ``outcome`` under do(``treatment`` = ``level``), by truncated
+    factorization, with ``level`` one of the discrete treatment's ``scheme`` levels.
 
     The tables are the structure: their edges must form a causal hypergraph
-    (one table per head, no cycle) with a table into generalization. Every
-    table except one into the batch size is one factor, with the batch-size
-    axis fixed at the bin of ``b``; a single ``np.einsum`` sums the product
-    over every other variable and the result is normalized. A variable that
-    heads no table (other than the batch size) has no factor and is summed
-    out of the tables that condition on it. The expected outcome weights the
-    scheme's generalization representatives. ``mode`` only labels the result
-    with the name of the factor set.
+    (one table per head, no cycle) with a table into the outcome. Every
+    table except one into the treatment is one factor, with the treatment
+    axis fixed at the bin of ``level``; a single ``np.einsum`` sums the
+    product over every other variable and the result is normalized. A
+    variable that heads no table (other than the treatment) has no factor
+    and is summed out of the tables that condition on it. The expected
+    outcome weights the scheme's outcome representatives. ``mode`` only
+    labels the result with the name of the factor set.
     """
-    levels = scheme[VAR_BATCH].levels
-    if b not in levels:
-        raise ValueError(f"unknown intervention level {b!r}; known levels {list(levels)}")
-    b_index = levels.index(b)
+    levels = scheme[treatment].levels
+    if level not in levels:
+        raise ValueError(f"unknown intervention level {level!r}; known levels {list(levels)}")
+    level_index = levels.index(level)
 
     axis: dict[str, int] = {}  # einsum labels, by first appearance over the tables
     for table in tables:
@@ -280,21 +241,21 @@ def interventional_distribution(tables, b, scheme, mode: str) -> InterventionRes
             axis.setdefault(v, len(axis))
     # the tables' edges must be a hypergraph: one table per head, no cycle
     CausalHypergraph.from_edges(axis, [(t.tails, t.head) for t in tables])
-    if VAR_GENERALIZATION not in {t.head for t in tables}:
-        raise ValueError(f"no table heads {VAR_GENERALIZATION!r}")
+    if outcome not in {t.head for t in tables}:
+        raise ValueError(f"no table heads {outcome!r}")
     operands = []
     for table in tables:
-        if table.head == VAR_BATCH:
+        if table.head == treatment:
             continue
         probs = table.probs
-        if VAR_BATCH in table.tails:
-            probs = probs.take(b_index, axis=table.tails.index(VAR_BATCH))
-        tails = [axis[v] for v in table.tails if v != VAR_BATCH]
+        if treatment in table.tails:
+            probs = probs.take(level_index, axis=table.tails.index(treatment))
+        tails = [axis[v] for v in table.tails if v != treatment]
         operands += [probs, tails + [axis[table.head]]]
-    dist = np.einsum(*operands, [axis[VAR_GENERALIZATION]])
+    dist = np.einsum(*operands, [axis[outcome]])
     dist = dist / dist.sum()
-    reps = np.asarray(scheme[VAR_GENERALIZATION].representatives, dtype=np.float64)
-    return InterventionResult(b=b, mode=mode, distribution=dist, expected=float(dist @ reps))
+    reps = np.asarray(scheme[outcome].representatives, dtype=np.float64)
+    return InterventionResult(b=level, mode=mode, distribution=dist, expected=float(dist @ reps))
 
 
 # -- back-door diagnostic ----------------------------------------------------------
@@ -329,28 +290,27 @@ def pearson_chi_square(table: np.ndarray) -> tuple[float, int]:
     return stat, (r - 1) * (c - 1)
 
 
-def backdoor_diagnostic(scheme, binned) -> list[StratumDiagnostic]:
-    """Per-stratum chi-square tests of generalization-batch size independence.
+def backdoor_diagnostic(scheme, binned, treatment, outcome, stratifier) -> list[StratumDiagnostic]:
+    """Per-stratum chi-square tests of outcome-treatment independence.
 
     Diagnostic only: checks the conditional independence the back-door
-    adjustment assumes, within each complexity stratum. Strata with fewer
-    than ``MIN_STRATUM_RECORDS`` records (or degenerate tables) are skipped
-    and reported as such.
+    adjustment assumes, within each stratum of ``stratifier``. Strata with
+    fewer than ``MIN_STRATUM_RECORDS`` records (or degenerate tables) are
+    skipped and reported as such.
     """
     from scipy.special import chdtrc
 
     results = []
-    strata = binned[VAR_COMPLEXITY]
-    for s in range(scheme[VAR_COMPLEXITY].k):
+    strata = binned[stratifier]
+    for s in range(scheme[stratifier].k):
         mask = strata == s
         n = int(mask.sum())
         if n < MIN_STRATUM_RECORDS:
             reason = f"fewer than {MIN_STRATUM_RECORDS} records"
             results.append(StratumDiagnostic(s, n, None, None, None, True, reason))
             continue
-        table = np.zeros((scheme[VAR_GENERALIZATION].k, scheme[VAR_BATCH].k))
-        outcome, treatment = binned[VAR_GENERALIZATION], binned[VAR_BATCH]
-        np.add.at(table, (outcome[mask], treatment[mask]), 1.0)
+        table = np.zeros((scheme[outcome].k, scheme[treatment].k))
+        np.add.at(table, (binned[outcome][mask], binned[treatment][mask]), 1.0)
         try:
             stat, dof = pearson_chi_square(table)
         except ValueError as exc:

@@ -62,20 +62,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_sweep(args) -> int:
     config = parse_config(args.config)
+    _check_out("--out", args.out, directory=True)
+    _check_out("--records", args.records, directory=False)
     records_path = args.records or sweep.default_records_path(config, args.out)
     records = sweep.run_sweep(config, records_path=records_path, workers=args.workers)
     print(f"records: {len(records)} total in {records_path}")
     return 0
 
 
-def _check_out(out, directory: bool) -> None:
-    """Reject an existing ``--out`` of the wrong kind, before any record is read."""
-    if out and Path(out).exists() and Path(out).is_dir() != directory:
-        raise ValueError(f"--out {out} {'is not' if directory else 'is'} a directory")
+def _check_out(flag: str, out, directory: bool) -> None:
+    """Reject an output path of the wrong kind, or through a regular file,
+    before any record is read or any run trains."""
+    if not out:
+        return
+    if Path(out).exists() and Path(out).is_dir() != directory:
+        raise ValueError(f"{flag} {out} {'is not' if directory else 'is'} a directory")
+    ancestor = next(p for p in Path(out).parents if p.exists())
+    if not ancestor.is_dir():
+        raise ValueError(f"{flag} {out}: {ancestor} is not a directory")
 
 
 def _cmd_analyze(args) -> int:
-    _check_out(args.out, directory=False)
+    _check_out("--out", args.out, directory=False)
     records = sweep.read_records(args.records)
     settings = _settings_from_args(args)
     bundle = analyze_records(records, settings)
@@ -94,7 +102,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_report(args) -> int:
     settings = _settings_from_args(args)
-    _check_out(args.out, directory=True)
+    _check_out("--out", args.out, directory=True)
     paths = emit_report(args.records, settings, args.out)
     for name, path in sorted(paths.items()):
         print(f"{name}: {path}")

@@ -211,12 +211,19 @@ def render_report_body(
     return "\n".join(lines) + "\n"
 
 
+# every artifact a report can write, by name: its file in the output directory
+ARTIFACTS = {
+    name: f"{name}.csv"
+    for name in ("accuracy", "sharpness", "timing", "interventions", "ate", "backdoor", "significance")
+} | {"analysis": "analysis.json", "report": "report.txt"}
+
+
 def emit_report(records_path, settings: AnalysisSettings, out_dir) -> dict[str, Path]:
     """Build every report artifact from a record file.
 
     Writes accuracy/sharpness/timing/interventions/ate/significance/backdoor
-    CSVs, the analysis bundle JSON, and a plain-text report. Returns the
-    paths written, keyed by artifact name.
+    CSVs, the analysis bundle JSON, and a plain-text report, and removes the
+    other ``ARTIFACTS`` (an earlier report's). Returns the paths written, by name.
     """
     records = sweep.read_records(records_path)
     out_dir = Path(out_dir)
@@ -236,7 +243,7 @@ def emit_report(records_path, settings: AnalysisSettings, out_dir) -> dict[str, 
     paths: dict[str, Path] = {}
 
     def emit_csv(name: str, rows: list[dict]) -> None:
-        paths[name] = out_dir / f"{name}.csv"
+        paths[name] = out_dir / ARTIFACTS[name]
         _write_csv(paths[name], rows)
 
     tables = {
@@ -275,7 +282,7 @@ def emit_report(records_path, settings: AnalysisSettings, out_dir) -> dict[str, 
             ],
         )
         emit_csv("backdoor", [row.to_dict() for row in bundle.backdoor])
-        paths["analysis"] = out_dir / "analysis.json"
+        paths["analysis"] = out_dir / ARTIFACTS["analysis"]
         bundle.save(paths["analysis"])
     if isinstance(sig, dict):
         emit_csv("significance", [sig])
@@ -287,8 +294,9 @@ def emit_report(records_path, settings: AnalysisSettings, out_dir) -> dict[str, 
         "analysis_error": bundle if isinstance(bundle, str) else sig if isinstance(sig, str) else None,
     }
     body = render_report_body(tables, bundle, sig)
-    paths["report"] = out_dir / "report.txt"
-    paths["report"].write_text(
-        "# metadata: " + json.dumps(meta) + "\n\n" + body
-    )
+    paths["report"] = out_dir / ARTIFACTS["report"]
+    paths["report"].write_text("# metadata: " + json.dumps(meta) + "\n\n" + body)
+    for name, filename in ARTIFACTS.items():
+        if name not in paths:
+            (out_dir / filename).unlink(missing_ok=True)
     return paths

@@ -5,6 +5,7 @@ from collections.abc import Callable
 from pathlib import Path
 
 from batchlab import causal, data
+from batchlab.analysis import VAR_BATCH, VAR_GENERALIZATION
 
 
 def index_scheme(k_b: int, k_g: int) -> dict:
@@ -13,8 +14,8 @@ def index_scheme(k_b: int, k_g: int) -> dict:
     tables are queried by bin index, and a query's expected outcome is the
     mean of its outcome bin index."""
     return {
-        causal.VAR_BATCH: causal.DiscreteBinning(levels=tuple(range(k_b))),
-        causal.VAR_GENERALIZATION: causal.ContinuousBinning(
+        VAR_BATCH: causal.DiscreteBinning(levels=tuple(range(k_b))),
+        VAR_GENERALIZATION: causal.ContinuousBinning(
             cuts=tuple(g + 0.5 for g in range(k_g - 1)),
             representatives=tuple(float(g) for g in range(k_g)),
         ),

@@ -14,7 +14,16 @@ import numpy as np
 import pytest
 
 from batchlab import causal, data, models, sweep as sweepmod, training
-from batchlab.analysis import STRUCTURES, AnalysisSettings, analyze_records
+from batchlab.analysis import (
+    STRUCTURES,
+    VAR_BATCH,
+    VAR_COMPLEXITY,
+    VAR_GENERALIZATION,
+    VAR_NOISE,
+    VAR_SHARPNESS,
+    AnalysisSettings,
+    analyze_records,
+)
 from batchlab.config import build_sweep_config
 from batchlab.measures import gradient_noise, sharpness_lambda_max
 from batchlab.report import render_report_body, significance_result
@@ -77,36 +86,31 @@ def _random_tables(rng, mode):
     k = 3
     if mode == "hypergraph":
         return [
-            table(causal.VAR_NOISE, (causal.VAR_BATCH,), (2,), k),
-            table(causal.VAR_SHARPNESS, (causal.VAR_NOISE,), (k,), k),
-            table(causal.VAR_COMPLEXITY, (causal.VAR_NOISE, causal.VAR_SHARPNESS), (k, k), k),
-            table(causal.VAR_GENERALIZATION, (causal.VAR_COMPLEXITY,), (k,), k),
+            table(VAR_NOISE, (VAR_BATCH,), (2,), k),
+            table(VAR_SHARPNESS, (VAR_NOISE,), (k,), k),
+            table(VAR_COMPLEXITY, (VAR_NOISE, VAR_SHARPNESS), (k, k), k),
+            table(VAR_GENERALIZATION, (VAR_COMPLEXITY,), (k,), k),
         ]
     return [
-        table(causal.VAR_NOISE, (causal.VAR_BATCH,), (2,), k),
-        table(causal.VAR_SHARPNESS, (causal.VAR_NOISE,), (k,), k),
-        table(
-            causal.VAR_GENERALIZATION,
-            (causal.VAR_NOISE, causal.VAR_SHARPNESS, causal.VAR_COMPLEXITY),
-            (k, k, k),
-            k,
-        ),
+        table(VAR_NOISE, (VAR_BATCH,), (2,), k),
+        table(VAR_SHARPNESS, (VAR_NOISE,), (k,), k),
+        table(VAR_GENERALIZATION, (VAR_NOISE, VAR_SHARPNESS, VAR_COMPLEXITY), (k, k, k), k),
     ]
 
 
 def _enumeration_oracle(tables, b_idx, mode):
     by_head = {t.head: t for t in tables}
-    pn = by_head[causal.VAR_NOISE].probs
-    ps = by_head[causal.VAR_SHARPNESS].probs
+    pn = by_head[VAR_NOISE].probs
+    ps = by_head[VAR_SHARPNESS].probs
     k = pn.shape[-1]
     out = np.zeros(k)
     if mode == "hypergraph":
-        pc = by_head[causal.VAR_COMPLEXITY].probs
-        pg = by_head[causal.VAR_GENERALIZATION].probs
+        pc = by_head[VAR_COMPLEXITY].probs
+        pg = by_head[VAR_GENERALIZATION].probs
         for n, s, c, g in itertools.product(range(k), repeat=4):
             out[g] += pg[c, g] * pc[n, s, c] * ps[n, s] * pn[b_idx, n]
         return out
-    pj = by_head[causal.VAR_GENERALIZATION].probs  # tails: complexity, noise, sharpness
+    pj = by_head[VAR_GENERALIZATION].probs  # tails: complexity, noise, sharpness
     for n, s, c, g in itertools.product(range(k), repeat=4):
         out[g] += pj[c, n, s, g] * ps[n, s] * pn[b_idx, n]
     return out / out.sum()
@@ -119,7 +123,9 @@ def test_criterion_3_do_calculus_exactness():
         for mode in STRUCTURES:
             tables = _random_tables(rng, mode)
             b_idx = trial % 2
-            res = causal.interventional_distribution(tables, b_idx, index_scheme(2, 3), mode)
+            res = causal.interventional_distribution(
+                tables, index_scheme(2, 3), VAR_BATCH, b_idx, VAR_GENERALIZATION, mode
+            )
             oracle = _enumeration_oracle(tables, b_idx, mode)
             worst = max(worst, 0.5 * np.abs(res.distribution - oracle).sum())
     ok = worst <= 1e-12
@@ -135,7 +141,7 @@ def test_criterion_4_scm_recovery():
     k = 3
     truth = _random_tables(rng, "hypergraph")
     n = 100_000
-    cols = {causal.VAR_BATCH: rng.integers(0, 2, n)}
+    cols = {VAR_BATCH: rng.integers(0, 2, n)}
     by_head = {t.head: t for t in truth}
 
     def draw(head):
@@ -144,18 +150,20 @@ def test_criterion_4_scm_recovery():
         u = rng.random(n)
         return (u[:, None] > rows.cumsum(axis=1)).sum(axis=1)
 
-    cols[causal.VAR_NOISE] = draw(causal.VAR_NOISE)
-    cols[causal.VAR_SHARPNESS] = draw(causal.VAR_SHARPNESS)
-    cols[causal.VAR_COMPLEXITY] = draw(causal.VAR_COMPLEXITY)
-    cols[causal.VAR_GENERALIZATION] = draw(causal.VAR_GENERALIZATION)
-    mediators = (causal.VAR_NOISE, causal.VAR_SHARPNESS, causal.VAR_COMPLEXITY)
+    cols[VAR_NOISE] = draw(VAR_NOISE)
+    cols[VAR_SHARPNESS] = draw(VAR_SHARPNESS)
+    cols[VAR_COMPLEXITY] = draw(VAR_COMPLEXITY)
+    cols[VAR_GENERALIZATION] = draw(VAR_GENERALIZATION)
+    mediators = (VAR_NOISE, VAR_SHARPNESS, VAR_COMPLEXITY)
     scheme = {**levels_scheme(dict.fromkeys(mediators, k)), **index_scheme(2, k)}
-    fitted = causal.fit_cpts(causal.default_hypergraph(), scheme, cols, alpha=1.0)
+    fitted = causal.fit_cpts(STRUCTURES["hypergraph"], scheme, cols, alpha=1.0)
     worst_tv = 0.0
     expectations = {}
     analytic_expectations = {}
     for b in (0, 1):
-        est = causal.interventional_distribution(fitted, b, scheme, "hypergraph")
+        est = causal.interventional_distribution(
+            fitted, scheme, VAR_BATCH, b, VAR_GENERALIZATION, "hypergraph"
+        )
         analytic = _enumeration_oracle(truth, b, "hypergraph")
         worst_tv = max(worst_tv, 0.5 * np.abs(est.distribution - analytic).sum())
         expectations[b] = est.expected

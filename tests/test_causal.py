@@ -4,17 +4,19 @@ import numpy as np
 import pytest
 
 from batchlab import causal
-from batchlab.causal import (
+from batchlab.analysis import (
+    STRUCTURES,
     VAR_BATCH,
     VAR_COMPLEXITY,
     VAR_GENERALIZATION,
     VAR_NOISE,
     VAR_SHARPNESS,
+    VARIABLES,
+)
+from batchlab.causal import (
     CausalHypergraph,
     ConditionalTable,
-    algorithm1_structure,
     backdoor_diagnostic,
-    default_hypergraph,
     discretize_records,
     fit_cpts,
     interventional_distribution,
@@ -24,18 +26,22 @@ from batchlab.causal import (
 from helpers import index_scheme, levels_scheme
 
 
-def pairwise_hypergraph():
-    """The default structure with the joint noise+sharpness edge into
-    complexity replaced by a single noise edge."""
-    return CausalHypergraph.from_edges(
-        causal.DEFAULT_VARIABLES,
-        [
-            ((VAR_BATCH,), VAR_NOISE),
-            ((VAR_NOISE,), VAR_SHARPNESS),
-            ((VAR_NOISE,), VAR_COMPLEXITY),
-            ((VAR_COMPLEXITY,), VAR_GENERALIZATION),
-        ],
-    )
+# the hypergraph structure with the joint noise+sharpness edge into
+# complexity replaced by a single noise edge
+PAIRWISE = CausalHypergraph.from_edges(
+    VARIABLES,
+    [
+        ((VAR_BATCH,), VAR_NOISE),
+        ((VAR_NOISE,), VAR_SHARPNESS),
+        ((VAR_NOISE,), VAR_COMPLEXITY),
+        ((VAR_COMPLEXITY,), VAR_GENERALIZATION),
+    ],
+)
+
+
+def do_batch(tables, b, scheme, mode="hypergraph"):
+    """The lab's query: the generalization distribution under do(batch size = b)."""
+    return interventional_distribution(tables, scheme, VAR_BATCH, b, VAR_GENERALIZATION, mode)
 
 
 def random_table(rng, head, tails, tail_shape, k_head, concentrate=0.05):
@@ -102,22 +108,25 @@ def random_pairwise_tables(rng, k=3, k_b=2):
     ]
 
 
-def joint_enumeration_oracle(h, tables, b_idx):
-    """P(generalization | do(batch = b_idx)) for any hypergraph, by brute force.
+def joint_enumeration_oracle(h, tables, index, treatment=VAR_BATCH):
+    """P(generalization | do(treatment = its bin ``index``)) for any
+    hypergraph, by brute force.
 
     Enumerates every joint assignment of the non-intervened variables, takes
-    the product of one table entry per hyperedge, and normalizes the outcome
-    marginal. A variable without a table ranges over the size its consumers
-    give it.
+    the product of one table entry per hyperedge that does not head into the
+    treatment, and normalizes the outcome marginal. A variable without a
+    table ranges over the size its consumers give it.
     """
     by_head = {t.head: t for t in tables}
     k = {v: n for t in tables for v, n in zip(t.tails + (t.head,), t.probs.shape)}
-    free = [v for v in h.variables if v != VAR_BATCH]
+    free = [v for v in h.variables if v != treatment]
     out = np.zeros(k[VAR_GENERALIZATION])
     for values in itertools.product(*(range(k[v]) for v in free)):
-        assign = {VAR_BATCH: b_idx, **dict(zip(free, values))}
+        assign = {treatment: index, **dict(zip(free, values))}
         p = 1.0
         for edge in h.hyperedges:
+            if edge.head == treatment:
+                continue  # do() cuts every edge into the treatment
             t = by_head[edge.head]
             p *= t.probs[tuple(assign[v] for v in t.tails) + (assign[edge.head],)]
         out[assign[VAR_GENERALIZATION]] += p
@@ -126,19 +135,19 @@ def joint_enumeration_oracle(h, tables, b_idx):
 
 # structure, random tables of that structure, and its hand-written oracle
 ORACLE_CASES = {
-    "hypergraph": (default_hypergraph, random_hypergraph_tables, hypergraph_oracle),
-    "algorithm1": (algorithm1_structure, random_algorithm1_tables, algorithm1_oracle),
-    "pairwise": (pairwise_hypergraph, random_pairwise_tables, None),
+    "hypergraph": (STRUCTURES["hypergraph"], random_hypergraph_tables, hypergraph_oracle),
+    "algorithm1": (STRUCTURES["algorithm1"], random_algorithm1_tables, algorithm1_oracle),
+    "pairwise": (PAIRWISE, random_pairwise_tables, None),
 }
 
 
 class TestValidateHypergraph:
     def test_default_graph_order(self):
-        order = validate_hypergraph(default_hypergraph())
+        order = validate_hypergraph(STRUCTURES["hypergraph"])
         assert order == [VAR_BATCH, VAR_NOISE, VAR_SHARPNESS, VAR_COMPLEXITY, VAR_GENERALIZATION]
 
     def test_pairwise_variant_valid(self):
-        order = validate_hypergraph(pairwise_hypergraph())
+        order = validate_hypergraph(PAIRWISE)
         assert order.index(VAR_NOISE) < order.index(VAR_COMPLEXITY)
 
     # an invalid structure cannot be built
@@ -308,7 +317,7 @@ class TestFitCpts:
                 VAR_GENERALIZATION: rng.integers(0, 3, n),
             }
         )
-        for table in fit_cpts(default_hypergraph(), scheme, binned, alpha=1.0):
+        for table in fit_cpts(STRUCTURES["hypergraph"], scheme, binned, alpha=1.0):
             sums = table.probs.sum(axis=-1)
             np.testing.assert_allclose(sums, 1.0, atol=1e-12)
             assert (table.probs > 0).all()
@@ -324,7 +333,7 @@ class TestFitCpts:
             VAR_GENERALIZATION: rng.integers(0, 3, n),
         }
         scheme, binned = self.scheme_and_columns(**cols)
-        tables = {t.head: t for t in fit_cpts(default_hypergraph(), scheme, binned, alpha=1.0)}
+        tables = {t.head: t for t in fit_cpts(STRUCTURES["hypergraph"], scheme, binned, alpha=1.0)}
         # brute-force counting for the joint-tail table
         table = tables[VAR_COMPLEXITY]
         for nn in range(3):
@@ -357,7 +366,7 @@ class TestInterventionalDistribution:
             ),
             point(VAR_GENERALIZATION, (VAR_COMPLEXITY,), (2,), 2, {(0,): 0, (1,): 1}),
         ]
-        res = interventional_distribution(tables, 0, index_scheme(2, 2), "hypergraph")
+        res = do_batch(tables, 0, index_scheme(2, 2))
         np.testing.assert_allclose(res.distribution, [0.0, 1.0], atol=1e-15)
 
     def test_uniform_tables_give_uniform_outcome(self):
@@ -373,7 +382,7 @@ class TestInterventionalDistribution:
             ),
             ConditionalTable(VAR_GENERALIZATION, (VAR_COMPLEXITY,), np.full((k, k), 1 / k), 0),
         ]
-        res = interventional_distribution(uniform, 1, index_scheme(2, k), "hypergraph")
+        res = do_batch(uniform, 1, index_scheme(2, k))
         np.testing.assert_allclose(res.distribution, np.full(k, 1 / k), atol=1e-15)
 
     @pytest.mark.parametrize("mode", list(ORACLE_CASES))
@@ -382,14 +391,33 @@ class TestInterventionalDistribution:
         rng = np.random.default_rng(10)
         for trial in range(30):
             tables = make_tables(rng)
-            oracles = [joint_enumeration_oracle(structure(), tables, trial % 2)]
+            oracles = [joint_enumeration_oracle(structure, tables, trial % 2)]
             if hand_oracle is not None:
                 oracles.append(hand_oracle(tables, trial % 2))
-            res = interventional_distribution(tables, trial % 2, index_scheme(2, 3), mode)
+            res = do_batch(tables, trial % 2, index_scheme(2, 3), mode)
             for oracle in oracles:
                 tv = 0.5 * np.abs(res.distribution - oracle).sum()
                 assert tv <= 1e-12
             assert res.distribution.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("treatment", [VAR_NOISE, VAR_SHARPNESS])
+    @pytest.mark.parametrize("mode", list(ORACLE_CASES))
+    def test_do_on_a_mediator_matches_enumeration_oracle(self, mode, treatment):
+        # a discrete mediator's level resolves through the scheme as the batch size's does
+        structure, make_tables, _ = ORACLE_CASES[mode]
+        levels = (0.25, 0.5, 4.0)
+        scheme = {**index_scheme(2, 3), treatment: causal.DiscreteBinning(levels=levels)}
+        rng = np.random.default_rng(18)
+        for trial in range(30):
+            tables = make_tables(rng)
+            index = trial % 3
+            res = interventional_distribution(
+                tables, scheme, treatment, levels[index], VAR_GENERALIZATION, mode
+            )
+            oracle = joint_enumeration_oracle(structure, tables, index, treatment)
+            assert 0.5 * np.abs(res.distribution - oracle).sum() <= 1e-12
+            assert res.b == levels[index]
+            assert res.expected == pytest.approx(oracle @ np.arange(3), abs=1e-12)
 
     def test_pairwise_graph_supported(self):
         rng = np.random.default_rng(11)
@@ -399,21 +427,21 @@ class TestInterventionalDistribution:
             random_table(rng, VAR_COMPLEXITY, (VAR_NOISE,), (3,), 3),
             random_table(rng, VAR_GENERALIZATION, (VAR_COMPLEXITY,), (3,), 3),
         ]
-        res = interventional_distribution(tables, 0, index_scheme(2, 3), "pairwise")
+        res = do_batch(tables, 0, index_scheme(2, 3), "pairwise")
         assert res.distribution.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_unknown_level_rejected(self):
         rng = np.random.default_rng(12)
         tables = random_hypergraph_tables(rng)
         with pytest.raises(ValueError, match="unknown intervention level"):
-            interventional_distribution(tables, 7, index_scheme(2, 3), "hypergraph")
+            do_batch(tables, 7, index_scheme(2, 3))
 
     def test_missing_table_rejected(self):
         # without the table into generalization the tables have no outcome
         rng = np.random.default_rng(13)
         tables = random_hypergraph_tables(rng)[:-1]
         with pytest.raises(ValueError, match="no table heads 'generalization'"):
-            interventional_distribution(tables, 0, index_scheme(2, 3), "hypergraph")
+            do_batch(tables, 0, index_scheme(2, 3))
 
     @pytest.mark.parametrize(
         "head, tails, error",
@@ -430,24 +458,24 @@ class TestInterventionalDistribution:
         extra = random_table(rng, head, tails, [k[t] for t in tails], k[head])
         tables = random_hypergraph_tables(rng) + [extra]
         with pytest.raises(ValueError, match=error):
-            interventional_distribution(tables, 0, index_scheme(2, 3), "hypergraph")
+            do_batch(tables, 0, index_scheme(2, 3))
 
     def test_table_into_batch_size_is_no_factor(self):
         # do(B) cuts every edge into B: a fitted prior on B changes no answer
         rng = np.random.default_rng(17)
         n = 60
-        binned = {v: rng.integers(0, 3, n) for v in causal.DEFAULT_VARIABLES}
+        binned = {v: rng.integers(0, 3, n) for v in VARIABLES}
         binned[VAR_BATCH] = rng.integers(0, 2, n)
         mediators = levels_scheme({VAR_NOISE: 3, VAR_SHARPNESS: 3, VAR_COMPLEXITY: 3})
         scheme = {**mediators, **index_scheme(2, 3)}
-        edges = [(e.tails, e.head) for e in default_hypergraph().hyperedges]
-        tables = fit_cpts(default_hypergraph(), scheme, binned, alpha=1.0)
-        with_prior = CausalHypergraph.from_edges(causal.DEFAULT_VARIABLES, [((), VAR_BATCH)] + edges)
+        edges = [(e.tails, e.head) for e in STRUCTURES["hypergraph"].hyperedges]
+        tables = fit_cpts(STRUCTURES["hypergraph"], scheme, binned, alpha=1.0)
+        with_prior = CausalHypergraph.from_edges(VARIABLES, [((), VAR_BATCH)] + edges)
         prior_tables = fit_cpts(with_prior, scheme, binned, alpha=1.0)
         assert prior_tables[0].head == VAR_BATCH and prior_tables[0].probs.shape == (2,)
         for b in (0, 1):
-            plain = interventional_distribution(tables, b, scheme, "hypergraph")
-            primed = interventional_distribution(prior_tables, b, scheme, "hypergraph")
+            plain = do_batch(tables, b, scheme)
+            primed = do_batch(prior_tables, b, scheme)
             np.testing.assert_array_equal(primed.distribution, plain.distribution)
             assert primed.expected == plain.expected
 
@@ -456,18 +484,18 @@ class TestInterventionalDistribution:
         tables = random_hypergraph_tables(rng)
         by_index = index_scheme(2, 3)
         scheme = {**by_index, VAR_BATCH: causal.DiscreteBinning(levels=(16, 512))}
-        at_index = interventional_distribution(tables, 1, by_index, "hypergraph")
-        at_level = interventional_distribution(tables, 512, scheme, "hypergraph")
+        at_index = do_batch(tables, 1, by_index)
+        at_level = do_batch(tables, 512, scheme)
         np.testing.assert_array_equal(at_index.distribution, at_level.distribution)
         assert at_index.expected == at_level.expected
         with pytest.raises(ValueError, match="unknown intervention level"):
-            interventional_distribution(tables, 64, scheme, "hypergraph")
+            do_batch(tables, 64, scheme)
 
 
 def ate(tables, b_treat, b_control, scheme):
     """E[outcome | do(b_treat)] - E[outcome | do(b_control)]."""
     treat, control = (
-        interventional_distribution(tables, b, scheme, "hypergraph") for b in (b_treat, b_control)
+        do_batch(tables, b, scheme) for b in (b_treat, b_control)
     )
     return treat.expected - control.expected
 
@@ -512,23 +540,20 @@ class TestAte:
 
 
 class TestBackdoorDiagnostic:
-    def make_binned(self, b, g, c):
-        """The scheme and the bin-index columns of batch size ``b``, outcome
-        ``g`` and complexity ``c``, each on as many levels as its largest
-        index needs."""
-        cols = {
-            VAR_BATCH: np.asarray(b),
-            VAR_GENERALIZATION: np.asarray(g),
-            VAR_COMPLEXITY: np.asarray(c),
-        }
-        return levels_scheme({v: int(x.max()) + 1 for v, x in cols.items()}), cols
+    def diagnose(self, b, g, c, roles=(VAR_BATCH, VAR_GENERALIZATION, VAR_COMPLEXITY)):
+        """The diagnostic of treatment ``b``, outcome ``g`` and stratifier
+        ``c``, bin-index columns named by ``roles`` (the lab's by default),
+        each on as many levels as its largest index needs."""
+        cols = {v: np.asarray(x) for v, x in zip(roles, (b, g, c))}
+        scheme = levels_scheme({v: int(x.max()) + 1 for v, x in cols.items()})
+        return backdoor_diagnostic(scheme, cols, *roles)
 
     def test_hand_evaluated_chi_square(self):
         # single stratum with counts [[10, 0], [0, 10]]
         b = [0] * 10 + [1] * 10
         g = [0] * 10 + [1] * 10
         c = [0] * 20
-        rows = backdoor_diagnostic(*self.make_binned(b, g, c))
+        rows = self.diagnose(b, g, c)
         assert len(rows) == 1
         assert rows[0].chi_square == pytest.approx(20.0, abs=1e-12)
         assert rows[0].dof == 1
@@ -540,7 +565,7 @@ class TestBackdoorDiagnostic:
         c = rng.integers(0, 3, n)
         g = (c + rng.integers(0, 2, n)) % 3  # depends on C only
         b = rng.integers(0, 2, n)  # independent treatment
-        rows = backdoor_diagnostic(*self.make_binned(b, g, c))
+        rows = self.diagnose(b, g, c)
         rejections = [r for r in rows if not r.skipped and r.p_value < 0.01]
         assert len(rejections) == 0
 
@@ -550,15 +575,24 @@ class TestBackdoorDiagnostic:
         b = rng.integers(0, 2, n)
         g = b.copy()  # outcome a function of treatment
         c = rng.integers(0, 2, n)
-        rows = backdoor_diagnostic(*self.make_binned(b, g, c))
+        rows = self.diagnose(b, g, c)
         assert any((not r.skipped) and r.p_value < 0.01 for r in rows)
 
     def test_sparse_strata_skipped_and_reported(self):
         b = [0, 1, 0, 1, 0, 1]
         g = [0, 1, 0, 1, 0, 1]
         c = [0, 0, 0, 0, 0, 1]  # stratum 1 has a single record
-        rows = backdoor_diagnostic(*self.make_binned(b, g, c))
+        rows = self.diagnose(b, g, c)
         assert rows[1].skipped and "fewer than" in rows[1].reason
+
+    def test_roles_come_from_the_caller(self):
+        # the same columns under other names, and with the roles swapped
+        rng = np.random.default_rng(19)
+        b, g, c = rng.integers(0, 2, 90), rng.integers(0, 3, 90), rng.integers(0, 2, 90)
+        rows = self.diagnose(b, g, c)
+        assert self.diagnose(b, g, c, roles=("t", "y", "z")) == rows
+        swapped = self.diagnose(g, b, c, roles=("y", "t", "z"))
+        assert [(r.chi_square, r.dof, r.n) for r in swapped] == [(r.chi_square, r.dof, r.n) for r in rows]
 
     def test_chi_square_oracle_formula(self):
         table = np.array([[12.0, 5.0], [7.0, 9.0]])
@@ -596,9 +630,9 @@ class TestScmRecovery:
         truth = random_hypergraph_tables(rng, concentrate=0.3)
         cols = self.sample_scm(rng, 30_000, truth)
         scheme = {**levels_scheme(dict.fromkeys(MEDIATORS, 3)), **index_scheme(2, 3)}
-        fitted = fit_cpts(default_hypergraph(), scheme, cols, alpha=1.0)
+        fitted = fit_cpts(STRUCTURES["hypergraph"], scheme, cols, alpha=1.0)
         for b in (0, 1):
-            est = interventional_distribution(fitted, b, scheme, "hypergraph")
+            est = do_batch(fitted, b, scheme)
             analytic = hypergraph_oracle(truth, b)
             tv = 0.5 * np.abs(est.distribution - analytic).sum()
             assert tv <= 0.03
@@ -626,13 +660,13 @@ class TestScmRecovery:
         ]
         cols = self.sample_scm(rng, 20_000, truth)
         scheme = {**levels_scheme(dict.fromkeys(MEDIATORS, k)), **index_scheme(2, k)}
-        fitted_hyper = fit_cpts(default_hypergraph(), scheme, cols, alpha=0.0)
-        fitted_pair = fit_cpts(pairwise_hypergraph(), scheme, cols, alpha=0.0)
+        fitted_hyper = fit_cpts(STRUCTURES["hypergraph"], scheme, cols, alpha=0.0)
+        fitted_pair = fit_cpts(PAIRWISE, scheme, cols, alpha=0.0)
         errs = {"hyper": 0.0, "pair": 0.0}
         for b in (0, 1):
             analytic = hypergraph_oracle(truth, b, k=k) @ np.arange(k)
-            e_hyper = interventional_distribution(fitted_hyper, b, scheme, "hypergraph").expected
-            e_pair = interventional_distribution(fitted_pair, b, scheme, "pairwise").expected
+            e_hyper = do_batch(fitted_hyper, b, scheme).expected
+            e_pair = do_batch(fitted_pair, b, scheme, "pairwise").expected
             errs["hyper"] += abs(e_hyper - analytic)
             errs["pair"] += abs(e_pair - analytic)
         assert errs["hyper"] <= errs["pair"] + 1e-12

@@ -365,6 +365,31 @@ class TestCli:
         assert capsys.readouterr().err == f"error: --out {out} {kind} a directory\n"
         assert sorted(tmp_path.iterdir()) == [out]
 
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            ("report missing.jsonl --out afile/sub", "--out afile/sub: afile is not"),
+            ("analyze missing.jsonl --out afile/sub/a.json", "--out afile/sub/a.json: afile is not"),
+            ("sweep config.json --out afile/sub", "--out afile/sub: afile is not"),
+            ("sweep config.json --out afile", "--out afile is not"),
+            ("sweep config.json --records afile/sub.jsonl", "--records afile/sub.jsonl: afile is not"),
+            ("sweep config.json --records adir", "--records adir is"),
+        ],
+        ids=["report", "analyze", "sweep-out", "sweep-out-file", "sweep-records", "sweep-records-dir"],
+    )
+    def test_output_path_that_cannot_be_written_exit_1_before_the_work(
+        self, config_path, tmp_path, monkeypatch, capsys, argv, error
+    ):
+        # a path through a regular file, or of the wrong kind, is bad input:
+        # found before the record file is read (here it is missing) or a run trains
+        monkeypatch.chdir(tmp_path)
+        Path("afile").write_text("")
+        Path("adir").mkdir()
+        before = sorted(tmp_path.iterdir())
+        assert main(argv.split()) == 1
+        assert capsys.readouterr().err == f"error: {error} a directory\n"
+        assert sorted(tmp_path.iterdir()) == before and Path("afile").read_text() == ""
+
     def test_an_error_that_is_no_value_error_exits_2(self, tmp_path, monkeypatch, capsys):
         def fault(*args):
             raise RuntimeError("internal fault")

@@ -9,13 +9,17 @@ import pytest
 from batchlab import analysis, causal, report, sweep
 from batchlab.analysis import (
     STRUCTURES,
+    VAR_BATCH,
+    VAR_COMPLEXITY,
+    VAR_GENERALIZATION,
+    VAR_NOISE,
+    VAR_SHARPNESS,
     AnalysisBundle,
     AnalysisSettings,
     analyze_observations,
     analyze_records,
     records_to_observations,
 )
-from batchlab.causal import VAR_BATCH, VAR_GENERALIZATION
 from batchlab.cli import main
 from batchlab.measures import Measurement
 from batchlab.training import RunRecord
@@ -94,6 +98,11 @@ class TestAnalysis:
         assert [len(column) for column in obs.values()] == [12] * len(analysis.VARIABLES)
         assert set(obs[VAR_BATCH].tolist()) == {16, 256}
 
+    def test_every_structure_is_over_the_declared_variables_in_order(self):
+        assert list(STRUCTURES) == ["hypergraph", "algorithm1"]
+        for graph in STRUCTURES.values():
+            assert graph.variables == tuple(analysis.VARIABLES)
+
     def test_observations_are_one_column_per_variable_over_usable_runs(self):
         usable = synthetic_sweep_records(n_seeds=3)
         degenerate = synthetic_record(256, 98, 0.5)
@@ -104,9 +113,9 @@ class TestAnalysis:
         assert list(obs) == list(analysis.VARIABLES)
         expected = {
             VAR_BATCH: [r.batch_size for r in usable],
-            causal.VAR_NOISE: [r.final.grad_noise for r in usable],
-            causal.VAR_SHARPNESS: [r.final.sharpness for r in usable],
-            causal.VAR_COMPLEXITY: [r.final.complexity for r in usable],
+            VAR_NOISE: [r.final.grad_noise for r in usable],
+            VAR_SHARPNESS: [r.final.sharpness for r in usable],
+            VAR_COMPLEXITY: [r.final.complexity for r in usable],
             VAR_GENERALIZATION: [r.final.test_accuracy for r in usable],
         }
         assert {name: column.tolist() for name, column in obs.items()} == expected
@@ -120,10 +129,11 @@ class TestAnalysis:
         # the generalization gap, read from each record and driven by the batch size
         for i, r in enumerate(records):
             r.final = dataclasses.replace(r.final, gen_gap=0.01 * i + 0.1 * (r.batch_size == 16))
+        # the variable and its hyperedge are declared in analysis alone
         monkeypatch.setitem(analysis.VARIABLES, "gen_gap", (lambda r: r.final.gen_gap, False))
         structures = {
             mode: causal.CausalHypergraph.from_edges(
-                graph.variables + ("gen_gap",),
+                analysis.VARIABLES,
                 [(e.tails, e.head) for e in graph.hyperedges] + [((VAR_BATCH,), "gen_gap")],
             )
             for mode, graph in STRUCTURES.items()
@@ -168,7 +178,7 @@ class TestAnalysis:
                 # and a fresh query of the fitted tables gives the same floats
                 fresh = {
                     b: causal.interventional_distribution(
-                        bundle.tables[mode], b, bundle.scheme, mode
+                        bundle.tables[mode], bundle.scheme, VAR_BATCH, b, VAR_GENERALIZATION, mode
                     ).expected
                     for b in (treat, control)
                 }
@@ -404,6 +414,30 @@ class TestEmitReport:
             f"== causal analysis failed ==\n  {error}",
             f"== significance tests failed ==\n  {error}",
         ]
+
+    def test_a_report_removes_the_artifacts_it_does_not_write(self, tmp_path):
+        # four reports into one directory: all artifacts; no significance
+        # tests (one B=256 seed); no engine (tied accuracies); all again
+        one_256 = [
+            synthetic_record(16, seed, acc, noise=0.01 * (seed + 1), sharp=1.0 + seed)
+            for seed, acc in enumerate((0.81, 0.82, 0.83, 0.84))
+        ] + [synthetic_record(256, 0, 0.45, noise=0.5, sharp=10.0)]
+        engine = {"interventions", "ate", "backdoor", "analysis"}
+        cases = {
+            "all": (synthetic_sweep_records(), set(report.ARTIFACTS)),
+            "no-tests": (one_256, set(report.ARTIFACTS) - {"significance"}),
+            "no-engine": (self.binning_failure_records(), set(report.ARTIFACTS) - engine),
+            "all-again": (synthetic_sweep_records(), set(report.ARTIFACTS)),
+        }
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "notes.txt").write_text("no artifact of a report")
+        for name, (records, expected) in cases.items():
+            (tmp_path / name).mkdir()
+            paths = report.emit_report(self.write_records(tmp_path / name, records), AnalysisSettings(), out)
+            assert set(paths) == expected, name
+            names = {report.ARTIFACTS[artifact] for artifact in expected} | {"notes.txt"}
+            assert {path.name for path in out.iterdir()} == names, name
 
     def test_empty_record_file_rejected(self, tmp_path):
         path = tmp_path / "records.jsonl"

@@ -34,3 +34,23 @@ def test_every_top_level_name_has_a_reader():
         and not any(re.search(rf"\b{stmt.name}\b", span) for span in spans)
     ]
     assert unread == []
+
+
+def test_the_causal_engine_names_no_variable_mode_or_structure():
+    """``causal`` is the generic machinery: the lab's variables, its engine
+    modes and their structures are declared in ``analysis`` alone, so the
+    engine's source spells none of them, not even in a comment, and keeps
+    none of the names they once had there."""
+    from batchlab import analysis
+
+    source = (ROOT / "src" / "batchlab" / "causal.py").read_text()
+    gone = r"\b(VAR_\w*|MODE_\w*|DEFAULT_VARIABLES|default_hypergraph|algorithm1_structure)\b"
+    assert re.findall(gone, source) == []
+    variables = "|".join(map(re.escape, analysis.VARIABLES))
+    assert re.findall(rf"\b({variables})\b", source) == []
+    strings = {
+        node.value
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    assert strings & set(analysis.STRUCTURES) == set()
